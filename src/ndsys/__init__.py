@@ -12,11 +12,10 @@ from .intlat import (GaloisSubgroup, IntLattice, IntMatrix, SmithDecomposition,
                      diagonal_lattice, full_lattice, hnf, join,
                      lattice_from_rows, lattice_to_subgroup, meet, smith,
                      subgroup_to_lattice, zero_lattice)
-from .laurent import (LaurentPoly, LaurentVec, MonomialMap, PolyParseError,
-                      coset_split, parse_poly, parse_vector, poly_to_str,
-                      vector_to_str)
+from .laurent import (LaurentPoly, LaurentVec, PolyParseError, coset_split,
+                      parse_poly, parse_vector, poly_to_str, vector_to_str)
 from .groebner import (Submodule, TermOrder, eliminate, groebner_basis,
-                       kernel, member, module_quotient, submodule_contains,
+                       member, module_quotient, submodule_contains,
                        submodule_equal, syzygies)
 from .sublattice import (ContractedModule, SublatticeContext, contract,
                          contract_extend_roundtrips, contracted_module,
@@ -31,13 +30,13 @@ from .analysis import (AnalysisReport, analyze, decomposition,
 from .trajectories import (Window, WindowSolutionSpace, WindowSpan,
                            box_window, explicit_window,
                            extension_product_check, restriction_check,
-                           vandermonde_reconstruct, window_solutions)
+                           window_solutions)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport", "CoarsestReport", "ContractedModule", "GaloisSubgroup",
-    "IntLattice", "IntMatrix", "LaurentPoly", "LaurentVec", "MonomialMap",
+    "IntLattice", "IntMatrix", "LaurentPoly", "LaurentVec",
     "PolyParseError", "SmithDecomposition", "SublatticeContext", "Submodule",
     "TermOrder", "Window", "WindowSolutionSpace", "WindowSpan",
     "analyze", "box_window", "brute_force_coarsest", "coarsest_lattice",
@@ -47,11 +46,11 @@ __all__ = [
     "extension_product_check", "full_lattice", "galois_group_of",
     "groebner_basis", "hnf", "image_representation", "is_autonomous",
     "is_constant_module", "is_controllable", "is_extension_from", "join",
-    "kernel", "lattice_from_rows", "lattice_to_subgroup", "meet", "member",
+    "lattice_from_rows", "lattice_to_subgroup", "meet", "member",
     "module_quotient", "parse_poly", "parse_vector", "poly_to_str",
     "rank_over_fractions", "restriction_check", "smith",
     "subgroup_to_lattice", "sublattice_context", "submodule_contains",
     "submodule_equal", "support_difference_lattice", "syzygies",
-    "torsion_closure", "transfer_checks", "vandermonde_reconstruct",
+    "torsion_closure", "transfer_checks",
     "vector_to_str", "window_solutions", "zero_lattice",
 ]

@@ -16,7 +16,7 @@ from .laurent import LaurentPoly, LaurentVec
 from .groebner import (Submodule, eliminate, member, submodule_contains,
                        submodule_equal, syzygies)
 from .intlat import IntLattice
-from .sublattice import ContractedModule, contract, extend, extend_vector
+from .sublattice import contract, extend, extend_vector
 
 
 def rank_over_fractions(p: Submodule) -> int:

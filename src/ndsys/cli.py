@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlat import (IntLattice, IntMatrix, full_lattice, lattice_from_rows,
+from .intlat import (IntLattice, IntMatrix, lattice_from_rows,
                      lattice_to_subgroup, smith, subgroup_to_lattice)
 from .laurent import (LaurentPoly, LaurentVec, PolyParseError, parse_poly,
                       parse_vector, poly_to_str, vector_to_str)
@@ -150,6 +150,8 @@ def parse_system(text: str) -> SystemFile:
         raise InputError(f"line {lineno}: cannot parse {stmt!r}")
     if n is None or k is None:
         raise InputError("system file must declare n and k")
+    if n < 1 or k < 1:
+        raise InputError(f"n and k must be at least 1, got n = {n}, k = {k}")
     if matrix_rows is None:
         raise InputError("system file must declare P")
     rows = []
@@ -364,7 +366,7 @@ def _cmd_simulate(sf: SystemFile, args) -> dict:
 
 def _cmd_smith(sf: SystemFile, args) -> dict:
     s = _pick_lattice(sf, args)
-    cols = s.basis.transpose() if s.rank else IntMatrix(tuple(() for _ in range(s.ambient)), 0)
+    cols = s.basis.transpose()
     dec = smith(cols)
     prod_check = dec.U @ dec.D @ dec.V
     return {"lattice": _lat_json(s),

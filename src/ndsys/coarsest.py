@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .intlat import (IntLattice, _congruence_solution_lattice, full_lattice,
+from .intlat import (IntLattice, _congruence_solution_lattice,
                      lattice_from_rows, meet, zero_lattice)
 from .laurent import coset_split
 from .groebner import Submodule, groebner_basis, syzygies

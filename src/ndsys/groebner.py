@@ -34,18 +34,15 @@ class TermOrder:
 
     Variables listed in drop outrank everything else, which yields the
     elimination property for them.  Module monomials compare position over
-    term by default, with lower component index ranked greater.
+    term, with lower component index ranked greater.
     """
 
     kind: str = "grevlex"
     drop: tuple[int, ...] = ()
-    module_style: str = "POT"
 
     def __post_init__(self):
         if self.kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown order kind {self.kind!r}")
-        if self.module_style not in ("POT", "TOP"):
-            raise ValueError(f"unknown module style {self.module_style!r}")
 
 
 def make_key(order: TermOrder, nvars: int, comp_rank=None):
@@ -62,7 +59,6 @@ def make_key(order: TermOrder, nvars: int, comp_rank=None):
         def tkey(sel):
             return sel
 
-    pot = order.module_style == "POT"
     cache: dict = {}
 
     def key(mon):
@@ -73,7 +69,7 @@ def make_key(order: TermOrder, nvars: int, comp_rank=None):
         dk = tkey(tuple(exp[i] for i in drop)) if drop else ()
         kk = tkey(tuple(exp[i] for i in keep))
         rank = comp_rank[comp] if comp_rank is not None else 0
-        got = (dk, rank, -comp, kk) if pot else (dk, rank, kk, -comp)
+        got = (dk, rank, -comp, kk)
         cache[mon] = got
         return got
 
@@ -109,22 +105,28 @@ def _mono_divides(a, b) -> bool:
     return a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))
 
 
-def normal_form(f: VPoly, basis: list[VPoly], key, leads=None) -> VPoly:
-    """Fully reduce f against basis; deterministic reducer choice."""
+def _reduce(f: VPoly, basis: list[VPoly], key, leads, full: bool) -> VPoly:
+    """Reduce f against basis with a deterministic reducer choice.
+
+    With full set, irreducible leads move to the remainder and reduction goes
+    on; otherwise the loop stops at the first one and returns the work dict.
+    """
     lms = leads if leads is not None else [_leading(g, key) for g in basis]
     work = dict(f)
     remainder: VPoly = {}
     while work:
         mon = max(work, key=key)
-        coef = work.pop(mon)
         hit = None
         for idx, (lm, _) in enumerate(lms):
             if _mono_divides(lm, mon):
                 hit = idx
                 break
         if hit is None:
-            remainder[mon] = coef
+            if not full:
+                return work
+            remainder[mon] = work.pop(mon)
             continue
+        coef = work.pop(mon)
         lm, lc = lms[hit]
         shift = exp_sub(mon[1], lm[1])
         factor = coef / lc
@@ -138,6 +140,20 @@ def normal_form(f: VPoly, basis: list[VPoly], key, leads=None) -> VPoly:
             else:
                 work.pop(tgt, None)
     return remainder
+
+
+def normal_form(f: VPoly, basis: list[VPoly], key, leads=None) -> VPoly:
+    """Fully reduce f against basis."""
+    return _reduce(f, basis, key, leads, True)
+
+
+def top_reduce(f: VPoly, basis: list[VPoly], key, leads=None) -> VPoly:
+    """Cancel leading terms only, stopping at the first irreducible lead.
+
+    Decides membership (zero remainder) exactly like full reduction while
+    skipping all tail work; the returned tail is not normalized.
+    """
+    return _reduce(f, basis, key, leads, False)
 
 
 def _strip_content(f: VPoly) -> VPoly:
@@ -154,39 +170,6 @@ def _strip_content(f: VPoly) -> VPoly:
         return f
     scale = Fraction(den, num)
     return {m: c * scale for m, c in f.items()}
-
-
-def top_reduce(f: VPoly, basis: list[VPoly], key, leads=None) -> VPoly:
-    """Cancel leading terms only, stopping at the first irreducible lead.
-
-    Decides membership (zero remainder) exactly like full reduction while
-    skipping all tail work; the returned tail is not normalized.
-    """
-    lms = leads if leads is not None else [_leading(g, key) for g in basis]
-    work = dict(f)
-    while work:
-        mon = max(work, key=key)
-        hit = None
-        for idx, (lm, _) in enumerate(lms):
-            if _mono_divides(lm, mon):
-                hit = idx
-                break
-        if hit is None:
-            return work
-        coef = work.pop(mon)
-        lm, lc = lms[hit]
-        shift = exp_sub(mon[1], lm[1])
-        factor = coef / lc
-        for m2, c2 in basis[hit].items():
-            if m2 == lm:
-                continue
-            tgt = (m2[0], exp_add(m2[1], shift))
-            nv = work.get(tgt, Fraction(0)) - factor * c2
-            if nv:
-                work[tgt] = nv
-            else:
-                work.pop(tgt, None)
-    return work
 
 
 def _spoly(f: VPoly, g: VPoly, key) -> VPoly:
@@ -453,11 +436,6 @@ def syzygies(vectors: list[LaurentVec], nvars: int, k: int) -> Submodule:
         entries = [p.shift(tuple(-x for x in shifts[i])) for i, p in enumerate(vec.entries)]
         gens.append(LaurentVec(entries))
     return Submodule(nvars, c, gens)
-
-
-def kernel(columns: list[LaurentVec], nvars: int, k: int) -> Submodule:
-    """Kernel of the map A^c -> A^k sending e_i to the i-th column."""
-    return syzygies(columns, nvars, k)
 
 
 def module_quotient(mod: Submodule, f: LaurentPoly) -> Submodule:

@@ -9,10 +9,7 @@ equal as data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
-
-from .linalg import solve_exact
 
 
 @dataclass(frozen=True)
@@ -93,17 +90,11 @@ class IntMatrix:
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular matrix (integer entries)."""
+    """Exact inverse of a unimodular matrix: its HNF is I, so the HNF
+    transform is the inverse."""
     if not m.is_unimodular():
         raise ValueError("matrix is not unimodular")
-    n = m.nrows
-    cols = []
-    for j in range(n):
-        rhs = [Fraction(1 if i == j else 0) for i in range(n)]
-        sol = solve_exact([[Fraction(v) for v in r] for r in m.rows], rhs)
-        assert sol is not None
-        cols.append([int(v) for v in sol])
-    return IntMatrix.from_rows(list(zip(*cols)), n)
+    return hnf_with_transform(m)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +197,6 @@ class IntLattice:
         for row in self.basis.rows:
             prod *= _pivot(row)
         return prod
-
-    def pivots(self) -> list[tuple[int, int]]:
-        """(column, value) of each pivot in basis order."""
-        out = []
-        for r in self.basis.rows:
-            c = next(i for i, v in enumerate(r) if v != 0)
-            out.append((c, r[c]))
-        return out
 
     def coset_rep(self, x: tuple[int, ...]) -> tuple[int, ...]:
         """Canonical representative of x + L."""

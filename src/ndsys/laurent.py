@@ -8,8 +8,9 @@ integer exponents, '*', '+', '-' and rational coefficients like 3/2.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .intlat import IntMatrix
 
 Exp = tuple[int, ...]
 
@@ -114,7 +115,7 @@ class LaurentPoly:
     def support(self) -> set[Exp]:
         return set(self.terms)
 
-    def substitute_exponents(self, mapper, nvars_out: int | None = None) -> "LaurentPoly":
+    def substitute_exponents(self, mapper, nvars_out: int) -> "LaurentPoly":
         """Apply an injective map on exponent vectors (used by monomial maps)."""
         out: dict[Exp, Fraction] = {}
         for e, c in self.terms.items():
@@ -122,9 +123,6 @@ class LaurentPoly:
             if ne in out:
                 raise ValueError("exponent map is not injective on the support")
             out[ne] = c
-        if nvars_out is None:
-            first = next(iter(out), None)
-            nvars_out = len(first) if first is not None else self.nvars
         return LaurentPoly(nvars_out, out)
 
     def __str__(self) -> str:
@@ -221,77 +219,12 @@ def normalize_to_poly(v: LaurentVec) -> tuple[LaurentVec, Exp]:
     return v.shift(neg), m
 
 
-@dataclass(frozen=True)
-class MonomialMap:
-    """Ring map determined by a unimodular exponent action x -> W x.
-
-    The scalars record a per-variable homothety over Q* for composing maps in
-    the semidirect group of monomial automorphisms; they are bookkeeping only
-    and are not applied to coefficients.
-    """
-
-    W: "IntMatrix"
-    scalars: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        from .intlat import IntMatrix  # local to avoid cycle at import time
-        if not isinstance(self.W, IntMatrix) or not self.W.is_unimodular():
-            raise ValueError("exponent matrix must be unimodular")
-        if len(self.scalars) != self.W.nrows:
-            raise ValueError("scalar count mismatch")
-        if any(s == 0 for s in self.scalars):
-            raise ValueError("scalars must be nonzero")
-
-    @staticmethod
-    def from_matrix(w) -> "MonomialMap":
-        from .intlat import IntMatrix
-        if not isinstance(w, IntMatrix):
-            w = IntMatrix.from_rows(w)
-        return MonomialMap(w, tuple(Fraction(1) for _ in range(w.nrows)))
-
-    @staticmethod
-    def identity(n: int) -> "MonomialMap":
-        from .intlat import IntMatrix
-        return MonomialMap.from_matrix(IntMatrix.identity(n))
-
-    def compose(self, other: "MonomialMap") -> "MonomialMap":
-        """self after other, under the semidirect-product law.
-
-        The pair (R, W) stands for the automorphism sending the monomial with
-        exponent x to (prod_i R_i^{x_i}) times the monomial with exponent Wx,
-        so composing reads self's scalars through other's exponent matrix.
-        """
-        w = self.W @ other.W
-        scalars = []
-        for i in range(w.nrows):
-            s = other.scalars[i]
-            for j in range(w.nrows):
-                e = other.W.rows[j][i]
-                if e:
-                    s *= self.scalars[j] ** e
-            scalars.append(s)
-        return MonomialMap(w, tuple(scalars))
-
-    def inverse(self) -> "MonomialMap":
-        from .intlat import unimodular_inverse
-        winv = unimodular_inverse(self.W)
-        inv_scalars = []
-        for i in range(winv.nrows):
-            s = Fraction(1)
-            for j in range(winv.nrows):
-                e = winv.rows[j][i]
-                if e:
-                    s *= self.scalars[j] ** (-e)
-            inv_scalars.append(s)
-        return MonomialMap(winv, tuple(inv_scalars))
-
-
-def apply_monomial_map(mm: MonomialMap, obj):
-    """Relabel exponents by x -> W x on a poly or vector (entrywise)."""
-    mapper = mm.W.apply
+def apply_monomial_map(w: IntMatrix, obj):
+    """Relabel exponents by x -> W x on a poly or vector (entrywise); the
+    result has W.nrows variables."""
     if isinstance(obj, LaurentVec):
-        return LaurentVec([p.substitute_exponents(mapper) for p in obj.entries])
-    return obj.substitute_exponents(mapper)
+        return LaurentVec([p.substitute_exponents(w.apply, w.nrows) for p in obj.entries])
+    return obj.substitute_exponents(w.apply, w.nrows)
 
 
 def coset_split(v: LaurentVec, lat) -> dict[Exp, LaurentVec]:
@@ -378,7 +311,10 @@ def parse_poly(text: str, nvars: int, prefix: str = "s") -> LaurentPoly:
                 power = neg * int(e)
             return LaurentPoly.variable(nvars, i - 1, power).scale(sign)
         if re.fullmatch(r"\d+(/\d+)?", t):
-            return LaurentPoly.constant(nvars, Fraction(t) * sign)
+            try:
+                return LaurentPoly.constant(nvars, Fraction(t) * sign)
+            except ZeroDivisionError:
+                raise PolyParseError(f"zero denominator in {t!r}") from None
         raise PolyParseError(f"unexpected token {t!r}")
 
     def parse_term(sign: int) -> LaurentPoly:

@@ -11,13 +11,11 @@ and returns the A-span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 
 from .groebner import (
     DEFAULT_ORDER,
     Submodule,
-    TermOrder,
     buchberger,
     eliminate,
     groebner_basis,
@@ -26,7 +24,6 @@ from .groebner import (
     reduced_basis,
     submodule_contains,
     submodule_equal,
-    vec_to_vpoly,
     vpoly_to_vec,
 )
 from .intlat import (
@@ -37,14 +34,7 @@ from .intlat import (
     smith,
     unimodular_inverse,
 )
-from .laurent import (
-    LaurentPoly,
-    LaurentVec,
-    MonomialMap,
-    apply_monomial_map,
-    coset_split,
-    normalize_to_poly,
-)
+from .laurent import LaurentVec, apply_monomial_map, coset_split
 
 
 @dataclass(frozen=True)
@@ -53,7 +43,7 @@ class SublatticeContext:
 
     lattice: IntLattice
     decomposition: SmithDecomposition
-    transport: MonomialMap  # exponent action x -> U^{-1} x
+    transport: IntMatrix  # exponent action x -> U^{-1} x
 
     @property
     def ambient(self) -> int:
@@ -81,7 +71,7 @@ class SublatticeContext:
 
     def point_to_sub(self, x: tuple[int, ...]) -> tuple[int, ...]:
         """Coordinates of a sublattice point in the straightened basis."""
-        y = self.transport.W.apply(x)
+        y = self.transport.apply(x)
         r = self.rank
         if any(v != 0 for v in y[r:]):
             raise ValueError("point is not in the sublattice")
@@ -95,10 +85,8 @@ class SublatticeContext:
 
 
 def sublattice_context(s: IntLattice) -> SublatticeContext:
-    cols = s.basis.transpose() if s.rank else IntMatrix(tuple(() for _ in range(s.ambient)), 0)
-    dec = smith(cols)
-    winv = unimodular_inverse(dec.U)
-    return SublatticeContext(s, dec, MonomialMap.from_matrix(winv))
+    dec = smith(s.basis.transpose())
+    return SublatticeContext(s, dec, unimodular_inverse(dec.U))
 
 
 @dataclass
@@ -182,9 +170,7 @@ def contract(p: Submodule, s: IntLattice) -> ContractedModule:
 
 def extend_vector(ctx: SublatticeContext, v: LaurentVec) -> LaurentVec:
     """Rewrite a vector over the sublattice coordinates as one over Z^n."""
-    emat = ctx.sub_exponent_matrix()
-    return LaurentVec([p.substitute_exponents(emat.apply, nvars_out=ctx.ambient)
-                       for p in v.entries])
+    return apply_monomial_map(ctx.sub_exponent_matrix(), v)
 
 
 def extend(q: ContractedModule) -> Submodule:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .linalg import Row, SpanBuilder, nullspace_basis, solve_exact
+from .linalg import Row, SpanBuilder, nullspace_basis
 from .laurent import Exp, LaurentVec
 from .groebner import Submodule
 from .sublattice import ContractedModule, extend
@@ -44,16 +44,27 @@ def box_window(bounds) -> Window:
 
 
 def explicit_window(points) -> Window:
-    pts = tuple(sorted(tuple(int(v) for v in p) for p in points))
+    pts = tuple(sorted({tuple(int(v) for v in p) for p in points}))
     if not pts:
         raise ValueError("empty window")
     return Window(pts, None)
 
 
-def _generators_of(mod_or_gens) -> list[LaurentVec]:
+def _generators_of(mod_or_gens, window: Window | None = None) -> list[LaurentVec]:
+    """The generators; with a window, also check it has one axis per variable."""
     if isinstance(mod_or_gens, Submodule):
-        return list(mod_or_gens.generators)
-    return list(mod_or_gens)
+        gens, n = list(mod_or_gens.generators), mod_or_gens.nvars
+    else:
+        gens = list(mod_or_gens)
+        n = gens[0].nvars if gens else None
+    if window is not None and n is not None and window.dim != n:
+        raise ValueError(f"window has {window.dim} axes but the system has {n} variables")
+    return gens
+
+
+def _window_index(window: Window, k: int) -> dict[tuple[Exp, int], int]:
+    """Column of each (point, component) unknown on the window."""
+    return {(p, j): i * k + j for i, p in enumerate(window.points) for j in range(k)}
 
 
 def _valid_shifts(support: set[Exp], window: Window) -> list[Exp]:
@@ -94,9 +105,9 @@ class WindowSolutionSpace:
         return vec.get(self.index[(point, comp)], Fraction(0))
 
 
-def _equation_rows(gens: list[LaurentVec], k: int, window: Window,
-                   index: dict[tuple[Exp, int], int]) -> list[Row]:
-    rows: list[Row] = []
+def _equation_rows(gens: list[LaurentVec], window: Window,
+                   index: dict[tuple[Exp, int], int]):
+    """One row per generator and window-supported shift of it."""
     for g in gens:
         supp = g.support()
         for y in _valid_shifts(supp, window):
@@ -106,13 +117,12 @@ def _equation_rows(gens: list[LaurentVec], k: int, window: Window,
                     pt = tuple(a + b for a, b in zip(e, y))
                     row[index[(pt, j)]] = c
             if row:
-                rows.append(row)
-    return rows
+                yield row
 
 
 def window_solutions(mod_or_gens, window: Window, k: int | None = None) -> WindowSolutionSpace:
     """Nullspace of the instantiated equations on the window."""
-    gens = _generators_of(mod_or_gens)
+    gens = _generators_of(mod_or_gens, window)
     if k is None:
         if isinstance(mod_or_gens, Submodule):
             k = mod_or_gens.k
@@ -120,11 +130,10 @@ def window_solutions(mod_or_gens, window: Window, k: int | None = None) -> Windo
             k = gens[0].k
         else:
             raise ValueError("ambient rank unknown for empty generator list")
-    index = {}
-    for p in window.points:
-        for j in range(k):
-            index[(p, j)] = len(index)
-    rows = _equation_rows(gens, k, window, index)
+    if any(g.k > k for g in gens):
+        raise ValueError("a generator has more than k components")
+    index = _window_index(window, k)
+    rows = list(_equation_rows(gens, window, index))
     basis = nullspace_basis(rows, len(index))
     return WindowSolutionSpace(window, k, basis, index)
 
@@ -137,20 +146,17 @@ class WindowSpan:
     """
 
     def __init__(self, gens, window: Window, k: int | None = None):
-        gens = _generators_of(gens)
+        gens = _generators_of(gens, window)
         if k is None:
             k = gens[0].k if gens else 1
+        if any(g.k > k for g in gens):
+            raise ValueError("a generator has more than k components")
         self.window = window
         self.k = k
-        self.index: dict[tuple[Exp, int], int] = {}
-        for p in window.points:
-            for j in range(k):
-                self.index[(p, j)] = len(self.index)
+        self.index = _window_index(window, k)
         self.builder = SpanBuilder()
-        for g in gens:
-            supp = g.support()
-            for y in _valid_shifts(supp, window):
-                self.builder.add(self._flatten(g.shift(y)))
+        for row in _equation_rows(gens, window, self.index):
+            self.builder.add(row)
 
     def _flatten(self, v: LaurentVec) -> Row:
         row: Row = {}
@@ -226,10 +232,7 @@ def restriction_check(p: Submodule, s, w) -> bool:
     t_window = explicit_window(t_of.values())
 
     sols = window_solutions(p, full)
-    t_index = {}
-    for t in t_window.points:
-        for j in range(p.k):
-            t_index[(t, j)] = len(t_index)
+    t_index = _window_index(t_window, p.k)
     restricted: list[Row] = []
     for vec in sols.basis:
         row: Row = {}
@@ -240,7 +243,7 @@ def restriction_check(p: Submodule, s, w) -> bool:
                     row[t_index[(t_of[x], j)]] = val
         restricted.append(row)
 
-    q_rows = _equation_rows(list(q.module.generators), p.k, t_window, t_index)
+    q_rows = list(_equation_rows(list(q.module.generators), t_window, t_index))
     for row in restricted:
         for eq in q_rows:
             acc = Fraction(0)
@@ -286,53 +289,3 @@ def extension_product_check(q: ContractedModule, w) -> bool:
     sub_dim = window_solutions(q.module, sub_window).dimension
     ext_dim = window_solutions(extend(q), full).dimension
     return ext_dim == ctx.index * sub_dim
-
-
-def vandermonde_reconstruct(d: int, targets) -> list[Fraction]:
-    """Recover the coset amplitudes from the piecewise-constant sample values
-    of an index-d decomposition.  Only d = 2 has a rational character table
-    (roots +-1, matrix [[1,1],[1,-1]]); larger d needs roots of unity outside
-    Q and is rejected.
-    """
-    if d != 2:
-        raise ValueError("reconstruction needs d-th roots of unity; only d=2 stays rational")
-    vals = [Fraction(v) for v in targets]
-    if len(vals) != 2:
-        raise ValueError("expected exactly 2 target values")
-    m = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
-    sol = solve_exact(m, vals)
-    assert sol is not None
-    return list(sol)
-
-
-# ---------------------------------------------------------------------------
-# degree-window comparisons used to cross-check relation modules
-
-
-def relation_window_dim(vectors: list[LaurentVec], box_bounds, k: int) -> int:
-    """Dimension of {r : supp(r_i) in box, sum r_i v_i = 0} over Q."""
-    window = box_window(box_bounds)
-    c = len(vectors)
-    unknowns = {}
-    for i in range(c):
-        for p in window.points:
-            unknowns[(i, p)] = len(unknowns)
-    equations: dict[tuple[int, Exp], Row] = {}
-    for (i, y), col in unknowns.items():
-        v = vectors[i]
-        for j, poly in enumerate(v.entries):
-            for e, coef in poly.terms.items():
-                tgt = (j, tuple(a + b for a, b in zip(e, y)))
-                equations.setdefault(tgt, {})[col] = \
-                    equations.get(tgt, {}).get(col, Fraction(0)) + coef
-    rows = [r for r in equations.values() if r]
-    return len(nullspace_basis(rows, len(unknowns)))
-
-
-def span_window_dim(gens: list[LaurentVec], box_bounds) -> int:
-    """Dimension of the span of all box-supported shifts of the generators."""
-    window = box_window(box_bounds)
-    if not gens:
-        return 0
-    span = WindowSpan(gens, window, k=gens[0].k)
-    return span.builder.rank

@@ -84,6 +84,29 @@ def test_exit_code_three_on_precondition(tmp_path, capsys):
     assert json.loads(err)["error"] == "precondition"
 
 
+@pytest.mark.parametrize("command", ["simulate", "member"])
+def test_window_of_wrong_dimension_exits_three(command, tmp_path, capsys):
+    f = tmp_path / "plane.system"
+    f.write_text("n = 2\nk = 1\nP = [[s1 - 1]]\n")
+    argv = [command, str(f), "--window", "0..3"]
+    if command == "member":
+        argv += ["--vector", "[s1 - 1]", "--oracle"]
+    assert main(argv) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "precondition"
+
+
+@pytest.mark.parametrize("text", [
+    "n = 1\nk = 1\nP = [[1/0]]\n",
+    "n = 0\nk = 1\nP = [[1]]\n",
+    "n = 1\nk = 0\nP = []\n",
+], ids=["zero-denominator", "zero-n", "zero-k"])
+def test_degenerate_input_exits_two(text, tmp_path, capsys):
+    f = tmp_path / "bad.system"
+    f.write_text(text)
+    assert main(["gb", str(f)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
 def test_stdin_dash(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin",
                         io.StringIO("n = 1\nk = 1\nP = [[s1^2 - 1]]\n"))

@@ -1,6 +1,8 @@
 import random
 from math import gcd
 
+import pytest
+
 from ndsys.intlat import (GaloisSubgroup, IntLattice, IntMatrix,
                           diagonal_lattice, full_lattice, hnf,
                           hnf_with_transform, integer_kernel_rows, join,
@@ -92,6 +94,16 @@ def test_unimodular_inverse():
     v = unimodular_inverse(u)
     assert u @ v == IntMatrix.identity(2)
     assert v @ u == IntMatrix.identity(2)
+    rng = random.Random(47)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        m = _rand_matrix(rng, n, n, -2, 2)
+        if abs(m.det()) != 1:
+            continue
+        assert m @ unimodular_inverse(m) == IntMatrix.identity(n)
+        assert unimodular_inverse(m) @ m == IntMatrix.identity(n)
+    with pytest.raises(ValueError):
+        unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]], 2))
 
 
 # ---------------------------------------------------------------------------

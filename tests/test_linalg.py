@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from ndsys.linalg import SpanBuilder, nullspace_basis, rank_of_rows, solve_exact
+from ndsys.linalg import SpanBuilder, nullspace_basis, rank_of_rows
 
 
 def _dense(row, n):
@@ -62,20 +62,3 @@ def test_nullspace_dimension_theorem():
         # basis vectors are independent
         assert rank_of_rows(null) == len(null)
 
-
-def test_solve_exact_roundtrip():
-    rng = random.Random(3)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        m = [[Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)]
-        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
-        b = [sum((m[i][j] * x[j] for j in range(n)), Fraction(0)) for i in range(n)]
-        sol = solve_exact(m, b)
-        if sol is not None:
-            assert [sum((m[i][j] * sol[j] for j in range(n)), Fraction(0))
-                    for i in range(n)] == b
-
-
-def test_solve_exact_singular():
-    m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert solve_exact(m, [Fraction(1), Fraction(3)]) is None

@@ -9,7 +9,7 @@ from ndsys.sublattice import contract
 from ndsys.trajectories import (Window, WindowSpan, box_window,
                                 default_membership_window, explicit_window,
                                 extension_product_check, restriction_check,
-                                vandermonde_reconstruct, window_solutions)
+                                window_solutions)
 
 pv = parse_vector
 
@@ -76,6 +76,24 @@ def test_window_constructors_validate():
         box_window([(3, 1)])
     with pytest.raises(ValueError):
         explicit_window([])
+    assert explicit_window([(1,), (0,), (1,)]).points == ((0,), (1,))
+
+
+def test_window_and_k_must_fit_the_generators():
+    line = box_window([(0, 3)])
+    pair = pv("[s1 - 1, 1]", 1, 2)
+    with pytest.raises(ValueError):
+        window_solutions([pair], line, k=1)
+    with pytest.raises(ValueError):
+        WindowSpan([pair], line, k=1)
+    with pytest.raises(ValueError):
+        window_solutions(mod(2, 1, ["s1 - 1"]), line)
+    with pytest.raises(ValueError):
+        window_solutions(Submodule(2, 1, []), line)
+    with pytest.raises(ValueError):
+        window_solutions([pv("s1 - 1", 2, 1)], line)
+    with pytest.raises(ValueError):
+        WindowSpan([pv("s1 - 1", 2, 1)], line)
 
 
 def test_restriction_check_fixtures():
@@ -115,22 +133,6 @@ def test_extension_product_requires_full_rank():
     q = contract(mod(2, 1, ["1 + s1*s2"]), lattice_from_rows(2, [[1, 1]]))
     with pytest.raises(ValueError):
         extension_product_check(q, [(0, 3), (0, 3)])
-
-
-def test_vandermonde_reconstruction():
-    assert vandermonde_reconstruct(2, [3, 1]) == [Fraction(2), Fraction(1)]
-    assert vandermonde_reconstruct(2, [5, 5]) == [Fraction(5), Fraction(0)]
-    assert vandermonde_reconstruct(2, [0, 0]) == [Fraction(0), Fraction(0)]
-    # amplitudes reproduce the samples: a0 + a1, a0 - a1
-    a0, a1 = vandermonde_reconstruct(2, [Fraction(1, 2), Fraction(1, 3)])
-    assert a0 + a1 == Fraction(1, 2) and a0 - a1 == Fraction(1, 3)
-
-
-def test_vandermonde_rejects_irrational_cases():
-    with pytest.raises(ValueError):
-        vandermonde_reconstruct(3, [1, 2, 3])
-    with pytest.raises(ValueError):
-        vandermonde_reconstruct(2, [1, 2, 3])
 
 
 def test_window_span_certifies_membership_only():
