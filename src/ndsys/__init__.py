@@ -14,9 +14,9 @@ from .intlat import (GaloisSubgroup, IntLattice, IntMatrix, SmithDecomposition,
                      subgroup_to_lattice, zero_lattice)
 from .laurent import (LaurentPoly, LaurentVec, PolyParseError, coset_split,
                       parse_poly, parse_vector, poly_to_str, vector_to_str)
-from .groebner import (Submodule, TermOrder, eliminate, groebner_basis,
-                       member, module_quotient, submodule_contains,
-                       submodule_equal, syzygies)
+from .groebner import (InvariantError, Submodule, TermOrder, eliminate,
+                       groebner_basis, member, module_quotient,
+                       submodule_contains, submodule_equal, syzygies)
 from .sublattice import (ContractedModule, SublatticeContext, contract,
                          contract_extend_roundtrips, contracted_module,
                          extend, extend_vector, galois_group_of,
@@ -36,7 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport", "CoarsestReport", "ContractedModule", "GaloisSubgroup",
-    "IntLattice", "IntMatrix", "LaurentPoly", "LaurentVec",
+    "IntLattice", "IntMatrix", "InvariantError", "LaurentPoly", "LaurentVec",
     "PolyParseError", "SmithDecomposition", "SublatticeContext", "Submodule",
     "TermOrder", "Window", "WindowSolutionSpace", "WindowSpan",
     "analyze", "box_window", "brute_force_coarsest", "coarsest_lattice",

@@ -3,8 +3,9 @@
 Controllability and autonomy of the behavior Ker(P) are properties of the
 quotient A^k/P: torsion-free means controllable, torsion means autonomous.
 The torsion closure P0 (all vectors with a nonzero multiple inside P) is
-computed by a double relation pass, which also yields image representations
-for controllable systems and a presentation of the obstruction P0/P.
+computed by one double relation pass, whose column relations are also the
+image representation of a controllable system; a further relation pass
+presents the obstruction P0/P.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .laurent import LaurentPoly, LaurentVec
-from .groebner import (Submodule, eliminate, member, submodule_contains,
-                       submodule_equal, syzygies)
+from .groebner import (InvariantError, Submodule, eliminate, member,
+                       submodule_contains, submodule_equal, syzygies)
 from .intlat import IntLattice
 from .sublattice import contract, extend, extend_vector
 
@@ -41,34 +42,41 @@ def rank_over_fractions(p: Submodule) -> int:
     return rank
 
 
-def _columns(gens: list[LaurentVec], nvars: int, k: int) -> list[LaurentVec]:
+def _columns(gens: list[LaurentVec], k: int) -> list[LaurentVec]:
     """Columns of the generator matrix, as vectors in A^(number of rows)."""
     return [LaurentVec([g.entries[j] for g in gens]) for j in range(k)]
-
-
-def _full_module(nvars: int, k: int) -> Submodule:
-    return Submodule(nvars, k, [LaurentVec.unit(nvars, k, j) for j in range(k)])
 
 
 def _kernel_of_rows(rows: list[LaurentVec], nvars: int, k: int) -> Submodule:
     """{x in A^k : r . x = 0 for every row r}."""
     rows = [r for r in rows if not r.is_zero()]
     if not rows:
-        return _full_module(nvars, k)
-    return syzygies(_columns(rows, nvars, k), nvars, len(rows))
+        return Submodule(nvars, k, [LaurentVec.unit(nvars, k, j) for j in range(k)])
+    return syzygies(_columns(rows, k), nvars, len(rows))
+
+
+def _closure(p: Submodule) -> tuple[list[LaurentVec], Submodule]:
+    """Column relations R of P (P . R = 0) and the torsion closure P0.
+
+    Relations among the generator-matrix columns cut out exactly the
+    rational-span constraints, so the kernel of R's rows is P0; when P = P0
+    the columns of R are an image representation.
+    """
+    n, k = p.nvars, p.k
+    if not p.generators:
+        return [LaurentVec.unit(n, k, j) for j in range(k)], Submodule(n, k, [])
+    gens = list(p.generators)
+    cols = list(syzygies(_columns(gens, k), n, len(gens)).generators)
+    if not cols:
+        cols = [LaurentVec([LaurentPoly(n) for _ in range(k)])]
+    if any(not g.dot(c).is_zero() for g in gens for c in cols):
+        raise InvariantError("column relations fail P . R = 0")
+    return cols, _kernel_of_rows(cols, n, k)
 
 
 def torsion_closure(p: Submodule) -> Submodule:
-    """P0 = {x in A^k : a x in P for some nonzero scalar polynomial a}.
-
-    Relations among the generator-matrix columns cut out exactly the
-    rational-span constraints, so the kernel of those relation rows is P0.
-    """
-    if p.is_zero_module():
-        return Submodule(p.nvars, p.k, [])
-    rel = syzygies(_columns(list(p.generators), p.nvars, p.k), p.nvars,
-                   len(p.generators))
-    return _kernel_of_rows(list(rel.generators), p.nvars, p.k)
+    """P0 = {x in A^k : a x in P for some nonzero scalar polynomial a}."""
+    return _closure(p)[1]
 
 
 def is_controllable(p: Submodule) -> bool:
@@ -82,40 +90,22 @@ def is_autonomous(p: Submodule) -> bool:
 def image_representation(p: Submodule) -> list[LaurentVec]:
     """Columns R with behavior = image of R; exists only without torsion.
 
-    Verifies P . R = 0 and that the rows of R cut out exactly P before
-    returning.
+    The rows of R cut out P0, so P = P0 is both the controllability test
+    and the check that R cuts out exactly P.
     """
-    if not is_controllable(p):
+    cols, p0 = _closure(p)
+    if not submodule_equal(p, p0):
         raise ValueError("no image representation: the system is not controllable")
-    n, k = p.nvars, p.k
-    if p.is_zero_module():
-        cols = [LaurentVec.unit(n, k, j) for j in range(k)]
-    else:
-        rel = syzygies(_columns(list(p.generators), n, k), n, len(p.generators))
-        cols = list(rel.generators)
-        if not cols:
-            cols = [LaurentVec([LaurentPoly(n) for _ in range(k)])]
-    for g in p.generators:
-        for c in cols:
-            assert g.dot(c).is_zero(), "image representation fails P . R = 0"
-    cut = _kernel_of_rows(cols, n, k)
-    assert submodule_equal(cut, p), "image columns do not cut out P"
     return cols
 
 
-def decomposition(p: Submodule) -> tuple[Submodule, Submodule]:
-    """Torsion closure P0 plus a presentation of the obstruction P0/P.
-
-    The second component T lives in A^m (m = number of P0 generators) and
-    collects the coefficient rows h with sum h_i q_i inside P, so
-    P0/P = A^m / T.
-    """
-    p0 = torsion_closure(p)
+def _presentation(p: Submodule, p0: Submodule) -> tuple[Submodule, Submodule]:
     q_gens = list(p0.generators)
     m = len(q_gens)
     if m == 0:
         return p0, Submodule(p.nvars, 1, [])
-    assert submodule_contains(p0, p), "torsion closure must contain the module"
+    if not submodule_contains(p0, p):
+        raise InvariantError("torsion closure does not contain the module")
     combined = q_gens + list(p.generators)
     rel = syzygies(combined, p.nvars, p.k)
     t_gens = [LaurentVec(v.entries[:m]) for v in rel.generators]
@@ -125,8 +115,19 @@ def decomposition(p: Submodule) -> tuple[Submodule, Submodule]:
         acc = LaurentVec([LaurentPoly(p.nvars) for _ in range(p.k)])
         for hi, qi in zip(h.entries, q_gens):
             acc = acc + qi.scale_poly(hi)
-        assert member(acc, p), "presentation row escapes P"
+        if not member(acc, p):
+            raise InvariantError("presentation row escapes P")
     return p0, t
+
+
+def decomposition(p: Submodule) -> tuple[Submodule, Submodule]:
+    """Torsion closure P0 plus a presentation of the obstruction P0/P.
+
+    The second component T lives in A^m (m = number of P0 generators) and
+    collects the coefficient rows h with sum h_i q_i inside P, so
+    P0/P = A^m / T.
+    """
+    return _presentation(p, torsion_closure(p))
 
 
 def degree_of_autonomy(p: Submodule) -> int:
@@ -166,28 +167,23 @@ def transfer_checks(p: Submodule, s: IntLattice) -> TransferReport:
     system matches its extension exactly.
     """
     q = contract(p, s)
-    full_rank = q.context.rank == q.context.ambient
-
-    ctr = (not is_controllable(p)) or is_controllable(q.module)
-    aut = True
-    if full_rank:
-        aut = (not is_autonomous(p)) or is_autonomous(q.module)
-
     qe = extend(q)
-    ctr_equiv = is_controllable(q.module) == is_controllable(qe)
-    aut_equiv = True
-    if full_rank:
-        aut_equiv = is_autonomous(q.module) == is_autonomous(qe)
-
+    cols, q0 = _closure(q.module)
+    q_ctl = submodule_equal(q.module, q0)
+    ctr = (not is_controllable(p)) or q_ctl
+    ctr_equiv = q_ctl == is_controllable(qe)
+    aut = aut_equiv = True
     img: bool | None = None
-    if full_rank and is_controllable(q.module):
-        cols = image_representation(q.module)
-        ext_cols = [extend_vector(q.context, c) for c in cols]
-        img = all(g.dot(c).is_zero() for g in qe.generators for c in ext_cols)
-        if img:
-            live = [c for c in ext_cols if not c.is_zero()]
-            cut = _kernel_of_rows(live, p.nvars, p.k)
-            img = submodule_equal(cut, qe)
+    if q.context.rank == q.context.ambient:
+        q_aut = is_autonomous(q.module)
+        aut = (not is_autonomous(p)) or q_aut
+        aut_equiv = q_aut == is_autonomous(qe)
+        if q_ctl:
+            ext_cols = [extend_vector(q.context, c) for c in cols]
+            img = all(g.dot(c).is_zero() for g in qe.generators for c in ext_cols)
+            if img:
+                live = [c for c in ext_cols if not c.is_zero()]
+                img = submodule_equal(_kernel_of_rows(live, p.nvars, p.k), qe)
     return TransferReport(ctr, aut, ctr_equiv, aut_equiv, img)
 
 
@@ -203,15 +199,15 @@ class AnalysisReport:
 
 
 def analyze(p: Submodule) -> AnalysisReport:
-    p0, t = decomposition(p)
+    cols, p0 = _closure(p)
     ctl = submodule_equal(p, p0)
-    img = image_representation(p) if ctl else None
+    rank = rank_over_fractions(p)
     return AnalysisReport(
-        rank_over_fractions=rank_over_fractions(p),
+        rank_over_fractions=rank,
         is_controllable=ctl,
-        is_autonomous=is_autonomous(p),
+        is_autonomous=rank == p.k,
         torsion_closure=p0,
-        image_rep=img,
+        image_rep=cols if ctl else None,
         degree_of_autonomy=degree_of_autonomy(p),
-        decomposition=(p0, t),
+        decomposition=_presentation(p, p0),
     )

@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 Reads a small system-file format, dispatches to the library, and prints a
-canonical JSON report.  Exit codes: 0 success, 2 input problem, 3 violated
-precondition of the requested operation.
+canonical JSON report.  Exit codes: 0 success, 1 failed internal invariant,
+2 input problem, 3 violated precondition of the requested operation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .intlat import (IntLattice, IntMatrix, lattice_from_rows,
                      lattice_to_subgroup, smith, subgroup_to_lattice)
 from .laurent import (LaurentPoly, LaurentVec, PolyParseError, parse_poly,
                       parse_vector, poly_to_str, vector_to_str)
-from .groebner import Submodule, TermOrder, groebner_basis, member
+from .groebner import InvariantError, Submodule, TermOrder, groebner_basis, member
 from .sublattice import (contract, extend, galois_group_of, is_extension_from)
 from .analysis import analyze, transfer_checks
 from .coarsest import coarsest_lattice
@@ -83,34 +83,26 @@ _INT_LIST = re.compile(r"^-?\d+(\s*,\s*-?\d+)*$")
 
 
 def _parse_int_rows(body: str, lineno: int) -> list[list[int]]:
-    body = body.strip()
-    if not body.startswith("[") or not body.endswith("]"):
-        raise InputError(f"line {lineno}: expected a bracketed row list")
-    inner = body[1:-1].strip()
-    if not inner:
-        return []
     rows = []
-    for part in re.findall(r"\[([^\[\]]*)\]", inner):
+    for part in _split_rows(body, lineno):
         part = part.strip()
         if not part:
             raise InputError(f"line {lineno}: empty lattice row")
         if not _INT_LIST.match(part):
             raise InputError(f"line {lineno}: lattice rows must be integers")
         rows.append([int(v) for v in part.split(",")])
-    if not rows:
-        raise InputError(f"line {lineno}: expected integer rows like [[1,0],[0,2]]")
     return rows
 
 
 def _split_rows(body: str, lineno: int) -> list[str]:
     body = body.strip()
     if not body.startswith("[") or not body.endswith("]"):
-        raise InputError(f"line {lineno}: expected P = [[...], ...]")
+        raise InputError(f"line {lineno}: expected a bracketed row list [[...], ...]")
     inner = body[1:-1]
     rows = re.findall(r"\[([^\[\]]*)\]", inner)
     leftovers = re.sub(r"\[[^\[\]]*\]", "", inner).replace(",", "").strip()
-    if leftovers:
-        raise InputError(f"line {lineno}: stray text {leftovers!r} in matrix")
+    if leftovers or (inner.strip() and not rows):
+        raise InputError(f"line {lineno}: stray text {leftovers or inner.strip()!r} in row list")
     return rows
 
 
@@ -154,6 +146,9 @@ def parse_system(text: str) -> SystemFile:
         raise InputError(f"n and k must be at least 1, got n = {n}, k = {k}")
     if matrix_rows is None:
         raise InputError("system file must declare P")
+    for name, bounds in windows.items():
+        if len(bounds) != n:
+            raise InputError(f"window {name} has {len(bounds)} axes, expected n={n}")
     rows = []
     for i, rtext in enumerate(matrix_rows):
         polys = _split_poly_row(rtext, n)
@@ -205,6 +200,16 @@ def _vecs_json(vecs, prefix: str = "s") -> list[str]:
 def _system_json(sf: SystemFile) -> dict:
     return {"n": sf.n, "k": sf.k,
             "matrix": [[poly_to_str(p) for p in r.entries] for r in sf.rows]}
+
+
+def _int_list(text: str, option: str, least: int) -> list[int]:
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        raise InputError(f"{option} must be comma-separated integers, got {text!r}") from None
+    if any(x < least for x in values):
+        raise InputError(f"{option} values must be >= {least}")
+    return values
 
 
 def _pick_lattice(sf: SystemFile, args) -> IntLattice:
@@ -265,7 +270,8 @@ def _smith_json(ctx) -> dict:
 
 def _cmd_contract(sf: SystemFile, args) -> dict:
     s = _pick_lattice(sf, args)
-    q = contract(sf.submodule(), s)
+    p = sf.submodule()
+    q = contract(p, s)
     out = {"lattice": _lat_json(s),
            "smith": _smith_json(q.context),
            "moduli": list(q.context.moduli),
@@ -276,7 +282,7 @@ def _cmd_contract(sf: SystemFile, args) -> dict:
             raise InputError("window oracle needs a nonzero sublattice")
         bounds = _pick_window(sf, args, list(sf.rows) or None)
         out["oracle"] = {"window": [list(b) for b in bounds],
-                         "restriction_check": restriction_check(sf.submodule(), s, bounds)}
+                         "restriction_check": restriction_check(p, s, bounds)}
     return out
 
 
@@ -302,9 +308,7 @@ def _cmd_invariant(sf: SystemFile, args) -> dict:
 
 
 def _cmd_coarsest(sf: SystemFile, args) -> dict:
-    primes = tuple(int(x) for x in args.audit_primes.split(","))
-    if any(x < 2 for x in primes):
-        raise InputError("audit primes must be >= 2")
+    primes = tuple(_int_list(args.audit_primes, "--audit-primes", 2))
     bound = args.index_bound if args.oracle else None
     rep = coarsest_lattice(sf.submodule(), primes, oracle_index_bound=bound)
     return {"lattice": _lat_json(rep.lattice),
@@ -316,7 +320,8 @@ def _cmd_coarsest(sf: SystemFile, args) -> dict:
 
 
 def _cmd_analyze(sf: SystemFile, args) -> dict:
-    rep = analyze(sf.submodule())
+    p = sf.submodule()
+    rep = analyze(p)
     p0, t = rep.decomposition
     out = {"rank_over_fractions": rep.rank_over_fractions,
            "controllable": rep.is_controllable,
@@ -330,7 +335,7 @@ def _cmd_analyze(sf: SystemFile, args) -> dict:
             s = sf.lattices[args.check_transfer]
         except KeyError:
             raise InputError(f"no lattice named {args.check_transfer!r}") from None
-        tr = transfer_checks(sf.submodule(), s)
+        tr = transfer_checks(p, s)
         out["transfer"] = {
             "contraction_preserves_controllability": tr.contraction_preserves_controllability,
             "contraction_preserves_autonomy": tr.contraction_preserves_autonomy,
@@ -383,7 +388,7 @@ def _cmd_galois(sf: SystemFile, args) -> dict:
            "order": info.order,
            "generators": [list(g) for g in info.group.generators]}
     if args.moduli:
-        d = [int(x) for x in args.moduli.split(",")]
+        d = _int_list(args.moduli, "--moduli", 1)
         if len(d) != sf.n:
             raise InputError("--moduli length must equal n")
         h = lattice_to_subgroup(s, d)
@@ -455,6 +460,10 @@ def main(argv=None) -> int:
                 raise InputError(f"cannot read {args.file}: {e}") from e
         sf = parse_system(text)
         report = run(args.command, sf, args)
+    except InvariantError as e:
+        print(json.dumps({"schema": SCHEMA_TAG, "error": "invariant", "detail": str(e)},
+                         sort_keys=True), file=sys.stderr)
+        return 1
     except InputError as e:
         print(json.dumps({"schema": SCHEMA_TAG, "error": "input", "detail": str(e)},
                          sort_keys=True), file=sys.stderr)

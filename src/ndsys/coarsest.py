@@ -16,7 +16,7 @@ from math import gcd
 from .intlat import (IntLattice, _congruence_solution_lattice,
                      lattice_from_rows, meet, zero_lattice)
 from .laurent import coset_split
-from .groebner import Submodule, groebner_basis, syzygies
+from .groebner import InvariantError, Submodule, groebner_basis, syzygies
 from .sublattice import is_extension_from
 from .trajectories import WindowSpan, default_membership_window
 
@@ -43,7 +43,8 @@ def is_constant_module(p: Submodule) -> bool:
         return False
     gens = list(groebner_basis(p))
     rel = syzygies(gens, p.nvars, p.k)
-    assert rel.is_zero_module(), "constant module with nonzero relations"
+    if not rel.is_zero_module():
+        raise InvariantError("constant module with nonzero relations")
     return True
 
 
@@ -87,7 +88,8 @@ def coarsest_lattice(p: Submodule, audit_primes=(2, 3, 5, 7),
     """
     lat = support_difference_lattice(p)
     ok, _ = is_extension_from(p, lat)
-    assert ok, "candidate lattice rejected by its own construction"
+    if not ok:
+        raise InvariantError("candidate lattice rejected by its own construction")
     audit: list[tuple[IntLattice, bool]] = []
     restart = True
     while restart:
@@ -164,5 +166,6 @@ def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
     for lat in candidates:
         if passes(lat):
             cur = lat if cur is None else meet(cur, lat)
-    assert cur is not None, "the full lattice always passes"
+    if cur is None:
+        raise InvariantError("the full lattice failed the window extension test")
     return cur

@@ -28,6 +28,10 @@ from .laurent import (
 VPoly = dict[tuple[int, Exp], Fraction]
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a defect, not a bad input."""
+
+
 @dataclass(frozen=True)
 class TermOrder:
     """Monomial order: grevlex or lex base, optional elimination block.
@@ -175,7 +179,8 @@ def _strip_content(f: VPoly) -> VPoly:
 def _spoly(f: VPoly, g: VPoly, key) -> VPoly:
     (cf, ef), lcf = _leading(f, key)
     (cg, eg), lcg = _leading(g, key)
-    assert cf == cg
+    if cf != cg:
+        raise InvariantError("S-pair of leading terms in different components")
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     sf = exp_sub(lcm, ef)
     sg = exp_sub(lcm, eg)

@@ -479,6 +479,8 @@ def lattice_to_subgroup(lat: IntLattice, moduli) -> GaloisSubgroup:
     n = lat.ambient
     if len(d) != n:
         raise ValueError("moduli length mismatch")
+    if any(di < 1 for di in d):
+        raise ValueError(f"moduli must be positive, got {list(d)}")
     if not lat.contains_lattice(diagonal_lattice(d)):
         raise ValueError("lattice does not contain the diagonal lattice of the moduli")
     big = lcm(*d) if d else 1

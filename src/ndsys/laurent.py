@@ -250,7 +250,7 @@ def coset_split(v: LaurentVec, lat) -> dict[Exp, LaurentVec]:
 # Text syntax
 
 
-_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[a-zA-Z]\w*|\^|\*|\+|-|\(|\))")
+_TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[a-zA-Z]\w*|\^|\*|\+|-)")
 
 
 class PolyParseError(ValueError):

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import ndsys.analysis
 from ndsys.intlat import diagonal_lattice, lattice_from_rows
 from ndsys.laurent import LaurentPoly, LaurentVec, parse_vector
-from ndsys.groebner import (Submodule, member, submodule_contains,
-                            submodule_equal)
+from ndsys.groebner import (InvariantError, Submodule, member,
+                            submodule_contains, submodule_equal)
 from ndsys.sublattice import contract, extend
 from ndsys.analysis import (analyze, decomposition, degree_of_autonomy,
                             image_representation, is_autonomous,
@@ -186,3 +187,29 @@ def test_analyze_bundles_everything():
     assert rep2.is_autonomous and not rep2.is_controllable
     assert rep2.image_rep is None
     assert rep2.degree_of_autonomy == 1
+
+
+def test_analyze_makes_one_relation_pass(monkeypatch):
+    """Column relations, their row kernel and the P0/P presentation: three
+    syzygy computations for a controllable system, the closure shared by
+    every answer."""
+    calls = []
+    real = ndsys.analysis.syzygies
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ndsys.analysis, "syzygies", counting)
+    p = Submodule(2, 2, [pv("[s1, s2]", 2, 2)])
+    rep = analyze(p)
+    assert len(calls) == 3
+    assert rep.is_controllable
+    assert rep.image_rep == image_representation(p)
+
+
+def test_invariant_failure_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(LaurentVec, "dot",
+                        lambda self, other: LaurentPoly.constant(self.nvars, 1))
+    with pytest.raises(InvariantError):
+        image_representation(Submodule(2, 2, [pv("[s1, s2]", 2, 2)]))

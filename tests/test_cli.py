@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ndsys.cli import main, parse_system
-from ndsys.laurent import parse_vector
+from ndsys.cli import InputError, main, parse_system
+from ndsys.laurent import LaurentPoly, LaurentVec, parse_vector
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -173,3 +173,40 @@ def test_analyze_image_rep_annihilates_rows(monkeypatch, capsys):
         col = parse_vector(text, 2, 2)
         assert not col.is_zero()
         assert row.dot(col).is_zero()
+
+
+@pytest.mark.parametrize("argv", [
+    ["galois", "hexagonal.system", "--lattice", "hex", "--moduli", "0,2"],
+    ["galois", "hexagonal.system", "--lattice", "hex", "--moduli", "2,x"],
+    ["coarsest", "hexagonal.system", "--audit-primes", "2,x"],
+], ids=["zero-modulus", "moduli-not-integer", "audit-primes-not-integer"])
+def test_bad_integer_option_exits_two(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "input"
+
+
+@pytest.mark.parametrize("text", [
+    "n = 2\nk = 1\nP = [[s1 - 1]]\nlattice hex = [[1, 1] junk [2, 0]]\n",
+    "n = 2\nk = 1\nP = [[s1 - 1]]\nlattice z = [,]\n",
+    "n = 2\nk = 1\nP = [[s1 - 1]]\nwindow w = [0..3]\n",
+], ids=["lattice-stray-text", "lattice-no-rows", "window-axis-count"])
+def test_bad_system_block_exits_two(text, tmp_path, capsys):
+    with pytest.raises(InputError):
+        parse_system(text)
+    f = tmp_path / "bad.system"
+    f.write_text(text)
+    assert main(["gb", str(f)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+def test_invariant_failure_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(LaurentVec, "dot",
+                        lambda self, other: LaurentPoly.constant(self.nvars, 1))
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO("n = 2\nk = 2\nP = [[s1, s2]]\n"))
+    assert main(["analyze", "-"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    err = out.err.strip()
+    assert "\n" not in err and json.loads(err)["error"] == "invariant"

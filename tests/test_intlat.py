@@ -289,3 +289,9 @@ def test_galois_order_times_index():
         h = GaloisSubgroup.make(d, gens)
         lat = subgroup_to_lattice(h)
         assert lat.index() == h.order()
+
+
+@pytest.mark.parametrize("moduli", [(0, 2), (2, -2)])
+def test_lattice_to_subgroup_rejects_nonpositive_moduli(moduli):
+    with pytest.raises(ValueError):
+        lattice_to_subgroup(full_lattice(2), moduli)
