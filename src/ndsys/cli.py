@@ -14,12 +14,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intlat import (IntLattice, IntMatrix, lattice_from_rows,
-                     lattice_to_subgroup, smith, subgroup_to_lattice)
-from .laurent import (LaurentPoly, LaurentVec, PolyParseError, parse_poly,
-                      parse_vector, poly_to_str, vector_to_str)
+from .intlat import (IntLattice, IntMatrix, SmithDecomposition, lattice_from_rows,
+                     lattice_to_subgroup, subgroup_to_lattice)
+from .laurent import (LaurentVec, PolyParseError, parse_vector, poly_to_str,
+                      vector_to_str)
 from .groebner import InvariantError, Submodule, TermOrder, groebner_basis, member
-from .sublattice import (contract, extend, galois_group_of, is_extension_from)
+from .sublattice import (contract, extend, galois_group_of, is_extension_from,
+                         sublattice_context)
 from .analysis import analyze, transfer_checks
 from .coarsest import coarsest_lattice
 from .trajectories import (WindowSpan, box_window, default_membership_window,
@@ -151,20 +152,11 @@ def parse_system(text: str) -> SystemFile:
             raise InputError(f"window {name} has {len(bounds)} axes, expected n={n}")
     rows = []
     for i, rtext in enumerate(matrix_rows):
-        polys = _split_poly_row(rtext, n)
-        if len(polys) != k:
-            raise InputError(
-                f"line {matrix_line}: matrix row {i + 1} has {len(polys)} entries, expected k={k}")
-        rows.append(LaurentVec(polys))
+        try:
+            rows.append(parse_vector(f"[{rtext}]", n, k))
+        except PolyParseError as e:
+            raise InputError(f"line {matrix_line}: matrix row {i + 1}: {e}") from e
     return SystemFile(n, k, rows, lattices, windows)
-
-
-def _split_poly_row(rtext: str, n: int) -> list[LaurentPoly]:
-    parts = [p.strip() for p in rtext.split(",")]
-    try:
-        return [parse_poly(p, n) for p in parts]
-    except PolyParseError as e:
-        raise InputError(str(e)) from e
 
 
 def _parse_window_spec(spec: str, lineno: int = 0) -> list[tuple[int, int]]:
@@ -263,8 +255,7 @@ def _cmd_member(sf: SystemFile, args) -> dict:
     return out
 
 
-def _smith_json(ctx) -> dict:
-    dec = ctx.decomposition
+def _smith_json(dec: SmithDecomposition) -> dict:
     return {"U": _mat_json(dec.U), "D": _mat_json(dec.D), "V": _mat_json(dec.V)}
 
 
@@ -273,7 +264,7 @@ def _cmd_contract(sf: SystemFile, args) -> dict:
     p = sf.submodule()
     q = contract(p, s)
     out = {"lattice": _lat_json(s),
-           "smith": _smith_json(q.context),
+           "smith": _smith_json(q.context.decomposition),
            "moduli": list(q.context.moduli),
            "sub_rank": q.context.rank,
            "generators": _vecs_json(groebner_basis(q.module), "t")}
@@ -291,7 +282,7 @@ def _cmd_extend(sf: SystemFile, args) -> dict:
     q = contract(sf.submodule(), s)
     ext = extend(q)
     return {"lattice": _lat_json(s),
-            "smith": _smith_json(q.context),
+            "smith": _smith_json(q.context.decomposition),
             "contraction": _vecs_json(groebner_basis(q.module), "t"),
             "extension": _vecs_json(groebner_basis(ext))}
 
@@ -371,13 +362,10 @@ def _cmd_simulate(sf: SystemFile, args) -> dict:
 
 def _cmd_smith(sf: SystemFile, args) -> dict:
     s = _pick_lattice(sf, args)
-    cols = s.basis.transpose()
-    dec = smith(cols)
-    prod_check = dec.U @ dec.D @ dec.V
-    return {"lattice": _lat_json(s),
-            "U": _mat_json(dec.U), "D": _mat_json(dec.D), "V": _mat_json(dec.V),
+    dec = sublattice_context(s).decomposition
+    return {"lattice": _lat_json(s), **_smith_json(dec),
             "diagonal": list(dec.diagonal),
-            "product_matches": prod_check == cols}
+            "product_matches": dec.U @ dec.D @ dec.V == s.basis.transpose()}
 
 
 def _cmd_galois(sf: SystemFile, args) -> dict:

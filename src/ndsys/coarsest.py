@@ -83,27 +83,20 @@ def coarsest_lattice(p: Submodule, audit_primes=(2, 3, 5, 7),
                      oracle_index_bound: int | None = None) -> CoarsestReport:
     """Candidate lattice plus an audit that no index-p coarsening works.
 
-    A passing audit entry would contradict minimality; the loop then restarts
-    from the coarser lattice (index strictly grows, so it terminates).
+    Each reduced generator lies in one coset of any lattice the module
+    extends from, so no index-p sublattice of the candidate can pass; a
+    passing audit entry is a defect and raises InvariantError.
     """
     lat = support_difference_lattice(p)
     ok, _ = is_extension_from(p, lat)
     if not ok:
         raise InvariantError("candidate lattice rejected by its own construction")
     audit: list[tuple[IntLattice, bool]] = []
-    restart = True
-    while restart:
-        restart = False
-        for prime in audit_primes:
-            for sub in maximal_sublattices(lat, prime):
-                verdict, _ = is_extension_from(p, sub)
-                audit.append((sub, verdict))
-                if verdict:
-                    lat = sub
-                    restart = True
-                    break
-            if restart:
-                break
+    for prime in audit_primes:
+        for sub in maximal_sublattices(lat, prime):
+            if is_extension_from(p, sub)[0]:
+                raise InvariantError(f"index-{prime} sublattice passed the minimality audit")
+            audit.append((sub, False))
     oracle_confirmed = None
     if oracle_index_bound is not None:
         oracle = brute_force_coarsest(p, oracle_index_bound)
@@ -143,7 +136,7 @@ def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
     if p.is_zero_module():
         return zero_lattice(n)
 
-    window = default_membership_window(list(p.generators), margin=2)
+    window = default_membership_window(list(p.generators))
     span = WindowSpan(list(p.generators), window, p.k)
     passes = _window_extension_test(p, span)
 

@@ -22,7 +22,6 @@ from .laurent import (
     LaurentVec,
     exp_add,
     exp_sub,
-    normalize_to_poly,
 )
 
 VPoly = dict[tuple[int, Exp], Fraction]
@@ -90,6 +89,18 @@ def vec_to_vpoly(v: LaurentVec) -> VPoly:
         for e, c in p.terms.items():
             out[(j, e)] = c
     return out
+
+
+def _lift(v: LaurentVec) -> tuple[VPoly, Exp]:
+    """Shift a nonzero vector into the polynomial ring so every exponent is
+    >= 0 and each variable touches 0; returns the lift and the subtracted
+    exponent."""
+    pts = v.support()
+    if not pts:
+        raise ValueError("zero vector has no polynomial lift")
+    m = tuple(min(p[i] for p in pts) for i in range(v.nvars))
+    return {(j, exp_sub(e, m)): c
+            for j, p in enumerate(v.entries) for e, c in p.terms.items()}, m
 
 
 def vpoly_to_vec(f: VPoly, nvars: int, k: int) -> LaurentVec:
@@ -250,17 +261,12 @@ def reduced_basis(basis: list[VPoly], key) -> list[VPoly]:
             continue
         kept.append(g)
         kept_lms.append(lm)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(kept)):
-            others = kept[:i] + kept[i + 1:]
-            if not others:
-                continue
-            r = normal_form(kept[i], others, key)
-            if r != kept[i]:
-                kept[i] = r
-                changed = True
+    # one pass suffices: in a minimal basis reduction keeps every leading
+    # monomial, and a normal form depends only on the others' leading monomials
+    for i in range(len(kept)):
+        others = kept[:i] + kept[i + 1:]
+        if others:
+            kept[i] = normal_form(kept[i], others, key)
     out = []
     for g in kept:
         _, lc = _leading(g, key)
@@ -319,10 +325,6 @@ class Submodule:
         self._gb_cache: dict[TermOrder, tuple[LaurentVec, ...]] = {}
         self._sat_cache: list[VPoly] | None = None
 
-    @staticmethod
-    def ideal(nvars: int, polys) -> "Submodule":
-        return Submodule(nvars, 1, [LaurentVec.wrap(p) for p in polys])
-
     def __repr__(self):
         return f"Submodule(nvars={self.nvars}, k={self.k}, ngens={len(self.generators)})"
 
@@ -332,11 +334,9 @@ class Submodule:
     def saturated_vpolys(self) -> list[VPoly]:
         """Reduced default-order basis of the saturated polynomial lift."""
         if self._sat_cache is None:
-            self._sat_cache = _saturate(self._lifted_vpolys(), self.nvars, self.k)
+            lifts = [_lift(g)[0] for g in self.generators]
+            self._sat_cache = _saturate(lifts, self.nvars, self.k)
         return self._sat_cache
-
-    def _lifted_vpolys(self) -> list[VPoly]:
-        return [vec_to_vpoly(normalize_to_poly(g)[0]) for g in self.generators]
 
 
 def _saturate(lifts: list[VPoly], nvars: int, k: int) -> list[VPoly]:
@@ -399,8 +399,26 @@ def member(v: LaurentVec, mod: Submodule) -> bool:
     if not sat:
         return False
     key = make_key(DEFAULT_ORDER, mod.nvars)
-    lifted, _ = normalize_to_poly(v)
-    return not top_reduce(vec_to_vpoly(lifted), sat, key)
+    return not top_reduce(_lift(v)[0], sat, key)
+
+
+def component_cut(vectors: list[LaurentVec], k: int) -> list[LaurentVec]:
+    """Elements of the span of vectors that lie in their first k components.
+
+    Takes the reduced basis of the lifted vectors under the default order with
+    components k and above ranked over the first k, and keeps the elements
+    free of those components; [] when no vector is nonzero.
+    """
+    lifts = [_lift(v)[0] for v in vectors if not v.is_zero()]
+    if not lifts:
+        return []
+    nvars, big_k = vectors[0].nvars, vectors[0].k
+    key = make_key(DEFAULT_ORDER, nvars, comp_rank=[0] * k + [1] * (big_k - k))
+    # No saturation pass here: monomial scaling respects the component
+    # blocks, so the Laurent span of the low cut is unchanged by it, and
+    # the resulting submodule saturates itself on demand.
+    gb = reduced_basis(buchberger(lifts, key), key)
+    return [vpoly_to_vec(g, nvars, k) for g in gb if all(comp < k for comp, _ in g)]
 
 
 def submodule_equal(a: Submodule, b: Submodule) -> bool:
@@ -422,23 +440,14 @@ def syzygies(vectors: list[LaurentVec], nvars: int, k: int) -> Submodule:
     for v in vectors:
         if v.k != k or v.nvars != nvars:
             raise ValueError("vector shape mismatch")
-    shifts: list[Exp] = []
-    lifted: list[VPoly] = []
     zero = tuple(0 for _ in range(nvars))
-    for v in vectors:
-        if v.is_zero():
-            shifts.append(zero)
-            lifted.append({})
-        else:
-            w, m = normalize_to_poly(v)
-            shifts.append(m)
-            lifted.append(vec_to_vpoly(w))
-    syz = syzygy_basis(lifted, k, nvars, DEFAULT_ORDER)
+    lifts = [({}, zero) if v.is_zero() else _lift(v) for v in vectors]
+    syz = syzygy_basis([f for f, _ in lifts], k, nvars, DEFAULT_ORDER)
     gens = []
     for s in syz:
         vec = vpoly_to_vec(s, nvars, c)
         # undo the per-coordinate unit shifts of the lift
-        entries = [p.shift(tuple(-x for x in shifts[i])) for i, p in enumerate(vec.entries)]
+        entries = [p.shift(tuple(-x for x in lifts[i][1])) for i, p in enumerate(vec.entries)]
         gens.append(LaurentVec(entries))
     return Submodule(nvars, c, gens)
 
@@ -449,8 +458,7 @@ def module_quotient(mod: Submodule, f: LaurentPoly) -> Submodule:
         raise ValueError("variable count mismatch")
     if f.is_zero():
         raise ValueError("quotient by zero")
-    lifted, _ = normalize_to_poly(LaurentVec.wrap(f))
-    fv = vec_to_vpoly(lifted)
+    fv, _ = _lift(LaurentVec.wrap(f))
     sat = mod.saturated_vpolys()
     if not sat:
         return Submodule(mod.nvars, mod.k, [])
@@ -459,8 +467,7 @@ def module_quotient(mod: Submodule, f: LaurentPoly) -> Submodule:
                      [vpoly_to_vec(g, mod.nvars, mod.k) for g in quo])
 
 
-def eliminate(mod: Submodule, drop, *, kind: str = "grevlex",
-              allow_all: bool = False) -> Submodule:
+def eliminate(mod: Submodule, drop, *, allow_all: bool = False) -> Submodule:
     """Intersect with the Laurent subring of the retained variables.
 
     Computes a Groebner basis of the saturated lift under a block order
@@ -477,7 +484,7 @@ def eliminate(mod: Submodule, drop, *, kind: str = "grevlex",
     if not drop:
         return Submodule(mod.nvars, mod.k, list(mod.generators))
     keep = [i for i in range(mod.nvars) if i not in drop]
-    order = TermOrder(kind=kind, drop=drop)
+    order = TermOrder(drop=drop)
     key = make_key(order, mod.nvars)
     gb = reduced_basis(buchberger(mod.saturated_vpolys(), key), key)
     gens = []

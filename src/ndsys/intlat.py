@@ -422,7 +422,7 @@ class GaloisSubgroup:
         return GaloisSubgroup(moduli, tuple(sorted(set(gens))))
 
     def elements(self) -> frozenset[tuple[int, ...]]:
-        """All elements, by closure; group orders here are tiny."""
+        """All elements, by closure; the cost grows with the group order."""
         zero = tuple(0 for _ in self.moduli)
         seen = {zero}
         frontier = [zero]
@@ -436,7 +436,9 @@ class GaloisSubgroup:
         return frozenset(seen)
 
     def order(self) -> int:
-        return len(self.elements())
+        """Group order, without enumeration: by duality it is the index of
+        the lattice the subgroup fixes."""
+        return subgroup_to_lattice(self).index()
 
     def same_subgroup(self, other: "GaloisSubgroup") -> bool:
         return self.moduli == other.moduli and self.elements() == other.elements()

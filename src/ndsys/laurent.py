@@ -206,19 +206,6 @@ class LaurentVec:
     __repr__ = __str__
 
 
-def normalize_to_poly(v: LaurentVec) -> tuple[LaurentVec, Exp]:
-    """Shift a nonzero vector so every exponent is >= 0 and each variable
-    touches 0; returns (shifted vector, the subtracted exponent m)."""
-    pts = v.support()
-    if not pts:
-        raise ValueError("zero vector has no normal form")
-    m = tuple(min(p[i] for p in pts) for i in range(v.nvars))
-    if all(x == 0 for x in m):
-        return v, m
-    neg = tuple(-x for x in m)
-    return v.shift(neg), m
-
-
 def apply_monomial_map(w: IntMatrix, obj):
     """Relabel exponents by x -> W x on a poly or vector (entrywise); the
     result has W.nrows variables."""
@@ -346,29 +333,14 @@ def parse_vector(text: str, nvars: int, k: int, prefix: str = "s") -> LaurentVec
     if text.startswith("["):
         if not text.endswith("]"):
             raise PolyParseError("unterminated vector")
-        inner = text[1:-1]
-        parts = _split_top_level(inner)
+        parts = [p.strip() for p in text[1:-1].split(",")]
+        if "" in parts:
+            raise PolyParseError(f"empty entry in vector {text!r}")
     else:
         parts = [text]
     if len(parts) != k:
         raise PolyParseError(f"expected {k} entries, got {len(parts)}")
     return LaurentVec([parse_poly(p, nvars, prefix) for p in parts])
-
-
-def _split_top_level(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p for p in (s.strip() for s in parts) if p != ""]
 
 
 def _term_sort_key(poly: LaurentPoly):

@@ -14,17 +14,13 @@ from dataclasses import dataclass
 from math import prod
 
 from .groebner import (
-    DEFAULT_ORDER,
     Submodule,
-    buchberger,
+    component_cut,
     eliminate,
     groebner_basis,
-    make_key,
     member,
-    reduced_basis,
     submodule_contains,
     submodule_equal,
-    vpoly_to_vec,
 )
 from .intlat import (
     GaloisSubgroup,
@@ -34,7 +30,7 @@ from .intlat import (
     smith,
     unimodular_inverse,
 )
-from .laurent import LaurentVec, apply_monomial_map, coset_split
+from .laurent import LaurentPoly, LaurentVec, apply_monomial_map, coset_split
 
 
 @dataclass(frozen=True)
@@ -130,39 +126,17 @@ def contract(p: Submodule, s: IntLattice) -> ContractedModule:
     offset_index = {o: i for i, o in enumerate(offsets)}
     rho = len(offsets)
 
-    def rewrite(vec: LaurentVec):
-        out = {}
+    def rewrite(vec: LaurentVec) -> LaurentVec:
+        polys = [{} for _ in range(rho * k)]
         for j, poly in enumerate(vec.entries):
             for e, c in poly.terms.items():
                 q = tuple(e[i] // dplus[i] for i in range(n))
                 rem = tuple(e[i] % dplus[i] for i in range(n))
-                comp = offset_index[rem] * k + j
-                out[(comp, q)] = c
-        return out
+                polys[offset_index[rem] * k + j][q] = c
+        return LaurentVec([LaurentPoly(n, t) for t in polys])
 
-    big_k = rho * k
-    raw = []
-    for g in moved:
-        for o in offsets:
-            raw.append(rewrite(g.shift(o)))
-
-    gens = []
-    for vp in raw:
-        vec = vpoly_to_vec(vp, n, big_k)
-        if not vec.is_zero():
-            gens.append(vec)
-    inner = Submodule(n, big_k, gens)
-    comp_rank = [0 if c < k else 1 for c in range(big_k)]
-    key = make_key(DEFAULT_ORDER, n, comp_rank=comp_rank)
-    # No saturation pass here: monomial scaling respects the component
-    # blocks, so the Laurent span of the low cut is unchanged by it, and
-    # the resulting submodule saturates itself on demand.
-    gb = reduced_basis(buchberger(inner._lifted_vpolys(), key), key)
-    low = []
-    for g in gb:
-        if all(comp < k for comp, _ in g):
-            low.append(vpoly_to_vec(g, n, k))
-    q = Submodule(n, k, low)
+    blocks = [rewrite(g.shift(o)) for g in moved for o in offsets]
+    q = Submodule(n, k, component_cut(blocks, k))
     if r < n:
         q = eliminate(q, range(r, n), allow_all=True)
     return ContractedModule(ctx, q)

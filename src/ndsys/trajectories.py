@@ -175,7 +175,7 @@ class WindowSpan:
             return False
 
 
-def default_membership_window(gens, margin: int = 2) -> Window:
+def default_membership_window(gens) -> Window:
     """Symmetric box comfortably larger than the generator supports."""
     gens = _generators_of(gens)
     pts = set()
@@ -188,7 +188,7 @@ def default_membership_window(gens, margin: int = 2) -> Window:
     for i in range(n):
         vals = [p[i] for p in pts]
         diam = max(diam, max(vals) - min(vals))
-    reach = max(1, 2 * diam + margin)
+    reach = 2 * diam + 2
     bound = max(max(abs(v) for v in p) for p in pts) + reach
     return box_window([(-bound, bound)] * n)
 

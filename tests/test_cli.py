@@ -210,3 +210,30 @@ def test_invariant_failure_exits_one(monkeypatch, capsys):
     assert out.out == ""
     err = out.err.strip()
     assert "\n" not in err and json.loads(err)["error"] == "invariant"
+
+
+@pytest.mark.parametrize("vector", ["[s1,,s2]", "[s1, s2,]"])
+def test_member_vector_with_empty_entry_exits_two(vector, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("n = 2\nk = 2\nP = [[s1, s2]]\n"))
+    assert main(["member", "-", "--vector", vector]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+def test_matrix_row_error_names_its_row():
+    with pytest.raises(InputError, match=r"^line 3: matrix row 2: "):
+        parse_system("n = 2\nk = 2\nP = [[s1, s2], [s1,,s2]]\n")
+
+
+def test_galois_order_of_large_group(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        "n = 2\nk = 1\nP = [[1 + s1*s2 + s2^2]]\nlattice sq = [[800, 0], [0, 800]]\n"))
+    assert main(["galois", "-", "--moduli", "800,800", "--json"]) == 0
+    stab = json.loads(capsys.readouterr().out)["result"]["stabilizer"]
+    assert stab["order"] == 640000 and stab["roundtrip_exact"]
+
+
+def test_passing_audit_entry_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr("ndsys.coarsest.is_extension_from", lambda p, s: (True, None))
+    code, out, err = run_cli(["coarsest", "hexagonal.system"], capsys)
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "invariant"

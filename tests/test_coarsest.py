@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from ndsys.intlat import (full_lattice, lattice_from_rows, meet, zero_lattice)
 from ndsys.laurent import LaurentPoly, LaurentVec, parse_vector
-from ndsys.groebner import Submodule
+from ndsys.groebner import InvariantError, Submodule
 from ndsys.sublattice import is_extension_from
 from ndsys.coarsest import (brute_force_coarsest, coarsest_lattice,
                             is_constant_module, maximal_sublattices,
@@ -45,6 +47,13 @@ def test_coarsest_hexagonal_with_audit_and_oracle():
     assert len(rep.audit) == 21
     assert all(not passed for _, passed in rep.audit)
     assert rep.oracle_confirmed is True
+
+
+def test_passing_audit_entry_raises(monkeypatch):
+    monkeypatch.setattr("ndsys.coarsest.is_extension_from", lambda p, s: (True, None))
+    p = Submodule(2, 1, [pv("1 + s1*s2 + s2^2", 2, 1)])
+    with pytest.raises(InvariantError):
+        coarsest_lattice(p)
 
 
 def test_coarsest_rank_one_degenerate():

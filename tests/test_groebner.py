@@ -1,10 +1,13 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ndsys
 from ndsys.laurent import LaurentPoly, LaurentVec, parse_poly, parse_vector
-from ndsys.groebner import (Submodule, TermOrder, eliminate, groebner_basis,
+from ndsys.groebner import (Submodule, TermOrder, _lift, eliminate, groebner_basis,
                             is_groebner_basis, member, module_quotient,
                             submodule_contains, submodule_equal, syzygies)
 from ndsys.linalg import nullspace_basis
@@ -31,6 +34,14 @@ def _rand_module(rng, nvars, k, ngens=3):
 
 # ---------------------------------------------------------------------------
 # membership and canonical bases
+
+
+def test_lift():
+    lifted, m = _lift(LaurentVec.wrap(parse_poly("s1^-2 + s1", 1)))
+    assert m == (-2,)
+    assert lifted == {(0, (0,)): 1, (0, (3,)): 1}
+    with pytest.raises(ValueError):
+        _lift(LaurentVec.wrap(LaurentPoly(1)))
 
 
 def test_member_scalar_ideal():
@@ -209,3 +220,13 @@ def test_lex_and_grevlex_agree_on_module_identity():
     q1 = Submodule(2, 1, gb1)
     q2 = Submodule(2, 1, gb2)
     assert submodule_equal(q1, q2)
+
+
+def test_engine_format_stays_in_groebner():
+    """Only groebner.py knows the engine's vector format and Buchberger run."""
+    names = re.compile(r"VPoly|vpoly|make_key|buchberger|reduced_basis|_lifted_vpolys")
+    for path in sorted(Path(ndsys.__file__).parent.glob("*.py")):
+        if path.name == "groebner.py":
+            continue
+        hits = [line for line in path.read_text().splitlines() if names.search(line)]
+        assert not hits, f"{path.name}: {hits}"

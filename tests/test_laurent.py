@@ -5,9 +5,8 @@ import pytest
 
 from ndsys.intlat import IntMatrix, lattice_from_rows, zero_lattice
 from ndsys.laurent import (LaurentPoly, LaurentVec, PolyParseError,
-                           apply_monomial_map, coset_split, normalize_to_poly,
-                           parse_poly, parse_vector, poly_to_str,
-                           vector_to_str)
+                           apply_monomial_map, coset_split, parse_poly,
+                           parse_vector, poly_to_str, vector_to_str)
 
 
 def _rand_poly(rng, nvars, terms=4, deg=3):
@@ -64,6 +63,12 @@ def test_parse_errors():
         parse_poly("s1 - 3/00*s1^2", 1)
 
 
+@pytest.mark.parametrize("text", ["[s1,,s2]", "[s1, s2,]", "[, s1, s2]"])
+def test_parse_vector_rejects_empty_entry(text):
+    with pytest.raises(PolyParseError):
+        parse_vector(text, 2, 2)
+
+
 def test_print_parse_roundtrip_random():
     rng = random.Random(43)
     for _ in range(60):
@@ -81,15 +86,6 @@ def test_vector_roundtrip():
     assert parse_vector(vector_to_str(v), 2, 2) == v
     w = parse_vector("s1 - 1", 1, 1)
     assert w.k == 1
-
-
-def test_normalize_to_poly():
-    v = LaurentVec.wrap(parse_poly("s1^-2 + s1", 1))
-    w, m = normalize_to_poly(v)
-    assert m == (-2,)
-    assert w.entries[0].terms == {(0,): 1, (3,): 1}
-    with pytest.raises(ValueError):
-        normalize_to_poly(LaurentVec.wrap(LaurentPoly(1)))
 
 
 def test_apply_monomial_map_is_ring_hom():
