@@ -107,15 +107,23 @@ def _split_rows(body: str, lineno: int) -> list[str]:
     return rows
 
 
+def _declare(declared: set[str], what: str, lineno: int) -> None:
+    if what in declared:
+        raise InputError(f"line {lineno}: {what} is declared twice")
+    declared.add(what)
+
+
 def parse_system(text: str) -> SystemFile:
     n = k = None
     matrix_rows: list[str] | None = None
     matrix_line = 0
     lattices: dict[str, IntLattice] = {}
     windows: dict[str, list[tuple[int, int]]] = {}
+    declared: set[str] = set()
     for lineno, stmt in _statements(text):
         m = re.match(r"^(n|k)\s*=\s*(\d+)$", stmt)
         if m:
+            _declare(declared, m.group(1), lineno)
             if m.group(1) == "n":
                 n = int(m.group(2))
             else:
@@ -123,6 +131,7 @@ def parse_system(text: str) -> SystemFile:
             continue
         m = re.match(r"^P\s*=\s*(.*)$", stmt, re.DOTALL)
         if m:
+            _declare(declared, "P", lineno)
             matrix_rows = _split_rows(m.group(1), lineno)
             matrix_line = lineno
             continue
@@ -130,6 +139,7 @@ def parse_system(text: str) -> SystemFile:
         if m:
             if n is None:
                 raise InputError(f"line {lineno}: n must be declared before lattices")
+            _declare(declared, f"lattice {m.group(1)}", lineno)
             rows = _parse_int_rows(m.group(2), lineno)
             for r in rows:
                 if len(r) != n:
@@ -138,7 +148,8 @@ def parse_system(text: str) -> SystemFile:
             continue
         m = re.match(r"^window\s+(\w+)\s*=\s*\[(.*)\]$", stmt, re.DOTALL)
         if m:
-            windows[m.group(1)] = _parse_window_spec(m.group(2), lineno)
+            _declare(declared, f"window {m.group(1)}", lineno)
+            windows[m.group(1)] = _parse_window_spec(m.group(2), f"line {lineno}")
             continue
         raise InputError(f"line {lineno}: cannot parse {stmt!r}")
     if n is None or k is None:
@@ -159,15 +170,16 @@ def parse_system(text: str) -> SystemFile:
     return SystemFile(n, k, rows, lattices, windows)
 
 
-def _parse_window_spec(spec: str, lineno: int = 0) -> list[tuple[int, int]]:
+def _parse_window_spec(spec: str, where: str) -> list[tuple[int, int]]:
+    """Axis bounds lo..hi; where ('line N' or the option) prefixes errors."""
     bounds = []
     for axis in spec.split(","):
         m = re.match(r"^\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*$", axis)
         if not m:
-            raise InputError(f"line {lineno}: window axis must look like 'lo..hi'")
+            raise InputError(f"{where}: window axis must look like 'lo..hi'")
         lo, hi = int(m.group(1)), int(m.group(2))
         if lo > hi:
-            raise InputError(f"line {lineno}: empty window axis {lo}..{hi}")
+            raise InputError(f"{where}: empty window axis {lo}..{hi}")
         bounds.append((lo, hi))
     return bounds
 
@@ -217,7 +229,7 @@ def _pick_lattice(sf: SystemFile, args) -> IntLattice:
 
 def _pick_window(sf: SystemFile, args, gens=None) -> list[tuple[int, int]]:
     if args.window:
-        return _parse_window_spec(args.window)
+        return _parse_window_spec(args.window, "--window")
     if sf.windows:
         return next(iter(sorted(sf.windows.items())))[1]
     if gens:
@@ -300,6 +312,8 @@ def _cmd_invariant(sf: SystemFile, args) -> dict:
 
 def _cmd_coarsest(sf: SystemFile, args) -> dict:
     primes = tuple(_int_list(args.audit_primes, "--audit-primes", 2))
+    if args.index_bound < 1:
+        raise InputError("--index-bound must be >= 1")
     bound = args.index_bound if args.oracle else None
     rep = coarsest_lattice(sf.submodule(), primes, oracle_index_bound=bound)
     return {"lattice": _lat_json(rep.lattice),

@@ -131,6 +131,8 @@ def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
     n = p.nvars
     if n > 2:
         raise ValueError("brute force is limited to n <= 2")
+    if index_bound < 1:
+        raise ValueError("index bound must be at least 1")
     if index_bound > 32:
         raise ValueError("index bound too large for enumeration")
     if p.is_zero_module():

@@ -6,7 +6,14 @@ and the lifted module is saturated by the product of the variables.  The
 reduced Groebner basis of that saturation is the canonical form; membership,
 equality, syzygies, quotients and elimination all run against it.
 
-Internally a vector polynomial is a dict {(component, exponent): Fraction}.
+Internally a vector polynomial is a dict {(component, exponent): int}.  Every
+lift enters the engine through _strip_content, which scales it by a positive
+rational to primitive integer coefficients, and S-pairs and reduction are
+fraction-free: they only multiply by positive integers, so each result is a
+positive multiple of the one rational arithmetic gives and strips to the same
+primitive vector.  A reduced basis holds primitive elements with a positive
+leading coefficient; it becomes monic only where it leaves the engine as
+LaurentVecs.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .laurent import (
     exp_sub,
 )
 
-VPoly = dict[tuple[int, Exp], Fraction]
+VPoly = dict[tuple[int, Exp], int]
 
 
 class InvariantError(RuntimeError):
@@ -125,6 +132,9 @@ def _reduce(f: VPoly, basis: list[VPoly], key, leads, full: bool) -> VPoly:
 
     With full set, irreducible leads move to the remainder and reduction goes
     on; otherwise the loop stops at the first one and returns the work dict.
+    Fraction-free: to cancel c*m with a reducer of leading coefficient l, the
+    work and the remainder so far are multiplied by |l|/gcd(l, c), so the
+    result is a positive multiple of the rational one.
     """
     lms = leads if leads is not None else [_leading(g, key) for g in basis]
     work = dict(f)
@@ -144,12 +154,19 @@ def _reduce(f: VPoly, basis: list[VPoly], key, leads, full: bool) -> VPoly:
         coef = work.pop(mon)
         lm, lc = lms[hit]
         shift = exp_sub(mon[1], lm[1])
-        factor = coef / lc
+        d = gcd(lc, coef)
+        scale = abs(lc) // d
+        factor = coef // d if lc > 0 else -coef // d
+        if scale != 1:
+            for m2 in work:
+                work[m2] *= scale
+            for m2 in remainder:
+                remainder[m2] *= scale
         for m2, c2 in basis[hit].items():
             if m2 == lm:
                 continue
             tgt = (m2[0], exp_add(m2[1], shift))
-            nv = work.get(tgt, Fraction(0)) - factor * c2
+            nv = work.get(tgt, 0) - factor * c2
             if nv:
                 work[tgt] = nv
             else:
@@ -171,20 +188,20 @@ def top_reduce(f: VPoly, basis: list[VPoly], key, leads=None) -> VPoly:
     return _reduce(f, basis, key, leads, False)
 
 
-def _strip_content(f: VPoly) -> VPoly:
-    """Scale to primitive integer coefficients; keeps Fractions small."""
-    if not f:
-        return f
+def _strip_content(f) -> VPoly:
+    """Scale by a positive rational to primitive int coefficients.
+
+    Takes int or Fraction coefficients; this is how every vector enters the
+    engine.
+    """
     den = 1
     for c in f.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for c in f.values():
-        num = gcd(num, c.numerator * (den // c.denominator))
-    if num in (0, den):
-        return f
-    scale = Fraction(den, num)
-    return {m: c * scale for m, c in f.items()}
+    ints = {m: c.numerator * (den // c.denominator) for m, c in f.items()}
+    content = gcd(*ints.values())
+    if content <= 1:
+        return ints
+    return {m: c // content for m, c in ints.items()}
 
 
 def _spoly(f: VPoly, g: VPoly, key) -> VPoly:
@@ -195,12 +212,16 @@ def _spoly(f: VPoly, g: VPoly, key) -> VPoly:
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     sf = exp_sub(lcm, ef)
     sg = exp_sub(lcm, eg)
+    # a positive multiple of f/lcf*x^sf - g/lcg*x^sg
+    d = gcd(lcf, lcg)
+    mf = abs(lcg) // d if lcf > 0 else -abs(lcg) // d
+    mg = abs(lcf) // d if lcg > 0 else -abs(lcf) // d
     out: VPoly = {}
     for (c, e), v in f.items():
-        out[(c, exp_add(e, sf))] = v / lcf
+        out[(c, exp_add(e, sf))] = v * mf
     for (c, e), v in g.items():
         tgt = (c, exp_add(e, sg))
-        nv = out.get(tgt, Fraction(0)) - v / lcg
+        nv = out.get(tgt, 0) - v * mg
         if nv:
             out[tgt] = nv
         else:
@@ -215,7 +236,7 @@ def buchberger(gens: list[VPoly], key) -> list[VPoly]:
     Ties in the lcm order break by pair creation sequence, so the raw
     output is reproducible run to run.
     """
-    basis = [_strip_content(dict(g)) for g in gens if g]
+    basis = [_strip_content(g) for g in gens if g]
     leads = [_leading(g, key) for g in basis]
 
     def pair_entry(i, j, seq):
@@ -248,7 +269,8 @@ def buchberger(gens: list[VPoly], key) -> list[VPoly]:
 
 
 def reduced_basis(basis: list[VPoly], key) -> list[VPoly]:
-    """Unique reduced basis: minimal, interreduced, monic, sorted by LM."""
+    """Unique reduced basis: minimal, interreduced, sorted by LM, each
+    element primitive with a positive leading coefficient."""
     items = [g for g in basis if g]
     if not items:
         return []
@@ -265,14 +287,15 @@ def reduced_basis(basis: list[VPoly], key) -> list[VPoly]:
     # monomial, and a normal form depends only on the others' leading monomials
     for i in range(len(kept)):
         others = kept[:i] + kept[i + 1:]
-        if others:
-            kept[i] = normal_form(kept[i], others, key)
-    out = []
-    for g in kept:
-        _, lc = _leading(g, key)
-        out.append({m: c / lc for m, c in g.items()})
-    out.sort(key=lambda g: key(_leading(g, key)[0]))
-    return out
+        g = _strip_content(normal_form(kept[i], others, key) if others else kept[i])
+        kept[i] = g if _leading(g, key)[1] > 0 else {m: -c for m, c in g.items()}
+    return kept
+
+
+def _monic(g: VPoly, key) -> dict:
+    """The monic form of g, in which a reduced basis leaves the engine."""
+    _, lc = _leading(g, key)
+    return {m: Fraction(c, lc) for m, c in g.items()}
 
 
 def syzygy_basis(vecs: list[VPoly], k: int, nvars: int, order: TermOrder) -> list[VPoly]:
@@ -286,7 +309,7 @@ def syzygy_basis(vecs: list[VPoly], k: int, nvars: int, order: TermOrder) -> lis
     combined = []
     for i, v in enumerate(vecs):
         g = dict(v)
-        g[(k + i, zero)] = Fraction(1)
+        g[(k + i, zero)] = 1
         combined.append(g)
     comp_rank = [1] * k + [0] * c
     key = make_key(order, nvars, comp_rank=comp_rank)
@@ -345,7 +368,7 @@ def _saturate(lifts: list[VPoly], nvars: int, k: int) -> list[VPoly]:
     if nvars == 0 or len(basis) <= 1:
         # a single lifted generator has no monomial content left to divide out
         return basis
-    f: VPoly = {(0, tuple(1 for _ in range(nvars))): Fraction(1)}
+    f: VPoly = {(0, tuple(1 for _ in range(nvars))): 1}
     while True:
         quo = _quotient_vpolys(basis, f, nvars, k)
         nxt = reduced_basis(buchberger(quo, key), key)
@@ -379,12 +402,9 @@ def groebner_basis(mod: Submodule, order: TermOrder | None = None) -> list[Laure
     cached = mod._gb_cache.get(order)
     if cached is None:
         sat = mod.saturated_vpolys()
-        if order == DEFAULT_ORDER:
-            vp = sat
-        else:
-            key = make_key(order, mod.nvars)
-            vp = reduced_basis(buchberger(sat, key), key)
-        cached = tuple(vpoly_to_vec(g, mod.nvars, mod.k) for g in vp)
+        key = make_key(order, mod.nvars)
+        vp = sat if order == DEFAULT_ORDER else reduced_basis(buchberger(sat, key), key)
+        cached = tuple(vpoly_to_vec(_monic(g, key), mod.nvars, mod.k) for g in vp)
         mod._gb_cache[order] = cached
     return list(cached)
 
@@ -399,7 +419,7 @@ def member(v: LaurentVec, mod: Submodule) -> bool:
     if not sat:
         return False
     key = make_key(DEFAULT_ORDER, mod.nvars)
-    return not top_reduce(_lift(v)[0], sat, key)
+    return not top_reduce(_strip_content(_lift(v)[0]), sat, key)
 
 
 def component_cut(vectors: list[LaurentVec], k: int) -> list[LaurentVec]:
@@ -418,7 +438,8 @@ def component_cut(vectors: list[LaurentVec], k: int) -> list[LaurentVec]:
     # blocks, so the Laurent span of the low cut is unchanged by it, and
     # the resulting submodule saturates itself on demand.
     gb = reduced_basis(buchberger(lifts, key), key)
-    return [vpoly_to_vec(g, nvars, k) for g in gb if all(comp < k for comp, _ in g)]
+    return [vpoly_to_vec(_monic(g, key), nvars, k)
+            for g in gb if all(comp < k for comp, _ in g)]
 
 
 def submodule_equal(a: Submodule, b: Submodule) -> bool:
@@ -458,7 +479,7 @@ def module_quotient(mod: Submodule, f: LaurentPoly) -> Submodule:
         raise ValueError("variable count mismatch")
     if f.is_zero():
         raise ValueError("quotient by zero")
-    fv, _ = _lift(LaurentVec.wrap(f))
+    fv = _strip_content(_lift(LaurentVec.wrap(f))[0])
     sat = mod.saturated_vpolys()
     if not sat:
         return Submodule(mod.nvars, mod.k, [])
@@ -490,7 +511,8 @@ def eliminate(mod: Submodule, drop, *, allow_all: bool = False) -> Submodule:
     gens = []
     for g in gb:
         if all(all(e[i] == 0 for i in drop) for _, e in g):
-            proj = {(comp, tuple(e[i] for i in keep)): c for (comp, e), c in g.items()}
+            proj = {(comp, tuple(e[i] for i in keep)): c
+                    for (comp, e), c in _monic(g, key).items()}
             gens.append(vpoly_to_vec(proj, len(keep), mod.k))
     return Submodule(len(keep), mod.k, gens)
 
@@ -499,7 +521,7 @@ def is_groebner_basis(vecs: list[LaurentVec], nvars: int, order: TermOrder | Non
     """Buchberger criterion: every S-pair reduces to zero (test hook)."""
     order = order or DEFAULT_ORDER
     key = make_key(order, nvars)
-    vps = [vec_to_vpoly(v) for v in vecs if not v.is_zero()]
+    vps = [_strip_content(vec_to_vpoly(v)) for v in vecs if not v.is_zero()]
     lms = [_leading(g, key)[0] for g in vps]
     for j in range(len(vps)):
         for i in range(j):

@@ -190,7 +190,13 @@ def test_bad_integer_option_exits_two(argv, capsys):
     "n = 2\nk = 1\nP = [[s1 - 1]]\nlattice hex = [[1, 1] junk [2, 0]]\n",
     "n = 2\nk = 1\nP = [[s1 - 1]]\nlattice z = [,]\n",
     "n = 2\nk = 1\nP = [[s1 - 1]]\nwindow w = [0..3]\n",
-], ids=["lattice-stray-text", "lattice-no-rows", "window-axis-count"])
+    "n = 2\nk = 1\nn = 1\nP = [[s1 - 1]]\n",
+    "n = 2\nk = 2\nk = 1\nP = [[s1 - 1]]\n",
+    "n = 2\nk = 1\nP = [[s1 - 1]]\nP = [[s2 - 1]]\n",
+    "n = 2\nk = 1\nP = [[s1 - 1]]\nlattice a = [[1, 0], [0, 2]]\nlattice a = [[2, 0], [0, 1]]\n",
+    "n = 2\nk = 1\nP = [[s1 - 1]]\nwindow w = [0..3, 0..3]\nwindow w = [0..1, 0..1]\n",
+], ids=["lattice-stray-text", "lattice-no-rows", "window-axis-count", "repeated-n",
+        "repeated-k", "repeated-P", "repeated-lattice", "repeated-window"])
 def test_bad_system_block_exits_two(text, tmp_path, capsys):
     with pytest.raises(InputError):
         parse_system(text)
@@ -237,3 +243,24 @@ def test_passing_audit_entry_exits_one(monkeypatch, capsys):
     code, out, err = run_cli(["coarsest", "hexagonal.system"], capsys)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "invariant"
+
+
+def test_repeated_declaration_names_its_line():
+    with pytest.raises(InputError, match=r"^line 5: lattice a is declared twice$"):
+        parse_system("n = 2\nk = 1\nP = [[s1 - 1]]\n"
+                     "lattice a = [[1, 0], [0, 2]]\nlattice a = [[2, 0], [0, 1]]\n")
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_nonpositive_index_bound_exits_two(bound, capsys):
+    code, out, err = run_cli(["coarsest", "hexagonal.system", "--oracle",
+                              "--index-bound", bound], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "input"
+
+
+def test_window_option_error_names_the_option(capsys):
+    code, _, err = run_cli(["simulate", "hexagonal.system", "--window", "0..3,5..1"],
+                          capsys)
+    assert code == 2
+    assert json.loads(err)["detail"] == "--window: empty window axis 5..1"

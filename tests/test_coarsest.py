@@ -98,6 +98,13 @@ def test_brute_force_rejects_big_instances():
         brute_force_coarsest(p, 64)
 
 
+@pytest.mark.parametrize("bound", [0, -3])
+def test_brute_force_rejects_nonpositive_bound(bound):
+    p = Submodule(1, 1, [pv("s1 - 1", 1, 1)])
+    with pytest.raises(ValueError, match="at least 1"):
+        brute_force_coarsest(p, bound)
+
+
 def test_maximal_sublattice_enumeration():
     full = full_lattice(2)
     for p, expect in ((2, 3), (3, 4), (5, 6), (7, 8)):

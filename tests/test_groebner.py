@@ -1,15 +1,17 @@
 import random
 import re
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 import ndsys
 from ndsys.laurent import LaurentPoly, LaurentVec, parse_poly, parse_vector
-from ndsys.groebner import (Submodule, TermOrder, _lift, eliminate, groebner_basis,
-                            is_groebner_basis, member, module_quotient,
-                            submodule_contains, submodule_equal, syzygies)
+from ndsys.groebner import (DEFAULT_ORDER, Submodule, TermOrder, _lift, buchberger,
+                            eliminate, groebner_basis, is_groebner_basis, make_key,
+                            member, module_quotient, submodule_contains,
+                            submodule_equal, syzygies, vec_to_vpoly)
 from ndsys.linalg import nullspace_basis
 from ndsys.trajectories import WindowSpan, box_window
 
@@ -42,6 +44,42 @@ def test_lift():
     assert lifted == {(0, (0,)): 1, (0, (3,)): 1}
     with pytest.raises(ValueError):
         _lift(LaurentVec.wrap(LaurentPoly(1)))
+
+
+def _rational_gens():
+    return [pv("[1/2*s1 - 3/7, s2^2]", 2, 2), pv("[s1*s2, -3/7*s2 + 1/2]", 2, 2),
+            pv("[-3/7*s1^2, 1/2*s1 + s2]", 2, 2)]
+
+
+def test_engine_coefficients_are_primitive_ints():
+    """Inside the engine every coefficient is an int and every element is
+    primitive; a reduced basis has positive leading coefficients."""
+    gens = _rational_gens()
+    key = make_key(DEFAULT_ORDER, 2)
+    raw = buchberger([_lift(g)[0] for g in gens], key)
+    sat = Submodule(2, 2, gens).saturated_vpolys()
+    assert raw and sat
+    for g in raw + sat:
+        assert all(type(c) is int for c in g.values())
+        assert gcd(*g.values()) == 1
+    for g in sat:
+        assert g[max(g, key=key)] > 0
+
+
+def test_groebner_basis_is_monic_fractions():
+    key = make_key(DEFAULT_ORDER, 2)
+    for v in groebner_basis(Submodule(2, 2, _rational_gens())):
+        f = vec_to_vpoly(v)
+        assert all(type(c) is Fraction for c in f.values())
+        assert f[max(f, key=key)] == 1
+
+
+def test_rational_rescaling_keeps_canonical_basis():
+    gens = _rational_gens()
+    scales = [Fraction(1, 2), Fraction(-3, 7), Fraction(-5)]
+    scaled = [g.scale(c) for g, c in zip(gens, scales)]
+    assert Submodule(2, 2, scaled).saturated_vpolys() == \
+        Submodule(2, 2, gens).saturated_vpolys()
 
 
 def test_member_scalar_ideal():
