@@ -138,7 +138,7 @@ def degree_of_autonomy(p: Submodule) -> int:
     for size in range(n, -1, -1):
         for keep in combinations(range(n), size):
             drop = [i for i in range(n) if i not in keep]
-            q = eliminate(p, drop, allow_all=True)
+            q = eliminate(p, drop)
             if rank_over_fractions(q) < k:
                 return n - size
     return n

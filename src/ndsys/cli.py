@@ -22,7 +22,7 @@ from .groebner import InvariantError, Submodule, TermOrder, groebner_basis, memb
 from .sublattice import (contract, extend, galois_group_of, is_extension_from,
                          sublattice_context)
 from .analysis import analyze, transfer_checks
-from .coarsest import coarsest_lattice
+from .coarsest import MAX_ORACLE_INDEX, coarsest_lattice
 from .trajectories import (WindowSpan, box_window, default_membership_window,
                            restriction_check, window_solutions)
 
@@ -229,7 +229,10 @@ def _pick_lattice(sf: SystemFile, args) -> IntLattice:
 
 def _pick_window(sf: SystemFile, args, gens=None) -> list[tuple[int, int]]:
     if args.window:
-        return _parse_window_spec(args.window, "--window")
+        bounds = _parse_window_spec(args.window, "--window")
+        if len(bounds) != sf.n:
+            raise InputError(f"--window has {len(bounds)} axes, expected n={sf.n}")
+        return bounds
     if sf.windows:
         return next(iter(sorted(sf.windows.items())))[1]
     if gens:
@@ -312,8 +315,8 @@ def _cmd_invariant(sf: SystemFile, args) -> dict:
 
 def _cmd_coarsest(sf: SystemFile, args) -> dict:
     primes = tuple(_int_list(args.audit_primes, "--audit-primes", 2))
-    if args.index_bound < 1:
-        raise InputError("--index-bound must be >= 1")
+    if not 1 <= args.index_bound <= MAX_ORACLE_INDEX:
+        raise InputError(f"--index-bound must be between 1 and {MAX_ORACLE_INDEX}")
     bound = args.index_bound if args.oracle else None
     rep = coarsest_lattice(sf.submodule(), primes, oracle_index_bound=bound)
     return {"lattice": _lat_json(rep.lattice),

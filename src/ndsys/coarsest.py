@@ -20,6 +20,9 @@ from .groebner import InvariantError, Submodule, groebner_basis, syzygies
 from .sublattice import is_extension_from
 from .trajectories import WindowSpan, default_membership_window
 
+# largest index bound brute_force_coarsest enumerates up to
+MAX_ORACLE_INDEX = 32
+
 
 def support_difference_lattice(p: Submodule) -> IntLattice:
     """Lattice spanned by z - z0 over the support of each canonical generator."""
@@ -133,7 +136,7 @@ def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
         raise ValueError("brute force is limited to n <= 2")
     if index_bound < 1:
         raise ValueError("index bound must be at least 1")
-    if index_bound > 32:
+    if index_bound > MAX_ORACLE_INDEX:
         raise ValueError("index bound too large for enumeration")
     if p.is_zero_module():
         return zero_lattice(n)

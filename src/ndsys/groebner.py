@@ -14,6 +14,11 @@ positive multiple of the one rational arithmetic gives and strips to the same
 primitive vector.  A reduced basis holds primitive elements with a positive
 leading coefficient; it becomes monic only where it leaves the engine as
 LaurentVecs.
+
+Every Groebner run goes through _cut, which returns a reduced basis: of the
+whole span, or of its part inside a low block (an elimination).  So every
+result, syzygies included, depends on the inputs alone and not on the order
+in which Buchberger meets them.
 """
 
 from __future__ import annotations
@@ -298,27 +303,32 @@ def _monic(g: VPoly, key) -> dict:
     return {m: Fraction(c, lc) for m, c in g.items()}
 
 
-def syzygy_basis(vecs: list[VPoly], k: int, nvars: int, order: TermOrder) -> list[VPoly]:
-    """Generators of {r in A^c : sum r_i vecs_i = 0} for polynomial vecs.
+def _cut(vpolys: list[VPoly], key, low=None) -> list[VPoly]:
+    """Reduced basis of the span's elements whose monomials all satisfy low.
+
+    Runs Buchberger under key and reduces only the elements inside the low
+    block (all of them when low is None).  When key ranks everything outside
+    the block above it, those elements are a Groebner basis of the span's
+    intersection with the block, so this is that intersection's unique
+    reduced basis.
+    """
+    gb = buchberger(vpolys, key)
+    if low is not None:
+        gb = [g for g in gb if all(low(m) for m in g)]
+    return reduced_basis(gb, key)
+
+
+def syzygy_basis(vecs: list[VPoly], k: int, nvars: int) -> list[VPoly]:
+    """Reduced basis of {r in A^c : sum r_i vecs_i = 0} for polynomial vecs.
 
     Standard tag construction: append unit tags as extra components ranked
-    below the original block, take a Groebner basis, keep tag-only elements.
+    below the original block and cut to the tag-only elements.
     """
-    c = len(vecs)
     zero = tuple(0 for _ in range(nvars))
-    combined = []
-    for i, v in enumerate(vecs):
-        g = dict(v)
-        g[(k + i, zero)] = 1
-        combined.append(g)
-    comp_rank = [1] * k + [0] * c
-    key = make_key(order, nvars, comp_rank=comp_rank)
-    gb = buchberger(combined, key)
-    syz = []
-    for g in gb:
-        if all(comp >= k for comp, _ in g):
-            syz.append({(comp - k, e): v for (comp, e), v in g.items()})
-    return syz
+    combined = [{**v, (k + i, zero): 1} for i, v in enumerate(vecs)]
+    key = make_key(DEFAULT_ORDER, nvars, comp_rank=[1] * k + [0] * len(vecs))
+    return [{(comp - k, e): v for (comp, e), v in g.items()}
+            for g in _cut(combined, key, lambda m: m[0] >= k)]
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +374,14 @@ class Submodule:
 
 def _saturate(lifts: list[VPoly], nvars: int, k: int) -> list[VPoly]:
     key = make_key(DEFAULT_ORDER, nvars)
-    basis = reduced_basis(buchberger(lifts, key), key)
+    basis = _cut(lifts, key)
     if nvars == 0 or len(basis) <= 1:
         # a single lifted generator has no monomial content left to divide out
         return basis
     f: VPoly = {(0, tuple(1 for _ in range(nvars))): 1}
     while True:
         quo = _quotient_vpolys(basis, f, nvars, k)
-        nxt = reduced_basis(buchberger(quo, key), key)
+        nxt = _cut(quo, key)
         if nxt == basis:
             return basis
         basis = nxt
@@ -380,18 +390,11 @@ def _saturate(lifts: list[VPoly], nvars: int, k: int) -> list[VPoly]:
 def _quotient_vpolys(basis: list[VPoly], f: VPoly, nvars: int, k: int) -> list[VPoly]:
     """Generators of (M : f) for the module M spanned by basis; f a 1-term
     or general polynomial given at component 0 (interpreted as a scalar)."""
-    scalar = {e: c for (comp, e), c in f.items()}
-    vecs: list[VPoly] = []
-    for j in range(k):
-        vecs.append({(j, e): c for e, c in scalar.items()})
-    vecs.extend(basis)
-    syz = syzygy_basis(vecs, k, nvars, DEFAULT_ORDER)
-    out = []
-    for s in syz:
-        proj = {(comp, e): c for (comp, e), c in s.items() if comp < k}
-        if proj:
-            out.append(proj)
-    return out
+    scalar = {e: c for (_, e), c in f.items()}
+    vecs = [{(j, e): c for e, c in scalar.items()} for j in range(k)] + basis
+    projs = [{(comp, e): c for (comp, e), c in s.items() if comp < k}
+             for s in syzygy_basis(vecs, k, nvars)]
+    return [proj for proj in projs if proj]
 
 
 def groebner_basis(mod: Submodule, order: TermOrder | None = None) -> list[LaurentVec]:
@@ -403,7 +406,7 @@ def groebner_basis(mod: Submodule, order: TermOrder | None = None) -> list[Laure
     if cached is None:
         sat = mod.saturated_vpolys()
         key = make_key(order, mod.nvars)
-        vp = sat if order == DEFAULT_ORDER else reduced_basis(buchberger(sat, key), key)
+        vp = sat if order == DEFAULT_ORDER else _cut(sat, key)
         cached = tuple(vpoly_to_vec(_monic(g, key), mod.nvars, mod.k) for g in vp)
         mod._gb_cache[order] = cached
     return list(cached)
@@ -425,9 +428,9 @@ def member(v: LaurentVec, mod: Submodule) -> bool:
 def component_cut(vectors: list[LaurentVec], k: int) -> list[LaurentVec]:
     """Elements of the span of vectors that lie in their first k components.
 
-    Takes the reduced basis of the lifted vectors under the default order with
-    components k and above ranked over the first k, and keeps the elements
-    free of those components; [] when no vector is nonzero.
+    The reduced basis of the lifted vectors' cut to the first k components,
+    under the default order with components k and above ranked over them;
+    [] when no vector is nonzero.
     """
     lifts = [_lift(v)[0] for v in vectors if not v.is_zero()]
     if not lifts:
@@ -437,9 +440,8 @@ def component_cut(vectors: list[LaurentVec], k: int) -> list[LaurentVec]:
     # No saturation pass here: monomial scaling respects the component
     # blocks, so the Laurent span of the low cut is unchanged by it, and
     # the resulting submodule saturates itself on demand.
-    gb = reduced_basis(buchberger(lifts, key), key)
     return [vpoly_to_vec(_monic(g, key), nvars, k)
-            for g in gb if all(comp < k for comp, _ in g)]
+            for g in _cut(lifts, key, lambda m: m[0] < k)]
 
 
 def submodule_equal(a: Submodule, b: Submodule) -> bool:
@@ -454,7 +456,11 @@ def submodule_contains(a: Submodule, b: Submodule) -> bool:
 
 
 def syzygies(vectors: list[LaurentVec], nvars: int, k: int) -> Submodule:
-    """Relation module {r in A^c : sum r_i v_i = 0} of the given vectors."""
+    """Relation module {r in A^c : sum r_i v_i = 0} of the given vectors.
+
+    Generated by the reduced basis of the relations among the vectors'
+    polynomial lifts, shifted back by each lift's unit monomial.
+    """
     c = len(vectors)
     if c == 0:
         return Submodule(nvars, 1, [])
@@ -463,7 +469,7 @@ def syzygies(vectors: list[LaurentVec], nvars: int, k: int) -> Submodule:
             raise ValueError("vector shape mismatch")
     zero = tuple(0 for _ in range(nvars))
     lifts = [({}, zero) if v.is_zero() else _lift(v) for v in vectors]
-    syz = syzygy_basis([f for f, _ in lifts], k, nvars, DEFAULT_ORDER)
+    syz = syzygy_basis([f for f, _ in lifts], k, nvars)
     gens = []
     for s in syz:
         vec = vpoly_to_vec(s, nvars, c)
@@ -488,32 +494,26 @@ def module_quotient(mod: Submodule, f: LaurentPoly) -> Submodule:
                      [vpoly_to_vec(g, mod.nvars, mod.k) for g in quo])
 
 
-def eliminate(mod: Submodule, drop, *, allow_all: bool = False) -> Submodule:
+def eliminate(mod: Submodule, drop) -> Submodule:
     """Intersect with the Laurent subring of the retained variables.
 
-    Computes a Groebner basis of the saturated lift under a block order
-    ranking the dropped variables above everything, keeps the elements free
-    of them, and re-expresses those over the retained variables.  The result
-    is a Submodule over the smaller ring (its own canonicalization
-    re-saturates by the retained variables).
+    Cuts the saturated lift to the elements free of the dropped variables,
+    under a block order ranking those above everything, and re-expresses
+    them over the retained variables.  The result is a Submodule over the
+    smaller ring (its own canonicalization re-saturates by the retained
+    variables); dropping every variable leaves the module's constant part.
     """
     drop = tuple(sorted(set(int(i) for i in drop)))
     if any(i < 0 or i >= mod.nvars for i in drop):
         raise ValueError("drop variable out of range")
-    if len(drop) == mod.nvars and not allow_all:
-        raise ValueError("cannot drop every variable")
     if not drop:
         return Submodule(mod.nvars, mod.k, list(mod.generators))
     keep = [i for i in range(mod.nvars) if i not in drop]
-    order = TermOrder(drop=drop)
-    key = make_key(order, mod.nvars)
-    gb = reduced_basis(buchberger(mod.saturated_vpolys(), key), key)
-    gens = []
-    for g in gb:
-        if all(all(e[i] == 0 for i in drop) for _, e in g):
-            proj = {(comp, tuple(e[i] for i in keep)): c
-                    for (comp, e), c in _monic(g, key).items()}
-            gens.append(vpoly_to_vec(proj, len(keep), mod.k))
+    key = make_key(TermOrder(drop=drop), mod.nvars)
+    gb = _cut(mod.saturated_vpolys(), key, lambda m: all(m[1][i] == 0 for i in drop))
+    gens = [vpoly_to_vec({(comp, tuple(e[i] for i in keep)): c
+                          for (comp, e), c in _monic(g, key).items()}, len(keep), mod.k)
+            for g in gb]
     return Submodule(len(keep), mod.k, gens)
 
 

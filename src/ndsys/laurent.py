@@ -238,13 +238,14 @@ def coset_split(v: LaurentVec, lat) -> dict[Exp, LaurentVec]:
 
 
 _TOKEN = re.compile(r"\s*(\d+/\d+|\d+|[a-zA-Z]\w*|\^|\*|\+|-)")
+_VAR = re.compile(r"^s(\d+)$")
 
 
 class PolyParseError(ValueError):
     pass
 
 
-def parse_poly(text: str, nvars: int, prefix: str = "s") -> LaurentPoly:
+def parse_poly(text: str, nvars: int) -> LaurentPoly:
     """Parse the s1..sn syntax into an exact Laurent polynomial."""
     tokens = []
     pos = 0
@@ -272,15 +273,13 @@ def parse_poly(text: str, nvars: int, prefix: str = "s") -> LaurentPoly:
         idx += 1
         return t
 
-    var_re = re.compile(rf"^{re.escape(prefix)}(\d+)$")
-
     def parse_factor(sign: int) -> LaurentPoly:
         t = take()
         if t == "-":
             return parse_factor(-sign)
         if t == "+":
             return parse_factor(sign)
-        m = var_re.match(t)
+        m = _VAR.match(t)
         if m:
             i = int(m.group(1))
             if not (1 <= i <= nvars):
@@ -327,7 +326,7 @@ def parse_poly(text: str, nvars: int, prefix: str = "s") -> LaurentPoly:
     return result
 
 
-def parse_vector(text: str, nvars: int, k: int, prefix: str = "s") -> LaurentVec:
+def parse_vector(text: str, nvars: int, k: int) -> LaurentVec:
     """Parse '[p1, p2, ...]' (or a bare polynomial when k == 1)."""
     text = text.strip()
     if text.startswith("["):
@@ -340,7 +339,7 @@ def parse_vector(text: str, nvars: int, k: int, prefix: str = "s") -> LaurentVec
         parts = [text]
     if len(parts) != k:
         raise PolyParseError(f"expected {k} entries, got {len(parts)}")
-    return LaurentVec([parse_poly(p, nvars, prefix) for p in parts])
+    return LaurentVec([parse_poly(p, nvars) for p in parts])
 
 
 def _term_sort_key(poly: LaurentPoly):

@@ -138,7 +138,7 @@ def contract(p: Submodule, s: IntLattice) -> ContractedModule:
     blocks = [rewrite(g.shift(o)) for g in moved for o in offsets]
     q = Submodule(n, k, component_cut(blocks, k))
     if r < n:
-        q = eliminate(q, range(r, n), allow_all=True)
+        q = eliminate(q, range(r, n))
     return ContractedModule(ctx, q)
 
 

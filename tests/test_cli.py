@@ -85,14 +85,14 @@ def test_exit_code_three_on_precondition(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "member"])
-def test_window_of_wrong_dimension_exits_three(command, tmp_path, capsys):
+def test_window_of_wrong_dimension_exits_two(command, tmp_path, capsys):
     f = tmp_path / "plane.system"
     f.write_text("n = 2\nk = 1\nP = [[s1 - 1]]\n")
     argv = [command, str(f), "--window", "0..3"]
     if command == "member":
         argv += ["--vector", "[s1 - 1]", "--oracle"]
-    assert main(argv) == 3
-    assert json.loads(capsys.readouterr().err)["error"] == "precondition"
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
 
 
 @pytest.mark.parametrize("text", [
@@ -251,8 +251,8 @@ def test_repeated_declaration_names_its_line():
                      "lattice a = [[1, 0], [0, 2]]\nlattice a = [[2, 0], [0, 1]]\n")
 
 
-@pytest.mark.parametrize("bound", ["0", "-3"])
-def test_nonpositive_index_bound_exits_two(bound, capsys):
+@pytest.mark.parametrize("bound", ["0", "-3", "33", "64"])
+def test_out_of_range_index_bound_exits_two(bound, capsys):
     code, out, err = run_cli(["coarsest", "hexagonal.system", "--oracle",
                               "--index-bound", bound], capsys)
     assert code == 2 and out == ""

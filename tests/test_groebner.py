@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 import ndsys
+from ndsys import groebner
+from ndsys.analysis import analyze
 from ndsys.laurent import LaurentPoly, LaurentVec, parse_poly, parse_vector
 from ndsys.groebner import (DEFAULT_ORDER, Submodule, TermOrder, _lift, buchberger,
                             eliminate, groebner_basis, is_groebner_basis, make_key,
@@ -225,12 +227,14 @@ def test_eliminate_variable():
 
 
 def test_eliminate_to_nothing_guard():
-    p = Submodule(1, 1, [pv("s1 - 1", 1, 1)])
-    with pytest.raises(ValueError):
-        eliminate(p, [0])
-    q = eliminate(p, [0], allow_all=True)
+    """Dropping every variable leaves the constant part of the module."""
+    q = eliminate(Submodule(1, 1, [pv("s1 - 1", 1, 1)]), [0])
     assert q.nvars == 0
     assert q.is_zero_module()
+    q = eliminate(Submodule(1, 2, [pv("[s1 - 1, 0]", 1, 2), pv("[0, s1]", 1, 2)]), [0])
+    assert q.nvars == 0
+    assert member(pv("[0, 1]", 0, 2), q)
+    assert not member(pv("[1, 0]", 0, 2), q)
 
 
 def test_eliminate_keeps_subring_members_only():
@@ -258,6 +262,28 @@ def test_lex_and_grevlex_agree_on_module_identity():
     q1 = Submodule(2, 1, gb1)
     q2 = Submodule(2, 1, gb2)
     assert submodule_equal(q1, q2)
+
+
+def test_outputs_do_not_depend_on_buchberger_input_order(monkeypatch):
+    """Every public result is a reduced basis, so feeding Buchberger its
+    input reversed changes none of them."""
+    def outputs():
+        rng = random.Random(89)
+        out = []
+        for _ in range(20):
+            k = rng.randint(1, 2)
+            vecs = [_rand_vec(rng, 2, k, deg=1) for _ in range(rng.randint(2, 3))]
+            mod = Submodule(2, k, vecs)
+            out.append((syzygies(vecs, 2, k).generators,
+                        eliminate(mod, [0]).generators,
+                        groebner_basis(mod, TermOrder(kind="lex")),
+                        analyze(mod).image_rep))
+        return out
+
+    forward = outputs()
+    plain = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", lambda gens, key: plain(gens[::-1], key))
+    assert outputs() == forward
 
 
 def test_engine_format_stays_in_groebner():

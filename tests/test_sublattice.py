@@ -170,6 +170,9 @@ def _relation_contract(p: Submodule, s) -> Submodule:
     (["1 + s1*s2"], 1, [[1, 1]]),
     (["s1 - 1"], 1, [[0, 1]]),
     (["[s1, s2]", "[s2, s1]"], 2, [[2, 0], [0, 2]]),
+    (["1 + s1*s2 + s2*s3"], 1, [[1, 1, 0], [0, 2, 0], [0, 0, 1]]),
+    (["s1 - s3"], 1, [[1, 1, 1]]),
+    (["s1 - s2", "s2 - s3"], 1, [[1, 1, 0], [0, 1, 1]]),
 ])
 def test_relation_route_agrees(gens, k, lat):
     nvars = len(lat[0])
