@@ -4,8 +4,8 @@ A sublattice S of rank r is straightened by a Smith decomposition of its
 basis columns: the unimodular transport turns S into the diagonal lattice
 with moduli d1..dr (remaining coordinates pinned).  Contraction of a
 submodule P of A^k is the intersection with the subring generated by the
-straightened directions; extension substitutes the sublattice monomials back
-and returns the A-span.
+straightened directions, one prime-index step at a time; extension
+substitutes the sublattice monomials back and returns the A-span.
 """
 
 from __future__ import annotations
@@ -102,41 +102,48 @@ def contracted_module(s: IntLattice, module: Submodule) -> ContractedModule:
     return ContractedModule(sublattice_context(s), module)
 
 
+def _prime_steps(moduli) -> list[tuple[int, int]]:
+    """(axis, prime) per prime factor of each modulus, largest prime first."""
+    steps = []
+    for i, d in enumerate(moduli):
+        f = 2
+        while d > 1:
+            if d % f:
+                f += 1
+            else:
+                steps.append((i, f))
+                d //= f
+    return sorted(steps, key=lambda step: (-step[1], step[0]))
+
+
 def contract(p: Submodule, s: IntLattice) -> ContractedModule:
     """Intersection of p with the subring of monomials supported on s.
 
-    After the unimodular transport, A^k is a free module over the diagonal
-    subring with one block per residue offset; rewriting the generators in
-    that basis makes the contraction a component-elimination Groebner run,
-    with no substitution variables and no degree blowup.  Degenerate
-    directions are removed afterwards by variable elimination.
+    The transport makes s diagonal with moduli d_i, and contraction is
+    transitive (contracting to L, then to S inside L, is contracting to S),
+    so s is reached one prime p of one d_i at a time, largest p first, ties
+    by axis.  Over the subring with t_i^p for t_i, A^k is free on one block
+    of k components per residue of e_i mod p; a component-elimination
+    Groebner run on the p shifts of the generators cuts to the zero block.
+    Then t_i stands for t_i^{d_i}; degenerate directions are eliminated.
     """
     if s.ambient != p.nvars:
         raise ValueError("lattice ambient dimension mismatch")
     ctx = sublattice_context(s)
     n, k, r = p.nvars, p.k, ctx.rank
-    moved = [apply_monomial_map(ctx.transport, g) for g in p.generators]
-    dplus = list(ctx.moduli) + [1] * (n - r)
-
-    # residue offsets of the straightened diagonal lattice, zero offset first
-    offsets = [()]
-    for d in dplus:
-        offsets = [o + (v,) for o in offsets for v in range(d)]
-    offsets.sort()
-    offset_index = {o: i for i, o in enumerate(offsets)}
-    rho = len(offsets)
-
-    def rewrite(vec: LaurentVec) -> LaurentVec:
-        polys = [{} for _ in range(rho * k)]
-        for j, poly in enumerate(vec.entries):
-            for e, c in poly.terms.items():
-                q = tuple(e[i] // dplus[i] for i in range(n))
-                rem = tuple(e[i] % dplus[i] for i in range(n))
-                polys[offset_index[rem] * k + j][q] = c
-        return LaurentVec([LaurentPoly(n, t) for t in polys])
-
-    blocks = [rewrite(g.shift(o)) for g in moved for o in offsets]
-    q = Submodule(n, k, component_cut(blocks, k))
+    gens = [apply_monomial_map(ctx.transport, g) for g in p.generators]
+    for i, f in _prime_steps(ctx.moduli):
+        blocks = []
+        for g in gens:
+            for o in range(f):
+                polys = [{} for _ in range(f * k)]
+                for j, poly in enumerate(g.entries):
+                    for e, c in poly.terms.items():
+                        quo, rem = divmod(e[i] + o, f)
+                        polys[rem * k + j][e[:i] + (quo,) + e[i + 1:]] = c
+                blocks.append(LaurentVec([LaurentPoly(n, t) for t in polys]))
+        gens = component_cut(blocks, k)
+    q = Submodule(n, k, gens)
     if r < n:
         q = eliminate(q, range(r, n))
     return ContractedModule(ctx, q)

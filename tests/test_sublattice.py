@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from ndsys import sublattice
 from ndsys.intlat import diagonal_lattice, full_lattice, lattice_from_rows
 from ndsys.laurent import (LaurentPoly, LaurentVec, apply_monomial_map,
                            parse_vector)
-from ndsys.groebner import (Submodule, eliminate, groebner_basis, member,
-                            submodule_contains, submodule_equal)
+from ndsys.groebner import (Submodule, component_cut, eliminate, groebner_basis,
+                            member, submodule_contains, submodule_equal)
 from ndsys.sublattice import (contract, contract_extend_roundtrips,
                               contracted_module, extend, extend_vector,
                               galois_group_of, is_extension_from,
@@ -181,6 +183,115 @@ def test_relation_route_agrees(gens, k, lat):
     via_relations = _relation_contract(p, s)
     production = contract(p, s).module
     assert submodule_equal(via_relations, production)
+
+
+# ---------------------------------------------------------------------------
+# reference route: one component cut over the whole index
+
+
+def _direct_contract(p: Submodule, s) -> Submodule:
+    """Rewrite every generator's shifts by all residue offsets of the
+    straightened lattice into index*k components and cut to the zero-offset
+    block in one Groebner run; the route contract took before the chain."""
+    ctx = sublattice_context(s)
+    n, k, r = p.nvars, p.k, ctx.rank
+    moved = [apply_monomial_map(ctx.transport, g) for g in p.generators]
+    dplus = list(ctx.moduli) + [1] * (n - r)
+    offsets = sorted(product(*(range(d) for d in dplus)))
+    offset_index = {o: i for i, o in enumerate(offsets)}
+
+    def rewrite(vec):
+        polys = [{} for _ in range(len(offsets) * k)]
+        for j, poly in enumerate(vec.entries):
+            for e, c in poly.terms.items():
+                q = tuple(e[i] // dplus[i] for i in range(n))
+                rem = tuple(e[i] % dplus[i] for i in range(n))
+                polys[offset_index[rem] * k + j][q] = c
+        return LaurentVec([LaurentPoly(n, t) for t in polys])
+
+    blocks = [rewrite(g.shift(o)) for g in moved for o in offsets]
+    q = Submodule(n, k, component_cut(blocks, k))
+    if r < n:
+        q = eliminate(q, range(r, n))
+    return q
+
+
+def _small_module(rng, nvars, k):
+    """One generator with exponents 0 or 1 and two or three terms per entry:
+    larger inputs can keep the whole-index reference busy for minutes."""
+    entries = []
+    for _ in range(k):
+        size, t = rng.randint(2, 3), {}
+        while len(t) < size:
+            e = tuple(rng.randint(0, 1) for _ in range(nvars))
+            t[e] = Fraction(rng.choice([-2, -1, 1, 2]))
+        entries.append(LaurentPoly(nvars, t))
+    return Submodule(nvars, k, [LaurentVec(entries)])
+
+
+def test_chain_matches_direct_route():
+    """Some seeds draw a module that keeps the reference, never the chain,
+    busy for minutes on the index-12 lattices; seed 3 stays under a second."""
+    rng = random.Random(3)
+    for rows in ([[4, 0], [0, 1]], [[2, 0], [0, 3]], [[6, 0], [0, 1]],
+                 [[1, 2], [0, 9]], [[2, 1], [0, 6]],
+                 [[2, 0, 0], [0, 3, 0]], [[2, 0, 0], [0, 2, 0], [0, 0, 3]]):
+        s = lattice_from_rows(len(rows[0]), rows)
+        for k in (1, 2):
+            p = _small_module(rng, s.ambient, k)
+            assert submodule_equal(contract(p, s).module, _direct_contract(p, s))
+
+
+def _recorded_steps(monkeypatch, p, s):
+    sizes = []
+
+    def recording_cut(blocks, k):
+        sizes.append(len(blocks[0].entries) // k)
+        return component_cut(blocks, k)
+
+    monkeypatch.setattr(sublattice, "component_cut", recording_cut)
+    return sizes, contract(p, s)
+
+
+@pytest.mark.parametrize("rows,steps", [
+    ([[2, 0], [0, 5]], [5, 2]),
+    ([[12, 0], [0, 1]], [3, 2, 2]),
+    ([[1, 1], [2, 0]], [2]),
+])
+def test_chain_takes_largest_prime_first(monkeypatch, rows, steps):
+    s = lattice_from_rows(2, rows)
+    sizes, _ = _recorded_steps(monkeypatch, ideal2("1 + s1*s2 + s2^2"), s)
+    assert sizes == steps
+
+
+def test_full_lattice_runs_no_step(monkeypatch):
+    p = ideal2("1 + s1*s2 + s2^2")
+    sizes, q = _recorded_steps(monkeypatch, p, full_lattice(2))
+    assert sizes == []
+    assert submodule_equal(q.module, p)
+
+
+def test_large_index_cuts_stay_small(monkeypatch):
+    """Fibonacci to 1024Z: ten cuts of 2 components each, never 1024, and
+    the answer t^2 - L*t + 1 with L the 1024th Lucas number."""
+    sizes, q = _recorded_steps(monkeypatch, ideal1("s1^2 - s1 - 1"),
+                               lattice_from_rows(1, [[1024]]))
+    assert sizes == [2] * 10
+    lucas, nxt = 2, 1
+    for _ in range(1024):
+        lucas, nxt = nxt, lucas + nxt
+    assert submodule_equal(q.module, ideal1(f"s1^2 - {lucas}*s1 + 1"))
+
+
+def test_three_variable_contraction_to_3z_3z_z():
+    p = Submodule(3, 1, [pv("1 + s1*s2 + s2*s3 + s3^2", 3, 1)])
+    s = diagonal_lattice([3, 3, 1])
+    q = contract(p, s)
+    assert not q.module.is_zero_module()
+    back = extend(q)
+    assert submodule_contains(p, back)
+    assert not submodule_equal(back, p)
+    assert not is_extension_from(p, s)[0]
 
 
 # ---------------------------------------------------------------------------
