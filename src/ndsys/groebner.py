@@ -7,13 +7,13 @@ reduced Groebner basis of that saturation is the canonical form; membership,
 equality, syzygies, quotients and elimination all run against it.
 
 Internally a vector polynomial is a dict {(component, exponent): int}.  Every
-lift enters the engine through _strip_content, which scales it by a positive
-rational to primitive integer coefficients, and S-pairs and reduction are
-fraction-free: they only multiply by positive integers, so each result is a
-positive multiple of the one rational arithmetic gives and strips to the same
-primitive vector.  A reduced basis holds primitive elements with a positive
-leading coefficient; it becomes monic only where it leaves the engine as
-LaurentVecs.
+lift enters the engine through linalg.strip_content, which scales it by a
+positive rational to primitive integer coefficients, and S-pairs and reduction
+are fraction-free: they only multiply by positive integers, so each result is
+a positive multiple of the one rational arithmetic gives and strips to the
+same primitive vector.  A reduced basis holds primitive elements with a
+positive leading coefficient; it becomes monic only where it leaves the engine
+as LaurentVecs.
 
 Every Groebner run goes through _cut, which returns a reduced basis: of the
 whole span, or of its part inside a low block (an elimination).  So every
@@ -35,6 +35,7 @@ from .laurent import (
     exp_add,
     exp_sub,
 )
+from .linalg import strip_content
 
 VPoly = dict[tuple[int, Exp], int]
 
@@ -193,22 +194,6 @@ def top_reduce(f: VPoly, basis: list[VPoly], key, leads=None) -> VPoly:
     return _reduce(f, basis, key, leads, False)
 
 
-def _strip_content(f) -> VPoly:
-    """Scale by a positive rational to primitive int coefficients.
-
-    Takes int or Fraction coefficients; this is how every vector enters the
-    engine.
-    """
-    den = 1
-    for c in f.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = {m: c.numerator * (den // c.denominator) for m, c in f.items()}
-    content = gcd(*ints.values())
-    if content <= 1:
-        return ints
-    return {m: c // content for m, c in ints.items()}
-
-
 def _spoly(f: VPoly, g: VPoly, key) -> VPoly:
     (cf, ef), lcf = _leading(f, key)
     (cg, eg), lcg = _leading(g, key)
@@ -241,7 +226,7 @@ def buchberger(gens: list[VPoly], key) -> list[VPoly]:
     Ties in the lcm order break by pair creation sequence, so the raw
     output is reproducible run to run.
     """
-    basis = [_strip_content(g) for g in gens if g]
+    basis = [strip_content(g) for g in gens if g]
     leads = [_leading(g, key) for g in basis]
 
     def pair_entry(i, j, seq):
@@ -261,7 +246,7 @@ def buchberger(gens: list[VPoly], key) -> list[VPoly]:
     while heap:
         _, _, i, j = heapq.heappop(heap)
         s = _spoly(basis[i], basis[j], key)
-        r = _strip_content(normal_form(s, basis, key, leads))
+        r = strip_content(normal_form(s, basis, key, leads))
         if r:
             basis.append(r)
             leads.append(_leading(r, key))
@@ -292,7 +277,7 @@ def reduced_basis(basis: list[VPoly], key) -> list[VPoly]:
     # monomial, and a normal form depends only on the others' leading monomials
     for i in range(len(kept)):
         others = kept[:i] + kept[i + 1:]
-        g = _strip_content(normal_form(kept[i], others, key) if others else kept[i])
+        g = strip_content(normal_form(kept[i], others, key) if others else kept[i])
         kept[i] = g if _leading(g, key)[1] > 0 else {m: -c for m, c in g.items()}
     return kept
 
@@ -422,7 +407,7 @@ def member(v: LaurentVec, mod: Submodule) -> bool:
     if not sat:
         return False
     key = make_key(DEFAULT_ORDER, mod.nvars)
-    return not top_reduce(_strip_content(_lift(v)[0]), sat, key)
+    return not top_reduce(strip_content(_lift(v)[0]), sat, key)
 
 
 def component_cut(vectors: list[LaurentVec], k: int) -> list[LaurentVec]:
@@ -485,7 +470,7 @@ def module_quotient(mod: Submodule, f: LaurentPoly) -> Submodule:
         raise ValueError("variable count mismatch")
     if f.is_zero():
         raise ValueError("quotient by zero")
-    fv = _strip_content(_lift(LaurentVec.wrap(f))[0])
+    fv = strip_content(_lift(LaurentVec.wrap(f))[0])
     sat = mod.saturated_vpolys()
     if not sat:
         return Submodule(mod.nvars, mod.k, [])
@@ -521,7 +506,7 @@ def is_groebner_basis(vecs: list[LaurentVec], nvars: int, order: TermOrder | Non
     """Buchberger criterion: every S-pair reduces to zero (test hook)."""
     order = order or DEFAULT_ORDER
     key = make_key(order, nvars)
-    vps = [_strip_content(vec_to_vpoly(v)) for v in vecs if not v.is_zero()]
+    vps = [strip_content(vec_to_vpoly(v)) for v in vecs if not v.is_zero()]
     lms = [_leading(g, key)[0] for g in vps]
     for j in range(len(vps)):
         for i in range(j):

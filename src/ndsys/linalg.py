@@ -1,73 +1,109 @@
-"""Exact rational linear algebra on sparse rows.
+"""Exact linear algebra over Q on sparse rows.
 
-Rows are dicts mapping column index -> Fraction; absent keys are zero.
-Everything here is over Q with no rounding anywhere.
+Rows are dicts mapping column index -> value; absent keys are zero.  Rows come
+in with int or Fraction values and leave (from nullspace_basis) as Fractions.
+In between, a SpanBuilder holds primitive int rows and eliminates
+fraction-free, so building and querying a span does no rational arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 
 Row = dict[int, Fraction]
 
 
-class SpanBuilder:
-    """Incrementally maintained row space in reduced echelon form.
+def strip_content(f: dict) -> dict:
+    """Scale by a positive rational to primitive int values, dropping zeros.
 
-    Pivot rows are kept monic with their pivot column eliminated from all
-    other stored rows, so membership tests reduce to a single sweep.
+    Takes int or Fraction values under any keys: a row here, a module element
+    in the Groebner engine.
+    """
+    den = 1
+    for c in f.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = {m: c.numerator * (den // c.denominator) for m, c in f.items() if c}
+    content = gcd(*ints.values())
+    if content <= 1:
+        return ints
+    return {m: c // content for m, c in ints.items()}
+
+
+def _eliminate(row: dict[int, int], col: int, prow: dict[int, int]) -> None:
+    """Cancel row's entry at col with prow, whose entry at col is positive.
+
+    row becomes (b/g)*row - (a/g)*prow for a = row[col], b = prow[col] and
+    g = gcd(a, b): a positive multiple of the rational result.
+    """
+    a = row.pop(col)
+    b = prow[col]
+    g = gcd(a, b)
+    scale, factor = b // g, a // g
+    if scale != 1:
+        for c in row:
+            row[c] *= scale
+    for c, v in prow.items():
+        if c != col:
+            nv = row.get(c, 0) - factor * v
+            if nv:
+                row[c] = nv
+            else:
+                row.pop(c, None)
+
+
+class SpanBuilder:
+    """Incrementally built row space in echelon form.
+
+    Each stored row is a primitive int row whose pivot, its smallest column,
+    holds a positive entry and is the pivot of no other stored row.  Stored
+    rows are never rewritten: rank and membership need echelon form only, and
+    nullspace_basis back-substitutes once at the end.
     """
 
     def __init__(self) -> None:
-        self.pivots: dict[int, Row] = {}
+        self.pivots: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: Row) -> Row:
-        """Return row reduced against the current pivot rows."""
-        out = dict(row)
-        while True:
-            hit = None
-            for col in out:
-                if col in self.pivots:
-                    hit = col
-                    break
-            if hit is None:
-                return out
-            coef = out[hit]
-            for c, v in self.pivots[hit].items():
-                nv = out.get(c, Fraction(0)) - coef * v
-                if nv:
-                    out[c] = nv
-                else:
-                    out.pop(c, None)
+    def _reduce(self, row) -> dict[int, int]:
+        """An int multiple of row with every pivot column eliminated.
+
+        Pivot columns go in increasing order; eliminating one can only bring
+        in larger columns, and those that are pivots join the heap.
+        """
+        out = strip_content(row)
+        pivots = self.pivots
+        heap = [c for c in out if c in pivots]
+        heapify(heap)
+        while heap:
+            col = heappop(heap)
+            if col not in out:
+                continue
+            prow = pivots[col]
+            for c in prow:
+                if c != col and c not in out and c in pivots:
+                    heappush(heap, c)
+            _eliminate(out, col, prow)
         return out
 
     def add(self, row: Row) -> bool:
         """Insert a row; returns True when it enlarged the span."""
-        red = {c: v for c, v in self.reduce(row).items() if v}
+        red = self._reduce(row)
         if not red:
             return False
         pivot = min(red)
-        inv = Fraction(1) / red[pivot]
-        red = {c: v * inv for c, v in red.items()}
-        # keep stored rows fully reduced against the new pivot
-        for col, prow in self.pivots.items():
-            if pivot in prow:
-                coef = prow[pivot]
-                for c, v in red.items():
-                    nv = prow.get(c, Fraction(0)) - coef * v
-                    if nv:
-                        prow[c] = nv
-                    else:
-                        prow.pop(c, None)
-        self.pivots[pivot] = red
+        content = gcd(*red.values())
+        if red[pivot] < 0:
+            content = -content
+        self.pivots[pivot] = {c: v // content for c, v in red.items()}
         return True
 
     def contains(self, row: Row) -> bool:
-        return not any(self.reduce(row).values())
+        return not self._reduce(row)
 
 
 def rank_of_rows(rows: list[Row]) -> int:
@@ -85,17 +121,28 @@ def nullspace_basis(rows: list[Row], ncols: int) -> list[Row]:
     """
     sb = SpanBuilder()
     for r in rows:
+        if any(not 0 <= c < ncols for c in r):
+            raise ValueError(f"row has a column outside 0..{ncols - 1}")
         sb.add(r)
-    pivot_cols = set(sb.pivots)
-    basis: list[Row] = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec: Row = {free: Fraction(1)}
-        for pcol, prow in sb.pivots.items():
-            coef = prow.get(free)
-            if coef:
-                vec[pcol] = -coef
-        basis.append(vec)
-    return basis
-
+    # back-substitute from the largest pivot down: the rows right of a pivot
+    # are already reduced and hold no other pivot column
+    reduced: dict[int, dict[int, int]] = {}
+    for pcol in sorted(sb.pivots, reverse=True):
+        prow = sb.pivots[pcol]
+        hits = [c for c in prow if c != pcol and c in reduced]
+        if hits:
+            prow = dict(prow)
+            for c in hits:
+                _eliminate(prow, c, reduced[c])
+            prow = strip_content(prow)
+        reduced[pcol] = prow
+    basis = {free: {free: Fraction(1)} for free in range(ncols)
+             if free not in reduced}
+    # pivots in insertion order, so each vector lists them in that order
+    for pcol in sb.pivots:
+        prow = reduced[pcol]
+        lead = prow[pcol]
+        for c, v in prow.items():
+            if c != pcol:
+                basis[c][pcol] = Fraction(-v, lead)
+    return list(basis.values())

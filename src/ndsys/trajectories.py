@@ -47,6 +47,8 @@ def explicit_window(points) -> Window:
     pts = tuple(sorted({tuple(int(v) for v in p) for p in points}))
     if not pts:
         raise ValueError("empty window")
+    if len({len(p) for p in pts}) != 1:
+        raise ValueError("window points differ in their number of coordinates")
     return Window(pts, None)
 
 
@@ -170,9 +172,10 @@ class WindowSpan:
 
     def contains(self, v: LaurentVec) -> bool:
         try:
-            return self.builder.contains(self._flatten(v))
+            row = self._flatten(v)
         except ValueError:
             return False
+        return self.builder.contains(row)
 
 
 def default_membership_window(gens) -> Window:

@@ -4,6 +4,7 @@ import pytest
 
 from ndsys.intlat import lattice_from_rows
 from ndsys.laurent import LaurentVec, parse_vector
+from ndsys.linalg import SpanBuilder
 from ndsys.groebner import Submodule
 from ndsys.sublattice import contract
 from ndsys.trajectories import (Window, WindowSpan, box_window,
@@ -79,6 +80,15 @@ def test_window_constructors_validate():
     assert explicit_window([(1,), (0,), (1,)]).points == ((0,), (1,))
 
 
+@pytest.mark.parametrize("points", [
+    [(0, 0), (1,), (0, 1), (1, 1)],
+    [(0, 0), (1, 0), (2,)],
+])
+def test_explicit_window_rejects_mixed_arity(points):
+    with pytest.raises(ValueError, match="number of coordinates"):
+        explicit_window(points)
+
+
 def test_window_and_k_must_fit_the_generators():
     line = box_window([(0, 3)])
     pair = pv("[s1 - 1, 1]", 1, 2)
@@ -145,6 +155,18 @@ def test_window_span_certifies_membership_only():
     assert not span.contains(pv("s2^2", 2, 1))
     # sticking out of the window is a refusal, not an error
     assert not span.contains(g.shift((10, 10)))
+
+
+def test_window_span_passes_linear_algebra_errors_on(monkeypatch):
+    g = pv("1 + s1*s2 + s2^2", 2, 1)
+    span = WindowSpan([g], box_window([(-2, 2), (-2, 2)]))
+
+    def broken(self, row):
+        raise ValueError("fault inside the linear algebra")
+
+    monkeypatch.setattr(SpanBuilder, "contains", broken)
+    with pytest.raises(ValueError, match="inside the linear algebra"):
+        span.contains(g)
 
 
 def test_default_membership_window_covers_supports():
