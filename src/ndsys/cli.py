@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -478,10 +479,30 @@ def main(argv=None) -> int:
                          sort_keys=True), file=sys.stderr)
         return 3
     if args.json:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     else:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        text = json.dumps(report, sort_keys=True, indent=2)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (`ndsys ... | head`): exit as a SIGPIPE
+        # death would, 128 + 13, without a traceback
+        _drop_stdout()
+        return 141
     return 0
+
+
+def _drop_stdout() -> None:
+    """Point stdout's descriptor at the null device, so the interpreter's
+    last flush of what the closed pipe refused does not fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

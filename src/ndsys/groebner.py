@@ -19,22 +19,23 @@ Every Groebner run goes through _cut, which returns a reduced basis: of the
 whole span, or of its part inside a low block (an elimination).  So every
 result, syzygies included, depends on the inputs alone and not on the order
 in which Buchberger meets them.
+
+A term order is a flat int tuple key (make_key); its negation orders the
+reducer's heap of pending terms, largest first.  Reducers are looked up by the
+term's component, through a _lead_index of the basis that Buchberger keeps up
+to date and a Submodule keeps beside its saturated basis for member.
+Buchberger drops redundant pairs by the Gebauer-Moeller criteria.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import add, le, neg, sub
 
-from .laurent import (
-    Exp,
-    LaurentPoly,
-    LaurentVec,
-    exp_add,
-    exp_sub,
-)
+from .laurent import Exp, LaurentPoly, LaurentVec
 from .linalg import strip_content
 
 VPoly = dict[tuple[int, Exp], int]
@@ -62,33 +63,56 @@ class TermOrder:
 
 
 def make_key(order: TermOrder, nvars: int, comp_rank=None):
-    """Sort key on module monomials (component, exponent); max = leading."""
+    """Sort key on module monomials (component, exponent); max = leading.
+
+    The key is one flat int tuple: the dropped block's term key, the
+    component's rank, the negated component, then the kept block's term key
+    (grevlex: total degree, then the negated exponents from the last
+    variable).  key.rev is its elementwise negation, so a min-heap on it
+    yields the largest monomial first.
+    """
     drop = tuple(sorted(set(order.drop)))
     if any(i < 0 or i >= nvars for i in drop):
         raise ValueError("drop variable out of range")
     keep = tuple(i for i in range(nvars) if i not in drop)
 
-    if order.kind == "grevlex":
-        def tkey(sel):
-            return (sum(sel), tuple(-e for e in reversed(sel)))
+    if order.kind == "grevlex" and not drop:
+        if comp_rank is None:
+            def key(mon):
+                comp, exp = mon
+                return (-comp, sum(exp), *map(neg, reversed(exp)))
+
+            def rev(mon):
+                comp, exp = mon
+                return (comp, -sum(exp), *reversed(exp))
+        else:
+            rank = tuple(comp_rank)
+
+            def key(mon):
+                comp, exp = mon
+                return (rank[comp], -comp, sum(exp), *map(neg, reversed(exp)))
+
+            def rev(mon):
+                comp, exp = mon
+                return (-rank[comp], comp, -sum(exp), *reversed(exp))
     else:
-        def tkey(sel):
-            return sel
+        if order.kind == "grevlex":
+            def tkey(sel):
+                return (sum(sel), *map(neg, reversed(sel)))
+        else:
+            def tkey(sel):
+                return sel
 
-    cache: dict = {}
+        def key(mon):
+            comp, exp = mon
+            rank = comp_rank[comp] if comp_rank is not None else 0
+            return (*tkey([exp[i] for i in drop]), rank, -comp,
+                    *tkey([exp[i] for i in keep]))
 
-    def key(mon):
-        got = cache.get(mon)
-        if got is not None:
-            return got
-        comp, exp = mon
-        dk = tkey(tuple(exp[i] for i in drop)) if drop else ()
-        kk = tkey(tuple(exp[i] for i in keep))
-        rank = comp_rank[comp] if comp_rank is not None else 0
-        got = (dk, rank, -comp, kk)
-        cache[mon] = got
-        return got
+        def rev(mon):
+            return tuple(map(neg, key(mon)))
 
+    key.rev = rev
     return key
 
 
@@ -112,7 +136,7 @@ def _lift(v: LaurentVec) -> tuple[VPoly, Exp]:
     if not pts:
         raise ValueError("zero vector has no polynomial lift")
     m = tuple(min(p[i] for p in pts) for i in range(v.nvars))
-    return {(j, exp_sub(e, m)): c
+    return {(j, tuple(map(sub, e, m))): c
             for j, p in enumerate(v.entries) for e, c in p.terms.items()}, m
 
 
@@ -130,36 +154,61 @@ def _leading(f: VPoly, key):
 
 def _mono_divides(a, b) -> bool:
     """Does module monomial a divide b (same component, exponents <=)."""
-    return a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))
+    return a[0] == b[0] and all(map(le, a[1], b[1]))
+
+
+def _lcm(a: Exp, b: Exp) -> Exp:
+    return tuple(map(max, a, b))
+
+
+def _lead_index(led) -> dict[int, list]:
+    """Reducers by component from (leading term, element) pairs: lists of
+    (lead exponent, lead coefficient, element) in the given order."""
+    index: dict[int, list] = {}
+    for ((comp, exp), lc), g in led:
+        index.setdefault(comp, []).append((exp, lc, g))
+    return index
+
+
+def _leads(basis: list[VPoly], key) -> dict[int, list]:
+    """The _lead_index of basis under key."""
+    return _lead_index((_leading(g, key), g) for g in basis)
 
 
 def _reduce(f: VPoly, basis: list[VPoly], key, leads, full: bool) -> VPoly:
-    """Reduce f against basis with a deterministic reducer choice.
+    """Reduce f against basis; leads, when given, is _leads(basis, key).
 
-    With full set, irreducible leads move to the remainder and reduction goes
-    on; otherwise the loop stops at the first one and returns the work dict.
-    Fraction-free: to cancel c*m with a reducer of leading coefficient l, the
-    work and the remainder so far are multiplied by |l|/gcd(l, c), so the
-    result is a positive multiple of the rational one.
+    The terms still to treat sit in a heap under key.rev, largest first;
+    a cancelled term leaves a stale heap entry that is skipped.  Each term
+    is reduced by the first element, in basis order, whose leading monomial
+    divides it.  With full set, irreducible terms move to the remainder and
+    reduction goes on; otherwise the loop stops at the first one and returns
+    the work dict.  Fraction-free: to cancel c*m with a reducer of leading
+    coefficient l, the work and the remainder so far are multiplied by
+    |l|/gcd(l, c), so the result is a positive multiple of the rational one.
     """
-    lms = leads if leads is not None else [_leading(g, key) for g in basis]
+    index = leads if leads is not None else _leads(basis, key)
+    rev = key.rev
     work = dict(f)
+    heap = [(rev(m), m) for m in work]
+    heapify(heap)
     remainder: VPoly = {}
-    while work:
-        mon = max(work, key=key)
-        hit = None
-        for idx, (lm, _) in enumerate(lms):
-            if _mono_divides(lm, mon):
-                hit = idx
-                break
-        if hit is None:
-            if not full:
-                return work
-            remainder[mon] = work.pop(mon)
+    while heap:
+        mon = heappop(heap)[1]
+        coef = work.pop(mon, 0)
+        if not coef:
             continue
-        coef = work.pop(mon)
-        lm, lc = lms[hit]
-        shift = exp_sub(mon[1], lm[1])
+        comp, exp = mon
+        for lexp, lc, g in index.get(comp, ()):
+            if all(map(le, lexp, exp)):
+                break
+        else:
+            if not full:
+                work[mon] = coef
+                return work
+            remainder[mon] = coef
+            continue
+        shift = tuple(map(sub, exp, lexp))
         d = gcd(lc, coef)
         scale = abs(lc) // d
         factor = coef // d if lc > 0 else -coef // d
@@ -168,15 +217,21 @@ def _reduce(f: VPoly, basis: list[VPoly], key, leads, full: bool) -> VPoly:
                 work[m2] *= scale
             for m2 in remainder:
                 remainder[m2] *= scale
-        for m2, c2 in basis[hit].items():
+        lm = (comp, lexp)
+        for m2, c2 in g.items():
             if m2 == lm:
                 continue
-            tgt = (m2[0], exp_add(m2[1], shift))
-            nv = work.get(tgt, 0) - factor * c2
+            tgt = (m2[0], tuple(map(add, m2[1], shift)))
+            nv = work.get(tgt)
+            if nv is None:
+                work[tgt] = -factor * c2
+                heappush(heap, (rev(tgt), tgt))
+                continue
+            nv -= factor * c2
             if nv:
                 work[tgt] = nv
             else:
-                work.pop(tgt, None)
+                del work[tgt]
     return remainder
 
 
@@ -194,23 +249,24 @@ def top_reduce(f: VPoly, basis: list[VPoly], key, leads=None) -> VPoly:
     return _reduce(f, basis, key, leads, False)
 
 
-def _spoly(f: VPoly, g: VPoly, key) -> VPoly:
-    (cf, ef), lcf = _leading(f, key)
-    (cg, eg), lcg = _leading(g, key)
+def _spoly(f: VPoly, lead_f, g: VPoly, lead_g) -> VPoly:
+    """S-vector of f and g, given their leading terms."""
+    (cf, ef), lcf = lead_f
+    (cg, eg), lcg = lead_g
     if cf != cg:
         raise InvariantError("S-pair of leading terms in different components")
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    sf = exp_sub(lcm, ef)
-    sg = exp_sub(lcm, eg)
+    lcm = _lcm(ef, eg)
+    sf = tuple(map(sub, lcm, ef))
+    sg = tuple(map(sub, lcm, eg))
     # a positive multiple of f/lcf*x^sf - g/lcg*x^sg
     d = gcd(lcf, lcg)
     mf = abs(lcg) // d if lcf > 0 else -abs(lcg) // d
     mg = abs(lcf) // d if lcg > 0 else -abs(lcf) // d
     out: VPoly = {}
     for (c, e), v in f.items():
-        out[(c, exp_add(e, sf))] = v * mf
+        out[(c, tuple(map(add, e, sf)))] = v * mf
     for (c, e), v in g.items():
-        tgt = (c, exp_add(e, sg))
+        tgt = (c, tuple(map(add, e, sg)))
         nv = out.get(tgt, 0) - v * mg
         if nv:
             out[tgt] = nv
@@ -220,66 +276,84 @@ def _spoly(f: VPoly, g: VPoly, key) -> VPoly:
 
 
 def buchberger(gens: list[VPoly], key) -> list[VPoly]:
-    """Plain Buchberger with normal (smallest-lcm-first) pair selection.
+    """Buchberger with the Gebauer-Moeller pair criteria and normal
+    (smallest-lcm-first) pair selection.
 
-    No coprime-lcm shortcut: it is unsound for module leading terms.
-    Ties in the lcm order break by pair creation sequence, so the raw
-    output is reproducible run to run.
+    Each element joins the basis through one update, the inputs in their
+    order included, and pairs only elements whose leading terms share a
+    component.  Of the newcomer's pairs, one whose lcm another's lcm
+    properly divides is dropped (M), and of pairs with equal lcms only the
+    one with the earliest element stays (F).  A queued pair whose lcm the
+    newcomer's lead divides is dropped unless that lcm equals the lcm of
+    either of its elements with the newcomer's lead (B); dropped pairs are
+    skipped when they reach the top of the queue.  There is no product
+    criterion: the coprime-lcm shortcut is unsound for module leading terms.
+    Ties in the lcm order break by pair creation sequence, so the raw output
+    is reproducible run to run.
     """
-    basis = [strip_content(g) for g in gens if g]
-    leads = [_leading(g, key) for g in basis]
-
-    def pair_entry(i, j, seq):
-        ci, ei = leads[i][0]
-        _, ej = leads[j][0]
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-        return (key((ci, lcm)), seq, i, j)
-
-    heap = []
+    basis: list[VPoly] = []
+    leads: list = []
+    index: dict[int, list] = {}
+    queued: dict[int, dict[tuple[int, int], Exp]] = {}
+    heap: list = []
     seq = 0
-    for j in range(len(basis)):
-        for i in range(j):
-            if leads[i][0][0] == leads[j][0][0]:
-                heap.append(pair_entry(i, j, seq))
+
+    def join(g):
+        nonlocal seq
+        lead = _leading(g, key)
+        (comp, exp), lc = lead
+        new = len(basis)
+        lcms: dict[Exp, int] = {}
+        for t, ((c, e), _) in enumerate(leads):
+            if c == comp:
+                lcms.setdefault(_lcm(e, exp), t)
+        live = queued.setdefault(comp, {})
+        for (i, j), lcm in list(live.items()):
+            if all(map(le, exp, lcm)) and lcm != _lcm(leads[i][0][1], exp) \
+                    and lcm != _lcm(leads[j][0][1], exp):
+                del live[i, j]
+        for lcm, t in lcms.items():
+            if not any(o != lcm and all(map(le, o, lcm)) for o in lcms):
+                live[t, new] = lcm
+                heappush(heap, (key((comp, lcm)), seq, t, new))
                 seq += 1
-    heapq.heapify(heap)
+        basis.append(g)
+        leads.append(lead)
+        index.setdefault(comp, []).append((exp, lc, g))
+
+    for g in gens:
+        if g:
+            join(strip_content(g))
     while heap:
-        _, _, i, j = heapq.heappop(heap)
-        s = _spoly(basis[i], basis[j], key)
-        r = strip_content(normal_form(s, basis, key, leads))
+        _, _, i, j = heappop(heap)
+        if queued[leads[i][0][0]].pop((i, j), None) is None:
+            continue
+        s = _spoly(basis[i], leads[i], basis[j], leads[j])
+        r = strip_content(normal_form(s, basis, key, index))
         if r:
-            basis.append(r)
-            leads.append(_leading(r, key))
-            new = len(basis) - 1
-            for t in range(new):
-                if leads[t][0][0] == leads[new][0][0]:
-                    heapq.heappush(heap, pair_entry(t, new, seq))
-                    seq += 1
+            join(r)
     return basis
 
 
 def reduced_basis(basis: list[VPoly], key) -> list[VPoly]:
     """Unique reduced basis: minimal, interreduced, sorted by LM, each
     element primitive with a positive leading coefficient."""
-    items = [g for g in basis if g]
-    if not items:
-        return []
-    items.sort(key=lambda g: key(_leading(g, key)[0]))
-    kept: list[VPoly] = []
-    kept_lms = []
-    for g in items:
-        lm = _leading(g, key)[0]
-        if any(_mono_divides(l, lm) for l in kept_lms):
-            continue
-        kept.append(g)
-        kept_lms.append(lm)
+    items = sorted(((_leading(g, key), g) for g in basis if g), key=lambda it: key(it[0][0]))
+    kept: list = []
+    for lead, g in items:
+        if not any(_mono_divides(l, lead[0]) for (l, _), _ in kept):
+            kept.append((lead, g))
     # one pass suffices: in a minimal basis reduction keeps every leading
     # monomial, and a normal form depends only on the others' leading monomials
-    for i in range(len(kept)):
+    for i, ((lm, _), g) in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
-        g = strip_content(normal_form(kept[i], others, key) if others else kept[i])
-        kept[i] = g if _leading(g, key)[1] > 0 else {m: -c for m, c in g.items()}
-    return kept
+        if others:
+            g = normal_form(g, [h for _, h in others], key, _lead_index(others))
+        g = strip_content(g)
+        if g[lm] < 0:
+            g = {m: -c for m, c in g.items()}
+        kept[i] = ((lm, g[lm]), g)
+    return [g for _, g in kept]
 
 
 def _monic(g: VPoly, key) -> dict:
@@ -342,6 +416,8 @@ class Submodule:
         self.generators: tuple[LaurentVec, ...] = tuple(gens)
         self._gb_cache: dict[TermOrder, tuple[LaurentVec, ...]] = {}
         self._sat_cache: list[VPoly] | None = None
+        # member's default key and the _leads of _sat_cache under it
+        self._read: tuple | None = None
 
     def __repr__(self):
         return f"Submodule(nvars={self.nvars}, k={self.k}, ngens={len(self.generators)})"
@@ -406,8 +482,11 @@ def member(v: LaurentVec, mod: Submodule) -> bool:
     sat = mod.saturated_vpolys()
     if not sat:
         return False
-    key = make_key(DEFAULT_ORDER, mod.nvars)
-    return not top_reduce(strip_content(_lift(v)[0]), sat, key)
+    if mod._read is None:
+        key = make_key(DEFAULT_ORDER, mod.nvars)
+        mod._read = key, _leads(sat, key)
+    key, leads = mod._read
+    return not top_reduce(strip_content(_lift(v)[0]), sat, key, leads)
 
 
 def component_cut(vectors: list[LaurentVec], k: int) -> list[LaurentVec]:
@@ -507,11 +586,11 @@ def is_groebner_basis(vecs: list[LaurentVec], nvars: int, order: TermOrder | Non
     order = order or DEFAULT_ORDER
     key = make_key(order, nvars)
     vps = [strip_content(vec_to_vpoly(v)) for v in vecs if not v.is_zero()]
-    lms = [_leading(g, key)[0] for g in vps]
+    leads = [_leading(g, key) for g in vps]
     for j in range(len(vps)):
         for i in range(j):
-            if lms[i][0] != lms[j][0]:
+            if leads[i][0][0] != leads[j][0][0]:
                 continue
-            if normal_form(_spoly(vps[i], vps[j], key), vps, key):
+            if normal_form(_spoly(vps[i], leads[i], vps[j], leads[j]), vps, key):
                 return False
     return True

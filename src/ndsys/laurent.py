@@ -39,6 +39,15 @@ class LaurentPoly:
                 if c:
                     self.terms[tuple(e)] = c
 
+    @classmethod
+    def _of(cls, nvars: int, terms: dict[Exp, Fraction]) -> "LaurentPoly":
+        """Wrap terms that are already valid: exponents of length nvars and
+        nonzero Fraction coefficients.  Arithmetic results come through here."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        return p
+
     @staticmethod
     def constant(nvars: int, c) -> "LaurentPoly":
         return LaurentPoly(nvars, {tuple(0 for _ in range(nvars)): Fraction(c)})
@@ -71,15 +80,15 @@ class LaurentPoly:
             raise ValueError("variable count mismatch")
         out = dict(self.terms)
         for e, c in other.terms.items():
-            nc = out.get(e, Fraction(0)) + c
+            nc = out.get(e, 0) + c
             if nc:
                 out[e] = nc
             else:
                 out.pop(e, None)
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._of(self.nvars, out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -93,12 +102,12 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = exp_add(e1, e2)
-                nc = out.get(e, Fraction(0)) + c1 * c2
+                nc = out.get(e, 0) + c1 * c2
                 if nc:
                     out[e] = nc
                 else:
                     out.pop(e, None)
-        return LaurentPoly(self.nvars, out)
+        return LaurentPoly._of(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -106,11 +115,13 @@ class LaurentPoly:
         c = Fraction(c)
         if not c:
             return LaurentPoly(self.nvars)
-        return LaurentPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
+        return LaurentPoly._of(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def shift(self, exp: Exp) -> "LaurentPoly":
         """Multiply by the monomial with the given exponent."""
-        return LaurentPoly(self.nvars, {exp_add(e, exp): c for e, c in self.terms.items()})
+        if len(exp) != self.nvars:
+            raise ValueError("exponent length mismatch")
+        return LaurentPoly._of(self.nvars, {exp_add(e, exp): c for e, c in self.terms.items()})
 
     def support(self) -> set[Exp]:
         return set(self.terms)

@@ -264,3 +264,16 @@ def test_window_option_error_names_the_option(capsys):
                           capsys)
     assert code == 2
     assert json.loads(err)["detail"] == "--window: empty window axis 5..1"
+
+
+def test_closed_pipe_exits_141_quietly(monkeypatch, capsys):
+    """A reader that closes the pipe early (`ndsys ... | head`) gets the
+    SIGPIPE exit code and no traceback or error line."""
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["simulate", str(GOLDEN / "fibonacci.system"), "--basis",
+                 "--window=-3..4"]) == 141
+    assert capsys.readouterr().err == ""

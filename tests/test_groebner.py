@@ -1,3 +1,4 @@
+import heapq
 import random
 import re
 from fractions import Fraction
@@ -14,7 +15,7 @@ from ndsys.groebner import (DEFAULT_ORDER, Submodule, TermOrder, _lift, buchberg
                             eliminate, groebner_basis, is_groebner_basis, make_key,
                             member, module_quotient, submodule_contains,
                             submodule_equal, syzygies, vec_to_vpoly)
-from ndsys.linalg import nullspace_basis
+from ndsys.linalg import nullspace_basis, strip_content
 from ndsys.trajectories import WindowSpan, box_window
 
 pv = parse_vector
@@ -294,3 +295,165 @@ def test_engine_format_stays_in_groebner():
             continue
         hits = [line for line in path.read_text().splitlines() if names.search(line)]
         assert not hits, f"{path.name}: {hits}"
+
+
+# ---------------------------------------------------------------------------
+# the engine against its earlier forms
+
+
+def _nested_key(order, nvars, comp_rank=None):
+    """The nested sort key make_key built before it became one flat tuple."""
+    drop = tuple(sorted(set(order.drop)))
+    keep = tuple(i for i in range(nvars) if i not in drop)
+
+    def tkey(sel):
+        return (sum(sel), tuple(-e for e in reversed(sel))) if order.kind == "grevlex" else sel
+
+    def key(mon):
+        comp, exp = mon
+        dk = tkey(tuple(exp[i] for i in drop)) if drop else ()
+        rank = comp_rank[comp] if comp_rank is not None else 0
+        return (dk, rank, -comp, tkey(tuple(exp[i] for i in keep)))
+
+    return key
+
+
+def _rescan_reduce(f, basis, key, full):
+    """The reducer before the heap: rescan the work for its largest term and
+    try every element's lead in basis order."""
+    lms = [groebner._leading(g, key) for g in basis]
+    work = dict(f)
+    remainder = {}
+    while work:
+        mon = max(work, key=key)
+        hit = next((i for i, (lm, _) in enumerate(lms) if groebner._mono_divides(lm, mon)), None)
+        if hit is None:
+            if not full:
+                return work
+            remainder[mon] = work.pop(mon)
+            continue
+        coef = work.pop(mon)
+        lm, lc = lms[hit]
+        shift = tuple(a - b for a, b in zip(mon[1], lm[1]))
+        d = gcd(lc, coef)
+        scale = abs(lc) // d
+        factor = coef // d if lc > 0 else -coef // d
+        if scale != 1:
+            for m2 in work:
+                work[m2] *= scale
+            for m2 in remainder:
+                remainder[m2] *= scale
+        for m2, c2 in basis[hit].items():
+            if m2 == lm:
+                continue
+            tgt = (m2[0], tuple(a + b for a, b in zip(m2[1], shift)))
+            nv = work.get(tgt, 0) - factor * c2
+            if nv:
+                work[tgt] = nv
+            else:
+                work.pop(tgt, None)
+    return remainder
+
+
+def _rand_vpoly(rng, nvars, k, terms=4, deg=2):
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        mon = (rng.randrange(k), tuple(rng.randint(0, deg) for _ in range(nvars)))
+        out[mon] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return out
+
+
+def _key_cases():
+    for nvars in (2, 3):
+        for k in (1, 2):
+            yield nvars, k, TermOrder(), None
+            yield nvars, k, TermOrder(kind="lex"), None
+            yield nvars, k, TermOrder(drop=(0,)), None
+            yield nvars, k, TermOrder(), [1] * (k - 1) + [0]
+            yield nvars, k, TermOrder(drop=(nvars - 1,)), list(range(k))
+
+
+def test_flat_key_orders_like_the_nested_key():
+    rng = random.Random(97)
+    for nvars, k, order, rank in _key_cases():
+        mons = list({(rng.randrange(k), tuple(rng.randint(0, 3) for _ in range(nvars)))
+                     for _ in range(40)})
+        key = make_key(order, nvars, rank)
+        assert sorted(mons, key=key) == sorted(mons, key=_nested_key(order, nvars, rank))
+        assert all(key.rev(m) == tuple(-x for x in key(m)) for m in mons)
+
+
+def test_heap_reducer_matches_rescan_reducer():
+    """normal_form and top_reduce return the very dicts of the old reducer,
+    whose key is the nested one, on random bases and random vectors; half
+    the bases are grevlex Groebner bases (lex runs can take minutes)."""
+    rng = random.Random(101)
+    for nvars, k, order, rank in _key_cases():
+        key = make_key(order, nvars, rank)
+        old = _nested_key(order, nvars, rank)
+        for _ in range(6):
+            basis = [_rand_vpoly(rng, nvars, k) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.5:
+                basis = buchberger(basis, make_key(DEFAULT_ORDER, nvars, rank))
+            for _ in range(3):
+                f = _rand_vpoly(rng, nvars, k, terms=8, deg=4)
+                assert groebner.normal_form(f, basis, key) == _rescan_reduce(f, basis, old, True)
+                assert groebner.top_reduce(f, basis, key) == _rescan_reduce(f, basis, old, False)
+
+
+def _plain_buchberger(gens, key):
+    """Buchberger without pair criteria: every pair of leads in one component
+    is reduced, smallest lcm first, ties by creation sequence."""
+    basis = [strip_content(g) for g in gens if g]
+    leads = [groebner._leading(g, key) for g in basis]
+    heap, seq = [], 0
+
+    def push(i, j):
+        nonlocal seq
+        if leads[i][0][0] == leads[j][0][0]:
+            lcm = tuple(map(max, leads[i][0][1], leads[j][0][1]))
+            heapq.heappush(heap, (key((leads[i][0][0], lcm)), seq, i, j))
+            seq += 1
+
+    for j in range(len(basis)):
+        for i in range(j):
+            push(i, j)
+    while heap:
+        _, _, i, j = heapq.heappop(heap)
+        s = groebner._spoly(basis[i], leads[i], basis[j], leads[j])
+        r = strip_content(groebner.normal_form(s, basis, key))
+        if r:
+            basis.append(r)
+            leads.append(groebner._leading(r, key))
+            for t in range(len(basis) - 1):
+                push(t, len(basis) - 1)
+    return basis
+
+
+def test_pair_criteria_match_plain_buchberger(monkeypatch):
+    """Same reduced basis as without criteria, a Groebner basis as it comes
+    out, and never more S-pair reductions."""
+    calls = []
+    plain_nf = groebner.normal_form
+
+    def counting_nf(*args):
+        calls.append(1)
+        return plain_nf(*args)
+
+    monkeypatch.setattr(groebner, "normal_form", counting_nf)
+    rng = random.Random(103)
+    for _ in range(24):
+        nvars, k = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2)])
+        gens = [_rand_vpoly(rng, nvars, k, terms=3) for _ in range(rng.randint(2, 4))]
+        # the component ranking of component_cut half the time
+        rank = [0, 1] if k == 2 and rng.random() < 0.5 else None
+        key = make_key(DEFAULT_ORDER, nvars, rank)
+        del calls[:]
+        raw = buchberger(gens, key)
+        new_calls = len(calls)
+        del calls[:]
+        plain = _plain_buchberger(gens, key)
+        assert new_calls <= len(calls)
+        assert groebner.reduced_basis(raw, key) == groebner.reduced_basis(plain, key)
+        if rank is None:
+            assert is_groebner_basis([groebner.vpoly_to_vec(g, nvars, k) for g in raw], nvars)

@@ -125,3 +125,22 @@ def test_substitute_exponents_rejects_collision():
     p = parse_poly("s1 + s2", 2)
     with pytest.raises(ValueError):
         p.substitute_exponents(lambda e: (e[0] + e[1],), nvars_out=1)
+
+
+def test_arithmetic_results_hold_valid_terms():
+    """Sums, negations, products, scalings and shifts skip the constructor's
+    checks; their terms must still be nonzero Fractions on exponents of
+    length nvars."""
+    rng = random.Random(43)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        a, b = _rand_poly(rng, n), _rand_poly(rng, n)
+        shift = tuple(rng.randint(-2, 2) for _ in range(n))
+        for p in (a + b, a - b, -a, a * b, a * 3, 2 * a, a * Fraction(-1, 2),
+                  a.scale(Fraction(5, 3)), a.scale(0), a.shift(shift)):
+            assert p.nvars == n
+            for e, c in p.terms.items():
+                assert type(e) is tuple and len(e) == n
+                assert type(c) is Fraction and c != 0
+    with pytest.raises(ValueError):
+        LaurentPoly(2, {(1, 0): 1}).shift((1,))

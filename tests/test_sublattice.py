@@ -240,6 +240,12 @@ def test_chain_matches_direct_route():
         for k in (1, 2):
             p = _small_module(rng, s.ambient, k)
             assert submodule_equal(contract(p, s).module, _direct_contract(p, s))
+    # two generators, k = 2: the 3-step of [[1,2],[0,9]] cuts 12 blocks of 6
+    # components; a few tenths of a second with the pair criteria
+    p = Submodule(2, 2, [pv("[-2*s2 - 1, 2*s1 - 1]", 2, 2), pv("[-1, s2]", 2, 2)])
+    for rows in ([[1, 2], [0, 9]], [[2, 0], [0, 3]]):
+        s = lattice_from_rows(2, rows)
+        assert submodule_equal(contract(p, s).module, _direct_contract(p, s))
 
 
 def _recorded_steps(monkeypatch, p, s):
