@@ -23,7 +23,7 @@ from .groebner import InvariantError, Submodule, TermOrder, groebner_basis, memb
 from .sublattice import (contract, extend, galois_group_of, is_extension_from,
                          sublattice_context)
 from .analysis import analyze, transfer_checks
-from .coarsest import MAX_ORACLE_INDEX, coarsest_lattice
+from .coarsest import MAX_ORACLE_INDEX, coarsest_lattice, is_prime
 from .trajectories import (WindowSpan, box_window, default_membership_window,
                            restriction_check, window_solutions)
 
@@ -316,6 +316,8 @@ def _cmd_invariant(sf: SystemFile, args) -> dict:
 
 def _cmd_coarsest(sf: SystemFile, args) -> dict:
     primes = tuple(_int_list(args.audit_primes, "--audit-primes", 2))
+    if not all(map(is_prime, primes)):
+        raise InputError(f"--audit-primes values must be primes, got {args.audit_primes!r}")
     if not 1 <= args.index_bound <= MAX_ORACLE_INDEX:
         raise InputError(f"--index-bound must be between 1 and {MAX_ORACLE_INDEX}")
     bound = args.index_bound if args.oracle else None

@@ -5,18 +5,19 @@ reduced Groebner basis.  Any lattice the system extends from must contain
 every such difference, and each reduced generator sits inside a single coset
 of the candidate, so the candidate itself always passes; minimality is
 guarded by an index-p audit and, at small scale, by brute-force enumeration
-against the window oracle.
+against the window oracle.  The audit writes each index-p sublattice down in
+closed form from a functional on the candidate's basis, and tests each coset
+part of the reduced generators for membership once per coarsest_lattice call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
-from .intlat import (IntLattice, _congruence_solution_lattice,
-                     lattice_from_rows, meet, zero_lattice)
+from .intlat import IntLattice, lattice_from_rows, meet, zero_lattice
 from .laurent import coset_split
-from .groebner import InvariantError, Submodule, groebner_basis, syzygies
+from .groebner import InvariantError, Submodule, groebner_basis, member, syzygies
 from .sublattice import is_extension_from
 from .trajectories import WindowSpan, default_membership_window
 
@@ -59,16 +60,30 @@ def _normalized_functionals(r: int, prime: int):
             yield (0,) * lead + (1,) + tail
 
 
+def is_prime(n: int) -> bool:
+    """Trial division; the audit's moduli are small."""
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
 def maximal_sublattices(lat: IntLattice, prime: int) -> list[IntLattice]:
-    """All (p^r - 1)/(p - 1) index-p sublattices of a rank-r lattice."""
-    r = lat.rank
-    if r == 0:
-        return []
-    basis_t = lat.basis.transpose()
+    """All (p^r - 1)/(p - 1) index-p sublattices of a rank-r lattice.
+
+    Each is the kernel of a functional a = (0, .., 0, 1, a_{l+1}, ..) mod p
+    on the coefficients of the basis b; that kernel has the basis e_j
+    (j < l), p*e_l and e_j - a_j*e_l (j > l), so the sublattice is spanned by
+    b_j, p*b_l and b_j - a_j*b_l.  The count holds only for a prime p, and a
+    non-prime raises ValueError.
+    """
+    if not is_prime(prime):
+        raise ValueError(f"audit modulus {prime} is not prime")
+    b = lat.basis.rows
     out = []
-    for a in _normalized_functionals(r, prime):
-        coeffs = _congruence_solution_lattice([a], r, prime)
-        rows = [tuple(basis_t.apply(c)) for c in coeffs.basis.rows]
+    for a in _normalized_functionals(lat.rank, prime):
+        lead = a.index(1)
+        rows = list(b[:lead])
+        rows.append(tuple(prime * v for v in b[lead]))
+        rows += [tuple(v - aj * w for v, w in zip(bj, b[lead]))
+                 for aj, bj in zip(a[lead + 1:], b[lead + 1:])]
         out.append(lattice_from_rows(lat.ambient, rows))
     return out
 
@@ -88,16 +103,26 @@ def coarsest_lattice(p: Submodule, audit_primes=(2, 3, 5, 7),
 
     Each reduced generator lies in one coset of any lattice the module
     extends from, so no index-p sublattice of the candidate can pass; a
-    passing audit entry is a defect and raises InvariantError.
+    passing audit entry is a defect and raises InvariantError.  An entry
+    is judged by is_extension_from's rule, with each coset part's
+    membership asked once for the whole audit.
     """
     lat = support_difference_lattice(p)
     ok, _ = is_extension_from(p, lat)
     if not ok:
         raise InvariantError("candidate lattice rejected by its own construction")
+    gens = groebner_basis(p)
+    known: dict = {}
+
+    def is_member(part) -> bool:
+        if part not in known:
+            known[part] = member(part, p)
+        return known[part]
+
     audit: list[tuple[IntLattice, bool]] = []
     for prime in audit_primes:
         for sub in maximal_sublattices(lat, prime):
-            if is_extension_from(p, sub)[0]:
+            if _parts_pass(gens, sub, is_member):
                 raise InvariantError(f"index-{prime} sublattice passed the minimality audit")
             audit.append((sub, False))
     oracle_confirmed = None
@@ -108,20 +133,15 @@ def coarsest_lattice(p: Submodule, audit_primes=(2, 3, 5, 7),
                           oracle_confirmed)
 
 
-def _window_extension_test(p: Submodule, span: WindowSpan):
-    """Groebner-free variant of the extension-from-sublattice test: split the
-    raw generators into coset parts and certify each part inside the window
-    span of shifted generators."""
-    def passes(lat: IntLattice) -> bool:
-        for g in p.generators:
-            parts = coset_split(g, lat)
-            if len(parts) <= 1:
-                continue
-            for part in parts.values():
-                if not span.contains(part):
-                    return False
-        return True
-    return passes
+def _parts_pass(gens, lat: IntLattice, holds) -> bool:
+    """is_extension_from's rule with the membership test passed in: every
+    coset part of every generator that meets two or more cosets of lat must
+    hold.  Stops at the first part that does not."""
+    for g in gens:
+        parts = coset_split(g, lat)
+        if len(parts) > 1 and not all(holds(part) for part in parts.values()):
+            return False
+    return True
 
 
 def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
@@ -143,7 +163,6 @@ def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
 
     window = default_membership_window(list(p.generators))
     span = WindowSpan(list(p.generators), window, p.k)
-    passes = _window_extension_test(p, span)
 
     candidates: list[IntLattice] = [zero_lattice(n)]
     if n == 1:
@@ -162,7 +181,8 @@ def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
 
     cur: IntLattice | None = None
     for lat in candidates:
-        if passes(lat):
+        # Groebner-free: the raw generators' parts, certified in the window span
+        if _parts_pass(p.generators, lat, span.contains):
             cur = lat if cur is None else meet(cur, lat)
     if cur is None:
         raise InvariantError("the full lattice failed the window extension test")

@@ -202,13 +202,22 @@ class IntLattice:
         """Canonical representative of x + L."""
         if len(x) != self.ambient:
             raise ValueError("point dimension mismatch")
-        v = list(x)
-        for row in self.basis.rows:
-            c = next(i for i, val in enumerate(row) if val != 0)
-            q = v[c] // row[c]
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
-        return tuple(v)
+        return self.coset_reducer()(x)
+
+    def coset_reducer(self):
+        """The map x -> coset_rep(x), with each basis row's pivot column
+        found once, for reducing many points of the ambient dimension."""
+        steps = [(next(i for i, val in enumerate(row) if val), row)
+                 for row in self.basis.rows]
+
+        def rep(x: tuple[int, ...]) -> tuple[int, ...]:
+            for c, row in steps:
+                q = x[c] // row[c]
+                if q:
+                    x = tuple(a - q * b for a, b in zip(x, row))
+            return tuple(x)
+
+        return rep
 
     def contains(self, x: tuple[int, ...]) -> bool:
         return all(v == 0 for v in self.coset_rep(x))

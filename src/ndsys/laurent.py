@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, sub
 
 from .intlat import IntMatrix
 
@@ -16,11 +17,11 @@ Exp = tuple[int, ...]
 
 
 def exp_add(a: Exp, b: Exp) -> Exp:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def exp_sub(a: Exp, b: Exp) -> Exp:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 class LaurentPoly:
@@ -80,11 +81,12 @@ class LaurentPoly:
             raise ValueError("variable count mismatch")
         out = dict(self.terms)
         for e, c in other.terms.items():
-            nc = out.get(e, 0) + c
-            if nc:
-                out[e] = nc
-            else:
-                out.pop(e, None)
+            if e in out:
+                c += out[e]
+                if not c:
+                    del out[e]
+                    continue
+            out[e] = c
         return LaurentPoly._of(self.nvars, out)
 
     def __neg__(self) -> "LaurentPoly":
@@ -101,12 +103,14 @@ class LaurentPoly:
         out: dict[Exp, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = exp_add(e1, e2)
-                nc = out.get(e, 0) + c1 * c2
-                if nc:
-                    out[e] = nc
-                else:
-                    out.pop(e, None)
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                if e in out:
+                    c += out[e]
+                    if not c:
+                        del out[e]
+                        continue
+                out[e] = c
         return LaurentPoly._of(self.nvars, out)
 
     __rmul__ = __mul__
@@ -232,14 +236,17 @@ def coset_split(v: LaurentVec, lat) -> dict[Exp, LaurentVec]:
     """
     if lat.ambient != v.nvars:
         raise ValueError("lattice ambient dimension mismatch")
+    coset_rep = lat.coset_reducer()
     parts: dict[Exp, list[dict[Exp, Fraction]]] = {}
     for j, p in enumerate(v.entries):
         for e, c in p.terms.items():
-            rep = lat.coset_rep(e)
-            slot = parts.setdefault(rep, [dict() for _ in range(v.k)])
+            rep = coset_rep(e)
+            slot = parts.get(rep)
+            if slot is None:
+                slot = parts[rep] = [{} for _ in range(v.k)]
             slot[j][e] = c
     return {
-        rep: LaurentVec([LaurentPoly(v.nvars, t) for t in slot])
+        rep: LaurentVec([LaurentPoly._of(v.nvars, t) for t in slot])
         for rep, slot in sorted(parts.items())
     }
 

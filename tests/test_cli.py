@@ -179,7 +179,10 @@ def test_analyze_image_rep_annihilates_rows(monkeypatch, capsys):
     ["galois", "hexagonal.system", "--lattice", "hex", "--moduli", "0,2"],
     ["galois", "hexagonal.system", "--lattice", "hex", "--moduli", "2,x"],
     ["coarsest", "hexagonal.system", "--audit-primes", "2,x"],
-], ids=["zero-modulus", "moduli-not-integer", "audit-primes-not-integer"])
+    ["coarsest", "hexagonal.system", "--audit-primes", "2,4"],
+    ["coarsest", "hexagonal.system", "--audit-primes", "6"],
+], ids=["zero-modulus", "moduli-not-integer", "audit-primes-not-integer",
+        "audit-primes-not-prime", "audit-primes-six"])
 def test_bad_integer_option_exits_two(argv, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 2
@@ -239,7 +242,7 @@ def test_galois_order_of_large_group(monkeypatch, capsys):
 
 
 def test_passing_audit_entry_exits_one(monkeypatch, capsys):
-    monkeypatch.setattr("ndsys.coarsest.is_extension_from", lambda p, s: (True, None))
+    monkeypatch.setattr("ndsys.coarsest.member", lambda v, p: True)
     code, out, err = run_cli(["coarsest", "hexagonal.system"], capsys)
     assert code == 1 and out == ""
     assert json.loads(err)["error"] == "invariant"

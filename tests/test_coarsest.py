@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from ndsys.intlat import (full_lattice, lattice_from_rows, meet, zero_lattice)
+from ndsys.intlat import (IntLattice, IntMatrix, _congruence_solution_lattice,
+                          full_lattice, lattice_from_rows, meet, zero_lattice)
 from ndsys.laurent import LaurentPoly, LaurentVec, parse_vector
-from ndsys.groebner import InvariantError, Submodule
+from ndsys.groebner import InvariantError, Submodule, member
 from ndsys.sublattice import is_extension_from
-from ndsys.coarsest import (brute_force_coarsest, coarsest_lattice,
-                            is_constant_module, maximal_sublattices,
-                            support_difference_lattice)
+from ndsys.coarsest import (_normalized_functionals, brute_force_coarsest,
+                            coarsest_lattice, is_constant_module, is_prime,
+                            maximal_sublattices, support_difference_lattice)
 
 pv = parse_vector
 
@@ -50,7 +51,7 @@ def test_coarsest_hexagonal_with_audit_and_oracle():
 
 
 def test_passing_audit_entry_raises(monkeypatch):
-    monkeypatch.setattr("ndsys.coarsest.is_extension_from", lambda p, s: (True, None))
+    monkeypatch.setattr("ndsys.coarsest.member", lambda v, p: True)
     p = Submodule(2, 1, [pv("1 + s1*s2 + s2^2", 2, 1)])
     with pytest.raises(InvariantError):
         coarsest_lattice(p)
@@ -118,6 +119,108 @@ def test_maximal_sublattice_enumeration():
     subs = maximal_sublattices(line, 3)
     assert subs == [lattice_from_rows(2, [[3, 3]])]
     assert maximal_sublattices(zero_lattice(2), 2) == []
+
+
+def test_maximal_sublattices_rejects_non_prime():
+    assert [q for q in range(1, 30) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    for q in (1, 4, 6, 9):
+        with pytest.raises(ValueError, match="not prime"):
+            maximal_sublattices(full_lattice(2), q)
+    with pytest.raises(ValueError, match="not prime"):
+        maximal_sublattices(zero_lattice(2), 4)
+
+
+def _kernel_sublattices(lat, prime):
+    """Reference: each functional's congruence kernel on the basis
+    coefficients, solved by an integer kernel, mapped through the basis."""
+    r = lat.rank
+    if r == 0:
+        return []
+    basis_t = lat.basis.transpose()
+    out = []
+    for a in _normalized_functionals(r, prime):
+        coeffs = _congruence_solution_lattice([a], r, prime)
+        rows = [tuple(basis_t.apply(c)) for c in coeffs.basis.rows]
+        out.append(lattice_from_rows(lat.ambient, rows))
+    return out
+
+
+def test_maximal_sublattices_match_kernel_reference():
+    rng = random.Random(101)
+    checked = 0
+    while checked < 40:
+        n = rng.randint(2, 3)
+        r = rng.randint(1, n)
+        rows = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(r)]
+        hnf_lat = lattice_from_rows(n, rows)
+        if hnf_lat.rank != r:
+            continue
+        # the raw rows as a basis too: the enumeration follows the basis given
+        for lat in (hnf_lat, IntLattice(n, IntMatrix.from_rows(rows, n))):
+            for p in (2, 3, 5, 7):
+                got = maximal_sublattices(lat, p)
+                assert got == _kernel_sublattices(lat, p)
+                assert len(got) == (p ** r - 1) // (p - 1)
+        checked += 1
+
+
+def test_audit_n3():
+    p = Submodule(3, 1, [pv("1 + s1*s2 + s2*s3 + s3^2", 3, 1)])
+    rep = coarsest_lattice(p)
+    assert rep.rank == 3
+    # (p^3 - 1)/(p - 1) entries per prime
+    assert len(rep.audit) == 7 + 13 + 31 + 57
+    assert all(not passed for _, passed in rep.audit)
+    assert is_extension_from(p, rep.lattice)[0]
+
+
+def _random_module(rng, k, m, nterms, emax):
+    gens = []
+    for _ in range(m):
+        entries = []
+        for _ in range(k):
+            terms = {}
+            while len(terms) < nterms:
+                e = (rng.randint(0, emax), rng.randint(0, emax))
+                terms[e] = Fraction(rng.choice([1, -1, 2, -2, 3]))
+            entries.append(LaurentPoly(2, terms))
+        gens.append(LaurentVec(entries))
+    return Submodule(2, k, gens)
+
+
+# (k, generators, terms per polynomial, largest exponent)
+SMALL_SHAPES = ((1, 1, 3, 2), (2, 1, 2, 2), (1, 2, 3, 1), (2, 2, 2, 1))
+
+
+def test_audit_entries_match_is_extension_from():
+    rng = random.Random(107)
+    for shape in SMALL_SHAPES * 2:
+        p = _random_module(rng, *shape)
+        rep = coarsest_lattice(p)
+        for sub, passed in rep.audit:
+            assert passed is False
+            assert is_extension_from(p, sub)[0] is False
+
+
+def test_audit_asks_each_part_once(monkeypatch):
+    rng = random.Random(109)
+    asked = []
+
+    def counted(v, p):
+        asked.append(v)
+        return member(v, p)
+
+    monkeypatch.setattr("ndsys.coarsest.member", counted)
+    for shape in SMALL_SHAPES:
+        asked.clear()
+        rep = coarsest_lattice(_random_module(rng, *shape))
+        assert len(asked) == len(set(asked))
+        if rep.rank:
+            assert asked
+    asked.clear()
+    rep = coarsest_lattice(Submodule(2, 1, [pv("1 + s1*s2 + s2^2", 2, 1)]))
+    assert len(rep.audit) == 21
+    assert 0 < len(asked) == len(set(asked))
 
 
 def test_soundness_always():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ndsys.intlat import IntMatrix, lattice_from_rows, zero_lattice
+from ndsys.intlat import IntLattice, IntMatrix, lattice_from_rows, zero_lattice
 from ndsys.laurent import (LaurentPoly, LaurentVec, PolyParseError,
                            apply_monomial_map, coset_split, parse_poly,
                            parse_vector, poly_to_str, vector_to_str)
@@ -113,6 +113,71 @@ def test_coset_split_reassembles():
                 diff = tuple(a - b for a, b in zip(pt, rep))
                 assert lat.contains(diff)
         assert total == v
+
+
+def _per_row_coset_rep(lat, x):
+    """Reference: each basis row's pivot found afresh for every point."""
+    v = list(x)
+    for row in lat.basis.rows:
+        c = next(i for i, val in enumerate(row) if val != 0)
+        q = v[c] // row[c]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return tuple(v)
+
+
+def test_coset_reduction_matches_per_row_reference():
+    rng = random.Random(61)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        # zero rows and dependent rows give rank-deficient lattices
+        lat = lattice_from_rows(n, [[rng.randint(-3, 3) for _ in range(n)]
+                                    for _ in range(rng.randint(0, n + 1))])
+        for _ in range(5):
+            x = tuple(rng.randint(-9, 9) for _ in range(n))
+            assert lat.coset_rep(x) == _per_row_coset_rep(lat, x)
+        k = rng.randint(1, 2)
+        v = LaurentVec([_rand_poly(rng, n) for _ in range(k)])
+        want: dict = {}
+        for j, p in enumerate(v.entries):
+            for e, c in p.terms.items():
+                slot = want.setdefault(_per_row_coset_rep(lat, e), [{} for _ in range(k)])
+                slot[j][e] = c
+        parts = coset_split(v, lat)
+        assert list(parts) == sorted(want)
+        assert all([q.terms for q in part.entries] == want[rep]
+                   for rep, part in parts.items())
+
+
+def test_sums_and_products_match_dict_reference():
+    """Cancelling terms are dropped, and every other term equals the plain
+    dict sum of the contributions."""
+    def ref_add(*terms_list):
+        out: dict = {}
+        for terms in terms_list:
+            for e, c in terms:
+                out[e] = out.get(e, 0) + c
+        return {e: c for e, c in out.items() if c}
+
+    def ref_mul(a, b):
+        return ref_add([(tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+                        for e1, c1 in a.terms.items() for e2, c2 in b.terms.items()])
+
+    s1 = parse_poly("s1", 2)
+    one = LaurentPoly.constant(2, 1)
+    assert ((s1 - one) * (s1 + one)).terms == {(2, 0): 1, (0, 0): -1}
+    rng = random.Random(47)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        a, b = _rand_poly(rng, n), _rand_poly(rng, n)
+        assert (a + (-a)).terms == {}
+        assert (a + b).terms == ref_add(a.terms.items(), b.terms.items())
+        assert (a * b).terms == ref_mul(a, b)
+        # (a + b) * (a - b) cancels the cross terms of a*b and b*a
+        assert ((a + b) * (a - b)).terms == ref_mul(a + b, a - b)
+        for p in (a + (-a), (a + b) * (a - b), a * b - b * a):
+            assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+        assert (a * b - b * a).is_zero()
 
 
 def test_coset_split_zero_lattice_splits_by_point():
