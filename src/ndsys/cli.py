@@ -318,6 +318,8 @@ def _cmd_coarsest(sf: SystemFile, args) -> dict:
     primes = tuple(_int_list(args.audit_primes, "--audit-primes", 2))
     if not all(map(is_prime, primes)):
         raise InputError(f"--audit-primes values must be primes, got {args.audit_primes!r}")
+    if len(set(primes)) != len(primes):
+        raise InputError(f"--audit-primes values must be distinct, got {args.audit_primes!r}")
     if not 1 <= args.index_bound <= MAX_ORACLE_INDEX:
         raise InputError(f"--index-bound must be between 1 and {MAX_ORACLE_INDEX}")
     bound = args.index_bound if args.oracle else None

@@ -105,8 +105,12 @@ def coarsest_lattice(p: Submodule, audit_primes=(2, 3, 5, 7),
     extends from, so no index-p sublattice of the candidate can pass; a
     passing audit entry is a defect and raises InvariantError.  An entry
     is judged by is_extension_from's rule, with each coset part's
-    membership asked once for the whole audit.
+    membership asked once for the whole audit.  A repeated audit modulus
+    would repeat its entries and raises ValueError.
     """
+    audit_primes = tuple(audit_primes)
+    if len(set(audit_primes)) != len(audit_primes):
+        raise ValueError(f"audit modulus repeated in {audit_primes}")
     lat = support_difference_lattice(p)
     ok, _ = is_extension_from(p, lat)
     if not ok:

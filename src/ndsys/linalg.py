@@ -117,7 +117,9 @@ def nullspace_basis(rows: list[Row], ncols: int) -> list[Row]:
     """Basis of {x : A x = 0} for the sparse row list A, columns 0..ncols-1.
 
     The basis is canonical: one vector per free column, with value 1 at the
-    free column and pivot entries back-substituted.
+    free column and pivot entries back-substituted.  Window systems repeat a
+    few values many times over, so each entry Fraction(-v, lead) is built
+    once per call and shared between the vectors.
     """
     sb = SpanBuilder()
     for r in rows:
@@ -134,15 +136,23 @@ def nullspace_basis(rows: list[Row], ncols: int) -> list[Row]:
             prow = dict(prow)
             for c in hits:
                 _eliminate(prow, c, reduced[c])
-            prow = strip_content(prow)
+            content = gcd(*prow.values())
+            if content != 1:
+                prow = {c: v // content for c, v in prow.items()}
         reduced[pcol] = prow
-    basis = {free: {free: Fraction(1)} for free in range(ncols)
-             if free not in reduced}
+    one = Fraction(1)
+    basis = {free: {free: one} for free in range(ncols) if free not in reduced}
+    # lead -> v -> Fraction(-v, lead)
+    values: dict[int, dict[int, Fraction]] = {}
     # pivots in insertion order, so each vector lists them in that order
     for pcol in sb.pivots:
         prow = reduced[pcol]
         lead = prow[pcol]
+        shared = values.setdefault(lead, {})
         for c, v in prow.items():
             if c != pcol:
-                basis[c][pcol] = Fraction(-v, lead)
+                val = shared.get(v)
+                if val is None:
+                    val = shared[v] = Fraction(-v, lead)
+                basis[c][pcol] = val
     return list(basis.values())

@@ -1,7 +1,7 @@
 """Finite-window trajectory oracle.
 
 Solutions of a difference system on a finite window are computed by exact
-rational linear algebra on the instantiated equations: one equation per
+linear algebra on the instantiated equations: one primitive int equation per
 (generator, shift) whose shifted support fits inside the window.  This path
 never consults a Groebner basis, so it serves as an independent check for
 the symbolic operations.
@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .linalg import Row, SpanBuilder, nullspace_basis
+from .linalg import Row, SpanBuilder, nullspace_basis, strip_content
 from .laurent import Exp, LaurentVec
 from .groebner import Submodule
 from .sublattice import ContractedModule, extend
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -104,22 +106,25 @@ class WindowSolutionSpace:
         return len(self.basis)
 
     def value(self, vec: Row, point: Exp, comp: int) -> Fraction:
-        return vec.get(self.index[(point, comp)], Fraction(0))
+        return vec.get(self.index[(point, comp)], _ZERO)
 
 
 def _equation_rows(gens: list[LaurentVec], window: Window,
                    index: dict[tuple[Exp, int], int]):
-    """One row per generator and window-supported shift of it."""
+    """One row per generator and window-supported shift of it.
+
+    Every shift of a generator has its coefficients, so they are scaled to
+    primitive ints once per generator; each row is a positive multiple of the
+    generator's shifted coefficients and spans the same space.
+    """
     for g in gens:
-        supp = g.support()
-        for y in _valid_shifts(supp, window):
-            row: Row = {}
-            for j, poly in enumerate(g.entries):
-                for e, c in poly.terms.items():
-                    pt = tuple(a + b for a, b in zip(e, y))
-                    row[index[(pt, j)]] = c
-            if row:
-                yield row
+        terms = strip_content({(e, j): c for j, poly in enumerate(g.entries)
+                               for e, c in poly.terms.items()})
+        if not terms:
+            continue
+        for y in _valid_shifts(g.support(), window):
+            yield {index[(tuple(a + b for a, b in zip(e, y)), j)]: c
+                   for (e, j), c in terms.items()}
 
 
 def window_solutions(mod_or_gens, window: Window, k: int | None = None) -> WindowSolutionSpace:
@@ -210,7 +215,9 @@ def restriction_check(p: Submodule, s, w) -> bool:
     span a space of the same dimension.
 
     Both comparisons run on an interior core of the box, one support
-    diameter in from the boundary, to keep boundary artifacts out.
+    diameter in from the boundary, to keep boundary artifacts out.  Each
+    restricted trajectory is scaled to a primitive int row, so the equation
+    test sums ints: a positive scale does not change whether a sum is zero.
     """
     from .sublattice import contract
 
@@ -236,22 +243,19 @@ def restriction_check(p: Submodule, s, w) -> bool:
 
     sols = window_solutions(p, full)
     t_index = _window_index(t_window, p.k)
-    restricted: list[Row] = []
-    for vec in sols.basis:
-        row: Row = {}
-        for x in sub_pts:
-            for j in range(p.k):
-                val = sols.value(vec, x, j)
-                if val:
-                    row[t_index[(t_of[x], j)]] = val
-        restricted.append(row)
+    # (window column, t-window column) of each restricted unknown
+    cols = [(sols.index[(x, j)], t_index[(t_of[x], j)])
+            for x in sub_pts for j in range(p.k)]
+    restricted = [strip_content({tc: vec[wc] for wc, tc in cols if wc in vec})
+                  for vec in sols.basis]
 
     q_rows = list(_equation_rows(list(q.module.generators), t_window, t_index))
     for row in restricted:
+        get = row.get
         for eq in q_rows:
-            acc = Fraction(0)
+            acc = 0
             for col, c in eq.items():
-                v = row.get(col)
+                v = get(col)
                 if v:
                     acc += c * v
             if acc:

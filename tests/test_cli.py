@@ -181,8 +181,9 @@ def test_analyze_image_rep_annihilates_rows(monkeypatch, capsys):
     ["coarsest", "hexagonal.system", "--audit-primes", "2,x"],
     ["coarsest", "hexagonal.system", "--audit-primes", "2,4"],
     ["coarsest", "hexagonal.system", "--audit-primes", "6"],
+    ["coarsest", "hexagonal.system", "--audit-primes", "2,2"],
 ], ids=["zero-modulus", "moduli-not-integer", "audit-primes-not-integer",
-        "audit-primes-not-prime", "audit-primes-six"])
+        "audit-primes-not-prime", "audit-primes-six", "audit-primes-repeated"])
 def test_bad_integer_option_exits_two(argv, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 2

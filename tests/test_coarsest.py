@@ -174,6 +174,15 @@ def test_audit_n3():
     assert is_extension_from(p, rep.lattice)[0]
 
 
+def test_audit_rejects_repeated_modulus():
+    p = Submodule(3, 1, [pv("1 + s1*s2 + s2*s3 + s3^2", 3, 1)])
+    for primes in ((2, 2), (3, 2, 3), [5, 5]):
+        with pytest.raises(ValueError, match="repeated"):
+            coarsest_lattice(p, primes)
+    rep = coarsest_lattice(p, (2, 3))
+    assert len(rep.audit) == len({sub for sub, _ in rep.audit}) == 7 + 13
+
+
 def _random_module(rng, k, m, nterms, emax):
     gens = []
     for _ in range(m):

@@ -183,6 +183,7 @@ def test_integer_builder_matches_fraction_reference_on_random_rows():
     (["-1 - s1*s2 - s2^2"], 1, 9),
     (["[s1 - 1, s2 + 1]", "[s2^2 - s1, s1*s2 - 3]"], 2, 11),
     (["1/2 - 3*s1 + 5/7*s1*s2^2"], 1, 13),
+    (["-2 - 4*s1*s2 + 6*s2^2"], 1, 9),
 ])
 def test_integer_builder_matches_fraction_reference_on_windows(texts, k, side):
     gens = [parse_vector(t, 2, k) for t in texts]
