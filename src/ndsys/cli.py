@@ -397,7 +397,7 @@ def _cmd_galois(sf: SystemFile, args) -> dict:
            "moduli": list(info.moduli),
            "order": info.order,
            "generators": [list(g) for g in info.group.generators]}
-    if args.moduli:
+    if args.moduli is not None:
         d = _int_list(args.moduli, "--moduli", 1)
         if len(d) != sf.n:
             raise InputError("--moduli length must equal n")

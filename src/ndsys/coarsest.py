@@ -5,20 +5,24 @@ reduced Groebner basis.  Any lattice the system extends from must contain
 every such difference, and each reduced generator sits inside a single coset
 of the candidate, so the candidate itself always passes; minimality is
 guarded by an index-p audit and, at small scale, by brute-force enumeration
-against the window oracle.  The audit writes each index-p sublattice down in
-closed form from a functional on the candidate's basis, and tests each coset
-part of the reduced generators for membership once per coarsest_lattice call.
+against the window oracle.  The audit writes each index-p sublattice's
+canonical basis down in closed form from a functional a on the candidate's
+basis, with no HNF run.  It splits the reduced generators into coset parts
+by coordinate buckets: each term's coordinates c on the candidate's basis
+are found once per coarsest_lattice call, and a.c mod p names the term's
+coset.  Each distinct part is tested for membership once per call, and the
+brute-force oracle likewise certifies each distinct part once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, isqrt
+from operator import mul
 
-from .intlat import IntLattice, lattice_from_rows, meet, zero_lattice
-from .laurent import coset_split
+from .intlat import IntLattice, IntMatrix, lattice_from_rows, meet, zero_lattice
+from .laurent import LaurentPoly, LaurentVec, coset_split
 from .groebner import InvariantError, Submodule, groebner_basis, member, syzygies
-from .sublattice import is_extension_from
 from .trajectories import WindowSpan, default_membership_window
 
 # largest index bound brute_force_coarsest enumerates up to
@@ -43,10 +47,12 @@ def is_constant_module(p: Submodule) -> bool:
     Such modules are free; the syzygy computation double-checks that on the
     canonical generators.
     """
-    if support_difference_lattice(p).rank != 0:
-        return False
-    gens = list(groebner_basis(p))
-    rel = syzygies(gens, p.nvars, p.k)
+    return support_difference_lattice(p).rank == 0 and _is_free(p)
+
+
+def _is_free(p: Submodule) -> bool:
+    """True, after checking the canonical generators have no relations."""
+    rel = syzygies(groebner_basis(p), p.nvars, p.k)
     if not rel.is_zero_module():
         raise InvariantError("constant module with nonzero relations")
     return True
@@ -65,26 +71,90 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
+def _echelon_pivots(rows) -> list[int] | None:
+    """Pivot columns of rows in echelon form with positive pivots, else None."""
+    cols: list[int] = []
+    for row in rows:
+        col = next((i for i, v in enumerate(row) if v), None)
+        if col is None or row[col] < 0 or (cols and col <= cols[-1]):
+            return None
+        cols.append(col)
+    return cols
+
+
 def maximal_sublattices(lat: IntLattice, prime: int) -> list[IntLattice]:
     """All (p^r - 1)/(p - 1) index-p sublattices of a rank-r lattice.
 
-    Each is the kernel of a functional a = (0, .., 0, 1, a_{l+1}, ..) mod p
-    on the coefficients of the basis b; that kernel has the basis e_j
-    (j < l), p*e_l and e_j - a_j*e_l (j > l), so the sublattice is spanned by
-    b_j, p*b_l and b_j - a_j*b_l.  The count holds only for a prime p, and a
-    non-prime raises ValueError.
+    Each is the kernel of a normalized functional a (first nonzero entry 1)
+    mod p on the coefficients of the basis b.  With m the index of a's last
+    nonzero entry and t_i = -a_i * a_m^-1 mod p, that kernel has the basis
+    e_i + t_i*e_m (i != m) and p*e_m, so the sublattice is spanned by
+    b_i + t_i*b_m and p*b_m.  When b is in echelon form (an HNF basis always
+    is) these rows are too, on b's pivot columns, and reducing the entries
+    above each pivot into [0, pivot) gives the canonical basis without an HNF
+    run; any other basis goes through lattice_from_rows.  The list follows
+    _normalized_functionals' order.  The count holds only for a prime p, and
+    a non-prime raises ValueError.
     """
     if not is_prime(prime):
         raise ValueError(f"audit modulus {prime} is not prime")
     b = lat.basis.rows
+    cols = _echelon_pivots(b)
+    minus_inverse = [0] + [-pow(x, -1, prime) for x in range(1, prime)]
     out = []
     for a in _normalized_functionals(lat.rank, prime):
-        lead = a.index(1)
-        rows = list(b[:lead])
-        rows.append(tuple(prime * v for v in b[lead]))
-        rows += [tuple(v - aj * w for v, w in zip(bj, b[lead]))
-                 for aj, bj in zip(a[lead + 1:], b[lead + 1:])]
-        out.append(lattice_from_rows(lat.ambient, rows))
+        m = len(a) - 1
+        while not a[m]:
+            m -= 1
+        bm = b[m]
+        rows = list(b)
+        rows[m] = tuple(prime * w for w in bm)
+        for i in range(m):
+            if a[i]:
+                t = a[i] * minus_inverse[a[m]] % prime
+                rows[i] = tuple(v + t * w for v, w in zip(b[i], bm))
+        if cols is None:
+            out.append(lattice_from_rows(lat.ambient, rows))
+            continue
+        # same pivots as b: reduce above each pivot, in ascending order
+        for j, col in enumerate(cols):
+            rj = rows[j]
+            for i in range(j):
+                q = rows[i][col] // rj[col]
+                if q:
+                    rows[i] = tuple(v - q * w for v, w in zip(rows[i], rj))
+        out.append(IntLattice(lat.ambient, IntMatrix(tuple(rows), lat.ambient)))
+    return out
+
+
+def _coordinate_terms(gens, lat: IntLattice):
+    """Each generator's terms with the coordinates, on lat's basis, of the
+    term's exponent minus the exponent of the generator's first term.
+
+    Returns one ((component, exponent, coefficient) list, coordinate list)
+    pair per generator.  Every generator lies in one coset of lat by
+    construction, so a point off lat raises InvariantError.
+    """
+    steps = [(next(i for i, v in enumerate(row) if v), row) for row in lat.basis.rows]
+    out = []
+    for g in gens:
+        terms = [(j, e, c) for j, poly in enumerate(g.entries) for e, c in poly.terms.items()]
+        base = terms[0][1]
+        coords = []
+        for _, e, _ in terms:
+            x = tuple(a - b for a, b in zip(e, base))
+            c = []
+            for col, row in steps:
+                q, rem = divmod(x[col], row[col])
+                if rem:
+                    break
+                if q:
+                    x = tuple(a - q * w for a, w in zip(x, row))
+                c.append(q)
+            if any(x):
+                raise InvariantError("candidate lattice rejected by its own construction")
+            coords.append(c)
+        out.append((terms, coords))
     return out
 
 
@@ -104,36 +174,58 @@ def coarsest_lattice(p: Submodule, audit_primes=(2, 3, 5, 7),
     Each reduced generator lies in one coset of any lattice the module
     extends from, so no index-p sublattice of the candidate can pass; a
     passing audit entry is a defect and raises InvariantError.  An entry
-    is judged by is_extension_from's rule, with each coset part's
-    membership asked once for the whole audit.  A repeated audit modulus
-    would repeat its entries and raises ValueError.
+    is judged by is_extension_from's rule: every coset part of a generator
+    that meets two or more cosets must be a member.  The parts come from
+    coordinate buckets, not coset reduction: each term's coordinates c on
+    the candidate's basis, relative to its generator's first term, are
+    found once per call, and the parts for the entry of functional a
+    are the terms grouped by a.c mod p.  Each part's membership is asked
+    once for the whole audit.  A repeated audit modulus would repeat its
+    entries and raises ValueError.
     """
     audit_primes = tuple(audit_primes)
     if len(set(audit_primes)) != len(audit_primes):
         raise ValueError(f"audit modulus repeated in {audit_primes}")
     lat = support_difference_lattice(p)
-    ok, _ = is_extension_from(p, lat)
-    if not ok:
-        raise InvariantError("candidate lattice rejected by its own construction")
-    gens = groebner_basis(p)
+    gens = _coordinate_terms(groebner_basis(p), lat)
     known: dict = {}
+    # (generator, indices of the terms in one part) -> part is a member
+    held: dict = {}
 
-    def is_member(part) -> bool:
-        if part not in known:
-            known[part] = member(part, p)
-        return known[part]
+    def holds(gi: int, idx: tuple) -> bool:
+        verdict = held.get((gi, idx))
+        if verdict is None:
+            terms = gens[gi][0]
+            slot = [{} for _ in range(p.k)]
+            for i in idx:
+                j, e, c = terms[i]
+                slot[j][e] = c
+            part = LaurentVec([LaurentPoly._of(p.nvars, t) for t in slot])
+            verdict = known.get(part)
+            if verdict is None:
+                verdict = known[part] = member(part, p)
+            held[gi, idx] = verdict
+        return verdict
 
     audit: list[tuple[IntLattice, bool]] = []
     for prime in audit_primes:
-        for sub in maximal_sublattices(lat, prime):
-            if _parts_pass(gens, sub, is_member):
+        subs = maximal_sublattices(lat, prime)
+        for a, sub in zip(_normalized_functionals(lat.rank, prime), subs):
+            for gi, (_, coords) in enumerate(gens):
+                buckets: dict = {}
+                for i, c in enumerate(coords):
+                    buckets.setdefault(sum(map(mul, a, c)) % prime, []).append(i)
+                if len(buckets) > 1 and not all(holds(gi, tuple(idx))
+                                                for idx in buckets.values()):
+                    break
+            else:
                 raise InvariantError(f"index-{prime} sublattice passed the minimality audit")
             audit.append((sub, False))
     oracle_confirmed = None
     if oracle_index_bound is not None:
         oracle = brute_force_coarsest(p, oracle_index_bound)
         oracle_confirmed = oracle == lat
-    return CoarsestReport(lat, lat.rank, is_constant_module(p), tuple(audit),
+    return CoarsestReport(lat, lat.rank, lat.rank == 0 and _is_free(p), tuple(audit),
                           oracle_confirmed)
 
 
@@ -153,7 +245,8 @@ def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
 
     Sound because the family of lattices a module extends from is closed
     under intersection and upward inclusion; complete as long as the true
-    answer is within the enumeration bounds.
+    answer is within the enumeration bounds.  Each distinct coset part is
+    certified in the window span once per call.
     """
     n = p.nvars
     if n > 2:
@@ -183,10 +276,17 @@ def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
                 if gcd(abs(x), abs(y)) == 1:
                     candidates.append(lattice_from_rows(2, [[x, y]]))
 
+    known: dict = {}
+
+    def certified(part) -> bool:
+        if part not in known:
+            known[part] = span.contains(part)
+        return known[part]
+
     cur: IntLattice | None = None
     for lat in candidates:
         # Groebner-free: the raw generators' parts, certified in the window span
-        if _parts_pass(p.generators, lat, span.contains):
+        if _parts_pass(p.generators, lat, certified):
             cur = lat if cur is None else meet(cur, lat)
     if cur is None:
         raise InvariantError("the full lattice failed the window extension test")

@@ -73,9 +73,13 @@ class SpanBuilder:
         """An int multiple of row with every pivot column eliminated.
 
         Pivot columns go in increasing order; eliminating one can only bring
-        in larger columns, and those that are pivots join the heap.
+        in larger columns, and those that are pivots join the heap.  An int
+        row is copied as it is, zeros dropped: its content is divided out
+        by add, so only a row holding a Fraction needs strip_content.
         """
-        out = strip_content(row)
+        out = {c: v for c, v in row.items() if v}
+        if any(type(v) is not int for v in out.values()):
+            out = strip_content(out)
         pivots = self.pivots
         heap = [c for c in out if c in pivots]
         heapify(heap)

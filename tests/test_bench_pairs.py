@@ -1,0 +1,83 @@
+"""tools/bench_pairs.py: pair order, summaries and the record, with run.py stubbed."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("_bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+bench_pairs = _load()
+
+
+def test_seed_lists():
+    assert bench_pairs._seeds("1-3,7") == [1, 2, 3, 7]
+    assert bench_pairs._pair_spec("query-mix=4") == ("query-mix", [4])
+    with pytest.raises(Exception):
+        bench_pairs._pair_spec("query-mix")
+
+
+def test_summary_quartiles():
+    assert bench_pairs._summary([2.0]) == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    assert bench_pairs._summary([1.0, 2.0, 3.0, 4.0, 5.0]) == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+
+
+def _checkout(path: Path) -> Path:
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text("")
+    (path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 35, "end_to_end": [
+        {"name": "wall_s", "better": "lower"}, {"name": "ok_ratio", "better": "higher"}]}))
+    return path
+
+
+def test_pairs_alternate_and_count_wins(tmp_path, monkeypatch):
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        side = "parent" if checkout == parent else "change"
+        calls.append((side, seed, trace, seconds))
+        wall = {"parent": 1.0, "change": 0.8 if seed != 3 else 1.2}[side]
+        if trace:
+            results = checkout / "perfbench" / "results"
+            results.mkdir(exist_ok=True)
+            (results / f"{workload}-seed{seed}-trace1.json").write_text(
+                json.dumps({"span_counts": {"coarsest.coarsest_lattice": 126}}))
+            return {"correct": True, "exit": 0,
+                    "metrics": {"coarsest.audit_candidates": {"value": 2599, "unit": "count"}}}
+        return {"correct": True, "exit": 0,
+                "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                            "ok_ratio": {"value": 1.0, "unit": "ratio"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
+                             "--pairs", "query-mix=1-4"]) == 0
+    untraced = [c for c in calls if not c[2]]
+    assert [c[0] for c in untraced] == ["parent", "change", "change", "parent",
+                                        "parent", "change", "change", "parent"]
+    assert {seconds for _, _, _, seconds in calls} == {35}
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    wall = record["untraced"]["workloads"]["query-mix"]["wall_s"]
+    assert wall["change_better_pairs"] == 3 and wall["pairs"] == 4
+    assert wall["parent"]["median"] == 1.0 and wall["change"]["median"] == 0.8
+    ok = record["untraced"]["workloads"]["query-mix"]["ok_ratio"]
+    assert ok["change_better_pairs"] == 0
+    traced = record["traced_seed1"]["workloads"]["query-mix"]
+    for side in ("parent", "change"):
+        assert traced[side]["exit"] == 0 and traced[side]["coarsest.audit_candidates"] == 2599
+        assert traced[side]["span_counts"] == {"coarsest.coarsest_lattice": 126}

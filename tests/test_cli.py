@@ -178,11 +178,12 @@ def test_analyze_image_rep_annihilates_rows(monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["galois", "hexagonal.system", "--lattice", "hex", "--moduli", "0,2"],
     ["galois", "hexagonal.system", "--lattice", "hex", "--moduli", "2,x"],
+    ["galois", "hexagonal.system", "--lattice", "hex", "--moduli", ""],
     ["coarsest", "hexagonal.system", "--audit-primes", "2,x"],
     ["coarsest", "hexagonal.system", "--audit-primes", "2,4"],
     ["coarsest", "hexagonal.system", "--audit-primes", "6"],
     ["coarsest", "hexagonal.system", "--audit-primes", "2,2"],
-], ids=["zero-modulus", "moduli-not-integer", "audit-primes-not-integer",
+], ids=["zero-modulus", "moduli-not-integer", "moduli-empty", "audit-primes-not-integer",
         "audit-primes-not-prime", "audit-primes-six", "audit-primes-repeated"])
 def test_bad_integer_option_exits_two(argv, capsys):
     code, _, err = run_cli(argv, capsys)

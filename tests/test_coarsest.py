@@ -5,10 +5,11 @@ import pytest
 
 from ndsys.intlat import (IntLattice, IntMatrix, _congruence_solution_lattice,
                           full_lattice, lattice_from_rows, meet, zero_lattice)
-from ndsys.laurent import LaurentPoly, LaurentVec, parse_vector
-from ndsys.groebner import InvariantError, Submodule, member
+from ndsys.laurent import LaurentPoly, LaurentVec, coset_split, parse_vector
+from ndsys.groebner import InvariantError, Submodule, groebner_basis, member
 from ndsys.sublattice import is_extension_from
-from ndsys.coarsest import (_normalized_functionals, brute_force_coarsest,
+from ndsys.trajectories import WindowSpan
+from ndsys.coarsest import (_normalized_functionals, _parts_pass, brute_force_coarsest,
                             coarsest_lattice, is_constant_module, is_prime,
                             maximal_sublattices, support_difference_lattice)
 
@@ -164,6 +165,43 @@ def test_maximal_sublattices_match_kernel_reference():
         checked += 1
 
 
+def _row_sublattices(lat, prime):
+    """Reference: for a = (0, .., 0, 1, a_{l+1}, ..) the rows b_j (j < l),
+    p*b_l and b_j - a_j*b_l (j > l), put through lattice_from_rows."""
+    b = lat.basis.rows
+    out = []
+    for a in _normalized_functionals(lat.rank, prime):
+        lead = a.index(1)
+        rows = list(b[:lead])
+        rows.append(tuple(prime * v for v in b[lead]))
+        rows += [tuple(v - aj * w for v, w in zip(bj, b[lead]))
+                 for aj, bj in zip(a[lead + 1:], b[lead + 1:])]
+        out.append(lattice_from_rows(lat.ambient, rows))
+    return out
+
+
+def test_closed_form_matches_row_reference():
+    rng = random.Random(113)
+    cases = 0
+    for n in range(1, 5):
+        for r in range(1, n + 1):
+            built = 0
+            while built < 3:
+                rows = [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(r)]
+                hnf_lat = lattice_from_rows(n, rows)
+                if hnf_lat.rank != r:
+                    continue
+                for lat in (hnf_lat, IntLattice(n, IntMatrix.from_rows(rows, n))):
+                    for p in (2, 3, 5, 7):
+                        if r == 4 and p > 3:
+                            continue
+                        got = maximal_sublattices(lat, p)
+                        assert got == _row_sublattices(lat, p)
+                        cases += len(got)
+                built += 1
+    assert cases > 1000
+
+
 def test_audit_n3():
     p = Submodule(3, 1, [pv("1 + s1*s2 + s2*s3 + s3^2", 3, 1)])
     rep = coarsest_lattice(p)
@@ -232,6 +270,78 @@ def test_audit_asks_each_part_once(monkeypatch):
     assert 0 < len(asked) == len(set(asked))
 
 
+def _reference_report(p, primes=(2, 3, 5, 7)):
+    """Reference: the audit by row sublattices and _parts_pass's coset_split,
+    one member call per part."""
+    lat = support_difference_lattice(p)
+    gens = groebner_basis(p)
+    known = {}
+
+    def holds(part):
+        if part not in known:
+            known[part] = member(part, p)
+        return known[part]
+
+    audit = tuple((sub, _parts_pass(gens, sub, holds))
+                  for prime in primes for sub in _row_sublattices(lat, prime))
+    return lat, lat.rank, is_constant_module(p), audit
+
+
+def _report_fields(rep):
+    return rep.lattice, rep.rank, rep.is_constant_module, rep.audit
+
+
+def test_audit_matches_coset_split_reference(monkeypatch):
+    asked = []
+
+    def counted(v, p):
+        asked.append(v)
+        return member(v, p)
+
+    monkeypatch.setattr("ndsys.coarsest.member", counted)
+    rng = random.Random(127)
+    modules = [_random_module(rng, *shape) for shape in SMALL_SHAPES * 3]
+    modules += [Submodule(3, 1, [pv("1 + s1*s2 + s2*s3 + s3^2", 3, 1)]),
+                Submodule(2, 1, [pv("1 + s1*s2", 2, 1)]),
+                Submodule(2, 1, [pv("1 + s1*s2 + s2^2", 2, 1)]),
+                Submodule(2, 2, [pv("[1, 2]", 2, 2), pv("[0, 3]", 2, 2)]),
+                # coordinates past p: 0, 7 and 3 on the candidate Z
+                Submodule(1, 1, [pv("1 + s1^7 + 2*s1^3", 1, 1)]),
+                Submodule(2, 1, [pv("1 + s1^7*s2 + s2^3", 2, 1)])]
+    for p in modules:
+        rep = coarsest_lattice(p)
+        assert _report_fields(rep) == _reference_report(p)
+        assert rep.oracle_confirmed is None
+        for prime in (2, 3, 5, 7):
+            asked.clear()
+            rep = coarsest_lattice(p, (prime,))
+            # every part asked is a coset part of a generator for an entry
+            parts = {part for sub, _ in rep.audit for g in groebner_basis(p)
+                     for part in coset_split(g, sub).values()}
+            assert set(asked) <= parts
+    p = Submodule(3, 1, [pv("1 + s1*s2 + s2*s3 + s3^2", 3, 1)])
+    assert _report_fields(coarsest_lattice(p, (5, 2))) == _reference_report(p, (5, 2))
+
+
+def test_brute_force_certifies_each_part_once(monkeypatch):
+    asked = []
+    contains = WindowSpan.contains
+
+    def counted(self, v):
+        asked.append(v)
+        return contains(self, v)
+
+    monkeypatch.setattr(WindowSpan, "contains", counted)
+    hexagonal = Submodule(2, 1, [pv("1 + s1*s2 + s2^2", 2, 1)])
+    assert brute_force_coarsest(hexagonal, 16) == lattice_from_rows(2, [[1, 1], [0, 2]])
+    # the three terms make at most 7 distinct parts: each term, each pair, all
+    assert 0 < len(asked) == len(set(asked)) <= 7
+    for p, want in zip(ORACLE_FIXTURES, ORACLE_LATTICES):
+        asked.clear()
+        assert brute_force_coarsest(p, 16) == want
+        assert len(asked) == len(set(asked))
+
+
 def test_soundness_always():
     rng = random.Random(83)
     for _ in range(12):
@@ -275,14 +385,24 @@ def test_passing_family_closed_under_meet():
         hits += 1
 
 
+ORACLE_FIXTURES = [
+    Submodule(1, 1, [pv("s1^3 - 1", 1, 1)]),
+    Submodule(1, 1, [pv("s1^4 + s1^2 + 1", 1, 1)]),
+    Submodule(2, 1, [pv("s1^2 - s2^2", 2, 1)]),
+    Submodule(1, 2, [pv("[s1^2, 1]", 1, 2)]),
+    Submodule(2, 1, [pv("1 + s1^2*s2^2", 2, 1), pv("s1^4 - 1", 2, 1)]),
+]
+# the oracle's answers before it cached its certificates
+ORACLE_LATTICES = [
+    lattice_from_rows(1, [[3]]),
+    lattice_from_rows(1, [[2]]),
+    lattice_from_rows(2, [[2, -2]]),
+    lattice_from_rows(1, [[2]]),
+    lattice_from_rows(2, [[2, 2], [0, 4]]),
+]
+
+
 def test_agreement_candidate_vs_oracle_fixture_family():
-    fixtures = [
-        Submodule(1, 1, [pv("s1^3 - 1", 1, 1)]),
-        Submodule(1, 1, [pv("s1^4 + s1^2 + 1", 1, 1)]),
-        Submodule(2, 1, [pv("s1^2 - s2^2", 2, 1)]),
-        Submodule(1, 2, [pv("[s1^2, 1]", 1, 2)]),
-        Submodule(2, 1, [pv("1 + s1^2*s2^2", 2, 1), pv("s1^4 - 1", 2, 1)]),
-    ]
-    for p in fixtures:
+    for p in ORACLE_FIXTURES:
         rep = coarsest_lattice(p)
         assert brute_force_coarsest(p, 16) == rep.lattice

@@ -1,0 +1,178 @@
+"""Run benchmark pairs of a parent and a change checkout; write BENCH_<label>.json.
+
+    python3 tools/bench_pairs.py --parent DIR --change DIR --label NAME \\
+        --pairs query-mix=1-10 --pairs contract-ladder=1,2,3 [--describe TEXT]
+
+Each checkout is a source tree with its own ``perfbench/run.py``.  Every run
+lasts the ``run_seconds`` of the change checkout's ``BENCHMARK.json``.  For
+every seed of every ``--pairs`` workload, the tool runs ``run.py --trace 0``
+once in each checkout, one child process at a time, and alternates which side
+goes first: the parent on even pair indices, the change on odd ones.  It then
+runs one ``--trace 1`` pass of every named workload on seed 1 in each
+checkout.  The record is written to ``BENCH_<label>.json`` in the current
+directory.
+
+It gives, for each end-to-end metric, the median and quartiles of each side
+(``statistics.quantiles``, inclusive method), every run's value in pair
+order, and ``change_better_pairs``: the pairs in which the change is strictly
+better, in the direction ``BENCHMARK.json`` declares.  Traced runs keep their
+exit code, ``correct``, every per-layer metric and the span counts ``run.py``
+wrote to its results file.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def _seeds(text: str) -> list[int]:
+    """'1-3,7' -> [1, 2, 3, 7]."""
+    out: list[int] = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        out += range(int(lo), int(hi or lo) + 1)
+    return out
+
+
+def _pair_spec(text: str) -> tuple[str, list[int]]:
+    name, sep, seeds = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD=SEEDS, got {text!r}")
+    try:
+        return name, _seeds(seeds)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad seed list in {text!r}") from None
+
+
+def _commit(checkout: Path) -> str:
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                              capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One run.py child; its JSON result plus the exit code."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    try:
+        proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                              timeout=4 * seconds + 300)
+    except subprocess.TimeoutExpired:
+        return {"exit": None, "correct": False, "metrics": {}}
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = {"correct": False, "metrics": {}}
+    result["exit"] = proc.returncode
+    return result
+
+
+def _benchmark(checkout: Path) -> tuple[float, dict[str, str]]:
+    """Run length and each end-to-end metric's better direction."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    return spec["run_seconds"], {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def _summary(values: list[float]) -> dict[str, float]:
+    if len(values) == 1:
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(med, 6), "q1": round(q1, 6), "q3": round(q3, 6)}
+
+
+def untraced_pairs(parent: Path, change: Path, workload: str, seeds: list[int],
+                   seconds: float, better: dict[str, str]) -> dict:
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            res = run_bench(parent if side == "parent" else change, workload, seed, seconds, 0)
+            runs[side].append(res)
+            wall = res.get("metrics", {}).get("wall_s", {}).get("value")
+            print(f"{workload} seed {seed} {side}: exit {res['exit']}, "
+                  f"correct {res.get('correct')}, wall_s {wall}", file=sys.stderr)
+    out: dict = {}
+    for name, direction in better.items():
+        got = {side: [r["metrics"][name]["value"] for r in rs if name in r.get("metrics", {})]
+               for side, rs in runs.items()}
+        if not got["parent"] or len(got["parent"]) != len(got["change"]):
+            continue
+        pairs = list(zip(got["parent"], got["change"]))
+        wins = sum(c < p if direction == "lower" else c > p for p, c in pairs)
+        unit = runs["parent"][0]["metrics"][name]["unit"]
+        out[name] = {"unit": unit,
+                     "parent": _summary(got["parent"]), "change": _summary(got["change"]),
+                     "change_better_pairs": wins, "pairs": len(pairs),
+                     "values": {side: [round(v, 6) for v in vals] for side, vals in got.items()}}
+    out["correct"] = {side: all(r.get("correct") and r["exit"] == 0 for r in rs)
+                      for side, rs in runs.items()}
+    return out
+
+
+def traced_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    res = run_bench(checkout, workload, seed, seconds, 1)
+    out = {"correct": res.get("correct", False), "exit": res["exit"]}
+    out.update({k: m["value"] for k, m in res.get("metrics", {}).items()})
+    record = checkout / "perfbench" / "results" / f"{workload}-seed{seed}-trace1.json"
+    if res["exit"] == 0 and record.is_file():
+        out["span_counts"] = json.loads(record.read_text()).get("span_counts", {})
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
+    ap.add_argument("--change", type=Path, required=True, help="change checkout")
+    ap.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    ap.add_argument("--pairs", type=_pair_spec, action="append", required=True,
+                    metavar="WORKLOAD=SEEDS", help="e.g. query-mix=1-10 (repeatable)")
+    ap.add_argument("--describe", default="", help="one line on what the change does")
+    args = ap.parse_args(argv)
+
+    parent, change = args.parent.resolve(), args.change.resolve()
+    for checkout in (parent, change):
+        if not (checkout / "perfbench" / "run.py").is_file():
+            print(f"no perfbench/run.py under {checkout}", file=sys.stderr)
+            return 2
+    seconds, better = _benchmark(change)
+    command = f"python3 perfbench/run.py --workload W --seed {{}} --seconds {seconds:g} --trace {{}}"
+    record = {
+        "label": args.label, "change": args.describe,
+        "parent_commit": _commit(parent), "change_commit": _commit(change),
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+        "nproc": os.cpu_count(),
+        "untraced": {
+            "command": command.format("S", 0),
+            "pairs": "one parent and one change run per seed and workload, alternating which "
+                     "side runs first (parent first on even pair indices); "
+                     + "; ".join(f"{w}: seeds {', '.join(map(str, s))}" for w, s in args.pairs),
+            "workloads": {w: untraced_pairs(parent, change, w, s, seconds, better)
+                          for w, s in args.pairs},
+        },
+        "traced_seed1": {
+            "command": command.format(1, 1),
+            "workloads": {w: {side: traced_run(path, w, 1, seconds)
+                              for side, path in (("parent", parent), ("change", change))}
+                          for w, _ in args.pairs},
+        },
+    }
+    out = Path(f"BENCH_{args.label}.json")
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {out.resolve()}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
