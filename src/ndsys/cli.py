@@ -316,6 +316,9 @@ def _cmd_invariant(sf: SystemFile, args) -> dict:
 
 def _cmd_coarsest(sf: SystemFile, args) -> dict:
     primes = tuple(_int_list(args.audit_primes, "--audit-primes", 2))
+    if max(primes) > MAX_ORACLE_INDEX:
+        # an index-p audit lists p + 1 sublattices of Z^2, more in higher n
+        raise InputError(f"--audit-primes values must be at most {MAX_ORACLE_INDEX}")
     if not all(map(is_prime, primes)):
         raise InputError(f"--audit-primes values must be primes, got {args.audit_primes!r}")
     if len(set(primes)) != len(primes):
@@ -442,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--vector", help="vector literal for membership tests")
     ap.add_argument("--window", help="window bounds lo..hi, comma-separated per axis")
     ap.add_argument("--audit-primes", default="2,3,5,7",
-                    help="comma-separated primes for the minimality audit")
+                    help="comma-separated primes for the minimality audit, "
+                         f"each at most {MAX_ORACLE_INDEX}")
     ap.add_argument("--moduli", help="ambient diagonal moduli d1,...,dn for galois")
     ap.add_argument("--index-bound", type=int, default=16,
                     help="enumeration bound for the brute-force oracle")

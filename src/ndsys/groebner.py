@@ -24,7 +24,9 @@ A term order is a flat int tuple key (make_key); its negation orders the
 reducer's heap of pending terms, largest first.  Reducers are looked up by the
 term's component, through a _lead_index of the basis that Buchberger keeps up
 to date and a Submodule keeps beside its saturated basis for member.
-Buchberger drops redundant pairs by the Gebauer-Moeller criteria.
+Buchberger drops redundant pairs by the Gebauer-Moeller criteria and meets
+the rest by least sugar degree, the normal strategy made robust to
+non-homogeneous input, with the smallest lcm first among equal sugars.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, le, neg, sub
+from operator import add, itemgetter, le, neg, sub
 
 from .laurent import Exp, LaurentPoly, LaurentVec
 from .linalg import strip_content
@@ -276,8 +278,8 @@ def _spoly(f: VPoly, lead_f, g: VPoly, lead_g) -> VPoly:
 
 
 def buchberger(gens: list[VPoly], key) -> list[VPoly]:
-    """Buchberger with the Gebauer-Moeller pair criteria and normal
-    (smallest-lcm-first) pair selection.
+    """Buchberger with the Gebauer-Moeller pair criteria and sugar-degree
+    pair selection.
 
     Each element joins the basis through one update, the inputs in their
     order included, and pairs only elements whose leading terms share a
@@ -288,21 +290,33 @@ def buchberger(gens: list[VPoly], key) -> list[VPoly]:
     either of its elements with the newcomer's lead (B); dropped pairs are
     skipped when they reach the top of the queue.  There is no product
     criterion: the coprime-lcm shortcut is unsound for module leading terms.
-    Ties in the lcm order break by pair creation sequence, so the raw output
-    is reproducible run to run.
+
+    Pairs are met by least sugar (Giovini, Mora, Niesi, Robbiano and
+    Traverso, "One sugar cube, please", ISSAC 1991): the normal strategy
+    measured on the degree each element would have if the input were
+    homogenized.  An input's sugar is the largest total degree of its
+    terms, an element from a reduction takes the sugar of its pair, and
+    pair (i, j) with lcm L has sugar max(s_i + |L| - |lead_i|,
+    s_j + |L| - |lead_j|), |.| the total degree; each element keeps
+    s - |lead| so that a pair sums only its lcm.  Ties go to the smaller
+    lcm under key, then to the earlier pair, so the raw output is
+    reproducible run to run.
     """
     basis: list[VPoly] = []
     leads: list = []
+    # each element's sugar less the total degree of its leading exponent
+    ecarts: list[int] = []
     index: dict[int, list] = {}
     queued: dict[int, dict[tuple[int, int], Exp]] = {}
     heap: list = []
     seq = 0
 
-    def join(g):
+    def join(g, sugar):
         nonlocal seq
         lead = _leading(g, key)
         (comp, exp), lc = lead
         new = len(basis)
+        ecart = sugar - sum(exp)
         lcms: dict[Exp, int] = {}
         for t, ((c, e), _) in enumerate(leads):
             if c == comp:
@@ -315,23 +329,26 @@ def buchberger(gens: list[VPoly], key) -> list[VPoly]:
         for lcm, t in lcms.items():
             if not any(o != lcm and all(map(le, o, lcm)) for o in lcms):
                 live[t, new] = lcm
-                heappush(heap, (key((comp, lcm)), seq, t, new))
+                et = ecarts[t]
+                heappush(heap, (sum(lcm) + (et if et > ecart else ecart),
+                                key((comp, lcm)), seq, t, new))
                 seq += 1
         basis.append(g)
         leads.append(lead)
+        ecarts.append(ecart)
         index.setdefault(comp, []).append((exp, lc, g))
 
     for g in gens:
         if g:
-            join(strip_content(g))
+            join(strip_content(g), max(map(sum, map(itemgetter(1), g))))
     while heap:
-        _, _, i, j = heappop(heap)
+        sugar, _, _, i, j = heappop(heap)
         if queued[leads[i][0][0]].pop((i, j), None) is None:
             continue
         s = _spoly(basis[i], leads[i], basis[j], leads[j])
         r = strip_content(normal_form(s, basis, key, index))
         if r:
-            join(r)
+            join(r, sugar)
     return basis
 
 

@@ -114,6 +114,22 @@ def test_reduced_basis_is_canonical():
     assert submodule_equal(a, b)
 
 
+def test_saturation_of_a_small_k2_module_finishes():
+    """A module whose first saturation quotient ran past 40 s when pairs
+    were met by smallest lcm: every canonical generator has a certificate
+    on a window of the original generators' shifts, and every original
+    generator is a member."""
+    gens = [pv("[2*s1^2, s2^2]", 2, 2), pv("[0, 3*s1^2*s2^2 - s1^-1 + s2^-2]", 2, 2),
+            pv("[s1^-1*s2 + 2*s1*s2^-2 - s1^-1*s2^-1, "
+               "-3*s1 - s1*s2^-1 - 3*s1^-2*s2^2]", 2, 2)]
+    p = Submodule(2, 2, gens)
+    basis = groebner_basis(p)
+    assert len(basis) == 7
+    span = WindowSpan(gens, box_window([(-6, 8)] * 2), 2)
+    assert all(span.contains(v) for v in basis)
+    assert all(member(g, p) for g in gens)
+
+
 def test_gb_passes_buchberger_criterion_random():
     rng = random.Random(61)
     for _ in range(15):
@@ -430,9 +446,7 @@ def _plain_buchberger(gens, key):
     return basis
 
 
-def test_pair_criteria_match_plain_buchberger(monkeypatch):
-    """Same reduced basis as without criteria, a Groebner basis as it comes
-    out, and never more S-pair reductions."""
+def _count_normal_forms(monkeypatch) -> list:
     calls = []
     plain_nf = groebner.normal_form
 
@@ -441,6 +455,26 @@ def test_pair_criteria_match_plain_buchberger(monkeypatch):
         return plain_nf(*args)
 
     monkeypatch.setattr(groebner, "normal_form", counting_nf)
+    return calls
+
+
+def _check_against_plain(calls, gens, key):
+    """Same reduced basis as without criteria and never more S-pair
+    reductions; returns the raw basis."""
+    del calls[:]
+    raw = buchberger(gens, key)
+    new_calls = len(calls)
+    del calls[:]
+    plain = _plain_buchberger(gens, key)
+    assert new_calls <= len(calls)
+    assert groebner.reduced_basis(raw, key) == groebner.reduced_basis(plain, key)
+    return raw
+
+
+def test_pair_criteria_match_plain_buchberger(monkeypatch):
+    """Same reduced basis as without criteria, a Groebner basis as it comes
+    out, and never more S-pair reductions."""
+    calls = _count_normal_forms(monkeypatch)
     rng = random.Random(103)
     for _ in range(24):
         nvars, k = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -448,12 +482,24 @@ def test_pair_criteria_match_plain_buchberger(monkeypatch):
         # the component ranking of component_cut half the time
         rank = [0, 1] if k == 2 and rng.random() < 0.5 else None
         key = make_key(DEFAULT_ORDER, nvars, rank)
-        del calls[:]
-        raw = buchberger(gens, key)
-        new_calls = len(calls)
-        del calls[:]
-        plain = _plain_buchberger(gens, key)
-        assert new_calls <= len(calls)
-        assert groebner.reduced_basis(raw, key) == groebner.reduced_basis(plain, key)
+        raw = _check_against_plain(calls, gens, key)
         if rank is None:
             assert is_groebner_basis([groebner.vpoly_to_vec(g, nvars, k) for g in raw], nvars)
+
+
+def test_pair_criteria_match_plain_buchberger_over_orders(monkeypatch):
+    """The same two checks under lex, elimination blocks and ranked
+    components up to k = 3, where sugar and the lcm order part ways."""
+    calls = _count_normal_forms(monkeypatch)
+    rng = random.Random(107)
+    for _ in range(200):
+        nvars, k = rng.choice([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+        order = rng.choice([TermOrder(), TermOrder(kind="lex"), TermOrder(drop=(0,)),
+                            TermOrder(drop=(nvars - 1,)), TermOrder(kind="lex", drop=(1,))])
+        rank = rng.choice([None, [rng.randint(0, 2) for _ in range(k)]])
+        gens = [_rand_vpoly(rng, nvars, k, terms=3) for _ in range(rng.randint(2, 4))]
+        key = make_key(order, nvars, rank)
+        raw = _check_against_plain(calls, gens, key)
+        if rank is None:
+            vecs = [groebner.vpoly_to_vec(g, nvars, k) for g in raw]
+            assert is_groebner_basis(vecs, nvars, order)

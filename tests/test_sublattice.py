@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -7,7 +8,7 @@ import pytest
 from ndsys import sublattice
 from ndsys.intlat import diagonal_lattice, full_lattice, lattice_from_rows
 from ndsys.laurent import (LaurentPoly, LaurentVec, apply_monomial_map,
-                           parse_vector)
+                           parse_vector, vector_to_str)
 from ndsys.groebner import (Submodule, component_cut, eliminate, groebner_basis,
                             member, submodule_contains, submodule_equal)
 from ndsys.sublattice import (contract, contract_extend_roundtrips,
@@ -241,11 +242,51 @@ def test_chain_matches_direct_route():
             p = _small_module(rng, s.ambient, k)
             assert submodule_equal(contract(p, s).module, _direct_contract(p, s))
     # two generators, k = 2: the 3-step of [[1,2],[0,9]] cuts 12 blocks of 6
-    # components; a few tenths of a second with the pair criteria
+    # components; a few tenths of a second with the pair criteria, and
+    # [[2,1],[0,6]] about as long with sugar selection
     p = Submodule(2, 2, [pv("[-2*s2 - 1, 2*s1 - 1]", 2, 2), pv("[-1, s2]", 2, 2)])
-    for rows in ([[1, 2], [0, 9]], [[2, 0], [0, 3]]):
+    for rows in ([[1, 2], [0, 9]], [[2, 0], [0, 3]], [[2, 1], [0, 6]]):
         s = lattice_from_rows(2, rows)
         assert submodule_equal(contract(p, s).module, _direct_contract(p, s))
+
+
+# ---------------------------------------------------------------------------
+# contractions that took seconds to minutes before sugar pair selection
+
+
+K2 = ["[s1-1, s2+1]", "[s2^2-s1, s1*s2-3]"]
+K2B = ["[-2*s2 - 1, 2*s1 - 1]", "[-1, s2]"]
+
+
+@pytest.mark.parametrize("gens,rows,size,digest", [
+    (K2, [[3, 0], [0, 3]], 8,
+     "c31bd75ca2e66a54c45bfb06e0d902583e2455aa916e97ffbe0d897a4011b205"),
+    (K2B, [[2, 1], [0, 6]], 6,
+     "9875ca15798cd8534cd17293b49605e50286e998a18f2567fdbd2fffdbb7d7c8"),
+], ids=["k2-3Zx3Z", "k2b-[[2,1],[0,6]]"])
+def test_contraction_cliffs_keep_their_canonical_basis(gens, rows, size, digest):
+    """The canonical basis of each contraction, one vector per line, hashes
+    to the digest recorded when Buchberger met pairs by smallest lcm (7 and
+    12 s then; the texts run to 9 and 68 kB)."""
+    p = Submodule(2, 2, [pv(g, 2, 2) for g in gens])
+    basis = groebner_basis(contract(p, lattice_from_rows(2, rows)).module)
+    text = "\n".join(vector_to_str(v, "t") for v in basis)
+    assert len(basis) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_hex_to_7z_7z_matches_two_axis_steps():
+    """Hex to 7Z x 7Z equals hex to 7Z x 1 followed by the 7Z on s2's axis
+    of the result, which the Smith frame of 7Z x 1 puts first."""
+    p = ideal2("1 + s1*s2 + s2^2")
+    direct = contract(p, diagonal_lattice([7, 7]))
+    first = contract(p, diagonal_lattice([7, 1]))
+    assert first.context.sub_exponent_matrix().rows == ((0, 7), (1, 0))
+    second = contract(first.module, diagonal_lattice([7, 1]))
+    frame = first.context.sub_exponent_matrix() @ second.context.sub_exponent_matrix()
+    assert frame == direct.context.sub_exponent_matrix()
+    assert not direct.module.is_zero_module()
+    assert submodule_equal(second.module, direct.module)
 
 
 def _recorded_steps(monkeypatch, p, s):
