@@ -292,10 +292,11 @@ def buchberger(gens: list[VPoly], key) -> list[VPoly]:
     criterion: the coprime-lcm shortcut is unsound for module leading terms.
 
     Pairs are met by least sugar (Giovini, Mora, Niesi, Robbiano and
-    Traverso, "One sugar cube, please", ISSAC 1991): the normal strategy
-    measured on the degree each element would have if the input were
-    homogenized.  An input's sugar is the largest total degree of its
-    terms, an element from a reduction takes the sugar of its pair, and
+    Traverso, "One sugar cube, please", ISSAC 1991), in its simplified form
+    and only as a selection heuristic: the answer does not depend on the
+    order pairs are met.  An input's sugar is the largest total degree of
+    its terms, a remainder takes the sugar of its pair (the degree its
+    reduction steps add is not carried forward), and
     pair (i, j) with lcm L has sugar max(s_i + |L| - |lead_i|,
     s_j + |L| - |lead_j|), |.| the total degree; each element keeps
     s - |lead| so that a pair sums only its lcm.  Ties go to the smaller

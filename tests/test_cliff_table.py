@@ -1,4 +1,5 @@
-"""tools/cliff_table.py: one fast case end to end, and the timeout line."""
+"""tools/cliff_table.py: one fast case end to end, the timeout line, and the
+canonical bases of two of its cases."""
 
 import hashlib
 import importlib.util
@@ -7,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ndsys.groebner import Submodule, groebner_basis
-from ndsys.intlat import diagonal_lattice
+from ndsys.intlat import diagonal_lattice, lattice_from_rows
 from ndsys.laurent import parse_vector, vector_to_str
 from ndsys.sublattice import contract
 
@@ -49,3 +52,24 @@ def test_capped_case_prints_timeout(monkeypatch, capsys):
     assert cliff_table.main(["--checkout", str(ROOT), "--case", "k1 n3 ideal", "--cap", "1"]) == 0
     assert json.loads(capsys.readouterr().out) == {
         "case": "k1 n3 ideal", "seconds": "timeout", "steps": None, "digest": None}
+
+
+# case -> basis size and SHA-256 of its canonical text
+CLIFF_BASES = {
+    "k2 3Zx3Z": (8, "c31bd75ca2e66a54c45bfb06e0d902583e2455aa916e97ffbe0d897a4011b205"),
+    "k2b [[2,1],[0,6]]": (6, "9875ca15798cd8534cd17293b49605e50286e998a18f2567fdbd2fffdbb7d7c8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLIFF_BASES))
+def test_contraction_cliffs_keep_their_canonical_basis(name):
+    """The canonical basis of each contraction, one vector per line, hashes
+    to the digest recorded when Buchberger met pairs by smallest lcm (7 and
+    12 s then; the texts run to 9 and 68 kB)."""
+    nvars, k, gens, rows = cliff_table.CASES[name]
+    p = Submodule(nvars, k, [parse_vector(g, nvars, k) for g in gens])
+    basis = groebner_basis(contract(p, lattice_from_rows(nvars, rows)).module)
+    text = "\n".join(vector_to_str(v, "t") for v in basis)
+    size, digest = CLIFF_BASES[name]
+    assert len(basis) == size
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

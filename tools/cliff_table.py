@@ -15,7 +15,7 @@ itself.  It runs in its own ``python3`` child with ``DIR/src`` on
 the child (imports and parsing excluded); ``digest`` is the first 16 hex
 digits of the SHA-256 of the answer's canonical basis, one vector per line,
 so two checkouts that agree print the same digest.  ``--case`` picks cases
-by name (repeatable); ``--list`` prints the names.  Standard library only.
+by name (repeatable).  Standard library only.
 """
 
 from __future__ import annotations
@@ -97,11 +97,7 @@ def main(argv=None) -> int:
     ap.add_argument("--cap", type=float, default=60.0, help="seconds per case (default 60)")
     ap.add_argument("--case", action="append", choices=sorted(CASES), metavar="NAME",
                     help="run only this case (repeatable)")
-    ap.add_argument("--list", action="store_true", help="print the case names and exit")
     args = ap.parse_args(argv)
-    if args.list:
-        print("\n".join(CASES))
-        return 0
     checkout = args.checkout.resolve()
     if not (checkout / "src" / "ndsys").is_dir():
         print(f"no src/ndsys under {checkout}", file=sys.stderr)
