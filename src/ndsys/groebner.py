@@ -18,7 +18,9 @@ as LaurentVecs.
 Every Groebner run goes through _cut, which returns a reduced basis: of the
 whole span, or of its part inside a low block (an elimination).  So every
 result, syzygies included, depends on the inputs alone and not on the order
-in which Buchberger meets them.
+in which Buchberger meets them.  Contraction's chain of prime-index cuts,
+prime_step_cuts, runs here too, so its generators keep this form from one
+step to the next and leave the engine once, after the last step.
 
 A term order is a flat int tuple key (make_key); its negation orders the
 reducer's heap of pending terms, largest first.  Reducers are looked up by the
@@ -507,23 +509,39 @@ def member(v: LaurentVec, mod: Submodule) -> bool:
     return not top_reduce(strip_content(_lift(v)[0]), sat, key, leads)
 
 
-def component_cut(vectors: list[LaurentVec], k: int) -> list[LaurentVec]:
-    """Elements of the span of vectors that lie in their first k components.
+def prime_step_cuts(vectors: list[LaurentVec], k: int, steps) -> list[LaurentVec]:
+    """Contract the span of vectors in A^k by a nonempty chain of prime steps.
 
-    The reduced basis of the lifted vectors' cut to the first k components,
-    under the default order with components k and above ranked over them;
-    [] when no vector is nonzero.
+    A step (i, p) passes to the subring with t_i^p for t_i, over which A^k
+    is free on p blocks of k components, one per residue of e_i mod p.  The
+    p shifts g*x_i^o of each generator g are written in those blocks through
+    divmod(e_i + o, p), each lifted by its own least exponent, and cut to the
+    first block under the default order with the other p*k - k components
+    ranked over it.  Between steps the cut stays a reduced basis in the
+    engine's int form; only the last one leaves, as monic LaurentVecs ([]
+    once a cut is empty).
+
+    No saturation pass between steps: monomial scaling respects the component
+    blocks, so the Laurent span of each low cut is unchanged by it, and the
+    resulting submodule saturates itself on demand.
     """
-    lifts = [_lift(v)[0] for v in vectors if not v.is_zero()]
-    if not lifts:
-        return []
-    nvars, big_k = vectors[0].nvars, vectors[0].k
-    key = make_key(DEFAULT_ORDER, nvars, comp_rank=[0] * k + [1] * (big_k - k))
-    # No saturation pass here: monomial scaling respects the component
-    # blocks, so the Laurent span of the low cut is unchanged by it, and
-    # the resulting submodule saturates itself on demand.
-    return [vpoly_to_vec(_monic(g, key), nvars, k)
-            for g in _cut(lifts, key, lambda m: m[0] < k)]
+    nvars = vectors[0].nvars if vectors else 0
+    gens = [strip_content(vec_to_vpoly(v)) for v in vectors if not v.is_zero()]
+    for i, p in steps:
+        if not gens:
+            return []
+        blocks = []
+        for g in gens:
+            for o in range(p):
+                block = {}
+                for (j, e), c in g.items():
+                    quo, rem = divmod(e[i] + o, p)
+                    block[rem * k + j, e[:i] + (quo,) + e[i + 1:]] = c
+                m = tuple(map(min, zip(*(e for _, e in block))))
+                blocks.append({(j, tuple(map(sub, e, m))): c for (j, e), c in block.items()})
+        key = make_key(DEFAULT_ORDER, nvars, comp_rank=[0] * k + [1] * (p * k - k))
+        gens = _cut(blocks, key, lambda mon: mon[0] < k)
+    return [vpoly_to_vec(_monic(g, key), nvars, k) for g in gens]
 
 
 def submodule_equal(a: Submodule, b: Submodule) -> bool:

@@ -4,8 +4,9 @@ A sublattice S of rank r is straightened by a Smith decomposition of its
 basis columns: the unimodular transport turns S into the diagonal lattice
 with moduli d1..dr (remaining coordinates pinned).  Contraction of a
 submodule P of A^k is the intersection with the subring generated by the
-straightened directions, one prime-index step at a time; extension
-substitutes the sublattice monomials back and returns the A-span.
+straightened directions, one prime-index step at a time (the chain itself
+runs inside the Groebner engine); extension substitutes the sublattice
+monomials back and returns the A-span.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from math import prod
 
 from .groebner import (
     Submodule,
-    component_cut,
     eliminate,
     groebner_basis,
     member,
+    prime_step_cuts,
     submodule_contains,
     submodule_equal,
 )
@@ -30,7 +31,7 @@ from .intlat import (
     smith,
     unimodular_inverse,
 )
-from .laurent import LaurentPoly, LaurentVec, apply_monomial_map, coset_split
+from .laurent import LaurentVec, apply_monomial_map, coset_split
 
 
 @dataclass(frozen=True)
@@ -122,27 +123,18 @@ def contract(p: Submodule, s: IntLattice) -> ContractedModule:
     The transport makes s diagonal with moduli d_i, and contraction is
     transitive (contracting to L, then to S inside L, is contracting to S),
     so s is reached one prime p of one d_i at a time, largest p first, ties
-    by axis.  Over the subring with t_i^p for t_i, A^k is free on one block
-    of k components per residue of e_i mod p; a component-elimination
-    Groebner run on the p shifts of the generators cuts to the zero block.
-    Then t_i stands for t_i^{d_i}; degenerate directions are eliminated.
+    by axis: groebner.prime_step_cuts runs the whole chain on the transported
+    generators, and an index-1 frame keeps them as they are.  Then t_i
+    stands for t_i^{d_i}; degenerate directions are eliminated.
     """
     if s.ambient != p.nvars:
         raise ValueError("lattice ambient dimension mismatch")
     ctx = sublattice_context(s)
     n, k, r = p.nvars, p.k, ctx.rank
     gens = [apply_monomial_map(ctx.transport, g) for g in p.generators]
-    for i, f in _prime_steps(ctx.moduli):
-        blocks = []
-        for g in gens:
-            for o in range(f):
-                polys = [{} for _ in range(f * k)]
-                for j, poly in enumerate(g.entries):
-                    for e, c in poly.terms.items():
-                        quo, rem = divmod(e[i] + o, f)
-                        polys[rem * k + j][e[:i] + (quo,) + e[i + 1:]] = c
-                blocks.append(LaurentVec([LaurentPoly(n, t) for t in polys]))
-        gens = component_cut(blocks, k)
+    steps = _prime_steps(ctx.moduli)
+    if steps:
+        gens = prime_step_cuts(gens, k, steps)
     q = Submodule(n, k, gens)
     if r < n:
         q = eliminate(q, range(r, n))

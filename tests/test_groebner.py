@@ -479,7 +479,7 @@ def test_pair_criteria_match_plain_buchberger(monkeypatch):
     for _ in range(24):
         nvars, k = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2)])
         gens = [_rand_vpoly(rng, nvars, k, terms=3) for _ in range(rng.randint(2, 4))]
-        # the component ranking of component_cut half the time
+        # the component ranking of a prime_step_cuts step half the time
         rank = [0, 1] if k == 2 and rng.random() < 0.5 else None
         key = make_key(DEFAULT_ORDER, nvars, rank)
         raw = _check_against_plain(calls, gens, key)

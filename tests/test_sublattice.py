@@ -4,13 +4,14 @@ from itertools import product
 
 import pytest
 
-from ndsys import sublattice
+from ndsys import groebner
 from ndsys.intlat import diagonal_lattice, full_lattice, lattice_from_rows
 from ndsys.laurent import (LaurentPoly, LaurentVec, apply_monomial_map,
-                           parse_vector)
-from ndsys.groebner import (Submodule, component_cut, eliminate, groebner_basis,
-                            member, submodule_contains, submodule_equal)
-from ndsys.sublattice import (contract, contract_extend_roundtrips,
+                           parse_vector, vector_to_str)
+from ndsys.groebner import (DEFAULT_ORDER, Submodule, _cut, _lift, _monic,
+                            eliminate, groebner_basis, make_key, member,
+                            submodule_contains, submodule_equal, vpoly_to_vec)
+from ndsys.sublattice import (_prime_steps, contract, contract_extend_roundtrips,
                               contracted_module, extend, extend_vector,
                               galois_group_of, is_extension_from,
                               roundtrip_from_sublattice, sublattice_context)
@@ -186,7 +187,44 @@ def test_relation_route_agrees(gens, k, lat):
 
 
 # ---------------------------------------------------------------------------
-# reference route: one component cut over the whole index
+# reference routes: a LaurentVec cut per prime step, one cut over the whole index
+
+
+def _component_cut(vectors: list[LaurentVec], k: int) -> list[LaurentVec]:
+    """Elements of the span of vectors that lie in their first k components:
+    the monic reduced basis of the lifted vectors' cut to the first k
+    components, under the default order with components k and above ranked
+    over them; the LaurentVec cut each prime step made before the chain
+    stayed in the engine's int form."""
+    lifts = [_lift(v)[0] for v in vectors if not v.is_zero()]
+    if not lifts:
+        return []
+    nvars, big_k = vectors[0].nvars, vectors[0].k
+    key = make_key(DEFAULT_ORDER, nvars, comp_rank=[0] * k + [1] * (big_k - k))
+    return [vpoly_to_vec(_monic(g, key), nvars, k)
+            for g in _cut(lifts, key, lambda m: m[0] < k)]
+
+
+def _laurent_chain_contract(p: Submodule, s) -> Submodule:
+    """contract's chain with LaurentVec blocks and generators between steps."""
+    ctx = sublattice_context(s)
+    n, k, r = p.nvars, p.k, ctx.rank
+    gens = [apply_monomial_map(ctx.transport, g) for g in p.generators]
+    for i, f in _prime_steps(ctx.moduli):
+        blocks = []
+        for g in gens:
+            for o in range(f):
+                polys = [{} for _ in range(f * k)]
+                for j, poly in enumerate(g.entries):
+                    for e, c in poly.terms.items():
+                        quo, rem = divmod(e[i] + o, f)
+                        polys[rem * k + j][e[:i] + (quo,) + e[i + 1:]] = c
+                blocks.append(LaurentVec([LaurentPoly(n, t) for t in polys]))
+        gens = _component_cut(blocks, k)
+    q = Submodule(n, k, gens)
+    if r < n:
+        q = eliminate(q, range(r, n))
+    return q
 
 
 def _direct_contract(p: Submodule, s) -> Submodule:
@@ -210,18 +248,19 @@ def _direct_contract(p: Submodule, s) -> Submodule:
         return LaurentVec([LaurentPoly(n, t) for t in polys])
 
     blocks = [rewrite(g.shift(o)) for g in moved for o in offsets]
-    q = Submodule(n, k, component_cut(blocks, k))
+    q = Submodule(n, k, _component_cut(blocks, k))
     if r < n:
         q = eliminate(q, range(r, n))
     return q
 
 
 def _small_module(rng, nvars, k):
-    """One generator with exponents 0 or 1 and two or three terms per entry:
-    larger inputs can keep the whole-index reference busy for minutes."""
+    """One generator with exponents 0 or 1 and two or three terms per entry
+    (two when nvars is 1): larger inputs can keep the whole-index reference
+    busy for minutes."""
     entries = []
     for _ in range(k):
-        size, t = rng.randint(2, 3), {}
+        size, t = rng.randint(2, min(3, 2 ** nvars)), {}
         while len(t) < size:
             e = tuple(rng.randint(0, 1) for _ in range(nvars))
             t[e] = Fraction(rng.choice([-2, -1, 1, 2]))
@@ -249,6 +288,29 @@ def test_chain_matches_direct_route():
         assert submodule_equal(contract(p, s).module, _direct_contract(p, s))
 
 
+def test_chain_keeps_the_laurent_chain_generators():
+    """The raw contracted generators, which the window oracle reads, are
+    those of the chain with LaurentVec blocks, string for string.
+
+    Two k=2 generators on the rank-deficient lattice are left out: the
+    chain takes a tenth of a second there, but the elimination of the third
+    variable after it ran past 3 s on each of six seeds tried (past 20 s on
+    one), the open n=3 cliff."""
+    rng = random.Random(15)
+    lattices = ([[2]], [[3]], [[4]], [[2, 0], [0, 3]], [[1, 1], [0, 4]],
+                [[2, 1], [0, 2]], [[2, 0, 0], [0, 2, 0]])
+    for rows in lattices:
+        s = lattice_from_rows(len(rows[0]), rows)
+        for k, ngens in product((1, 2), (1, 2)):
+            if s.rank < s.ambient and k == ngens == 2:
+                continue
+            p = Submodule(s.ambient, k, [g for _ in range(ngens)
+                                         for g in _small_module(rng, s.ambient, k).generators])
+            got = [vector_to_str(g) for g in contract(p, s).module.generators]
+            want = [vector_to_str(g) for g in _laurent_chain_contract(p, s).generators]
+            assert got == want, (rows, k, ngens)
+
+
 # ---------------------------------------------------------------------------
 # contractions that took seconds to minutes before sugar pair selection
 
@@ -268,13 +330,16 @@ def test_hex_to_7z_7z_matches_two_axis_steps():
 
 
 def _recorded_steps(monkeypatch, p, s):
+    """contract(p, s) and, per Groebner cut it runs, the width of the
+    components its inputs occupy, in blocks of p.k."""
     sizes = []
+    plain = groebner._cut
 
-    def recording_cut(blocks, k):
-        sizes.append(len(blocks[0].entries) // k)
-        return component_cut(blocks, k)
+    def recording_cut(vpolys, key, low=None):
+        sizes.append(max(comp for g in vpolys for comp, _ in g) // p.k + 1)
+        return plain(vpolys, key, low)
 
-    monkeypatch.setattr(sublattice, "component_cut", recording_cut)
+    monkeypatch.setattr(groebner, "_cut", recording_cut)
     return sizes, contract(p, s)
 
 
@@ -306,6 +371,21 @@ def test_large_index_cuts_stay_small(monkeypatch):
     for _ in range(1024):
         lucas, nxt = nxt, lucas + nxt
     assert submodule_equal(q.module, ideal1(f"s1^2 - {lucas}*s1 + 1"))
+
+
+def test_chain_leaves_the_engine_once(monkeypatch):
+    """Fibonacci to 1024Z: ten 2-steps, and one vpoly_to_vec per output
+    generator, all after the last step."""
+    calls = []
+    plain = groebner.vpoly_to_vec
+
+    def counting(f, nvars, k):
+        calls.append(f)
+        return plain(f, nvars, k)
+
+    monkeypatch.setattr(groebner, "vpoly_to_vec", counting)
+    q = contract(ideal1("s1^2 - s1 - 1"), lattice_from_rows(1, [[1024]]))
+    assert len(calls) == len(q.module.generators) > 0
 
 
 def test_three_variable_contraction_to_3z_3z_z():
