@@ -21,8 +21,9 @@ from math import gcd, isqrt
 from operator import mul
 
 from .intlat import IntLattice, IntMatrix, lattice_from_rows, meet, zero_lattice
-from .laurent import LaurentPoly, LaurentVec, coset_split
+from .laurent import LaurentPoly, LaurentVec
 from .groebner import InvariantError, Submodule, groebner_basis, member, syzygies
+from .sublattice import failing_coset_part
 from .trajectories import WindowSpan, default_membership_window
 
 # largest index bound brute_force_coarsest enumerates up to
@@ -229,17 +230,6 @@ def coarsest_lattice(p: Submodule, audit_primes=(2, 3, 5, 7),
                           oracle_confirmed)
 
 
-def _parts_pass(gens, lat: IntLattice, holds) -> bool:
-    """is_extension_from's rule with the membership test passed in: every
-    coset part of every generator that meets two or more cosets of lat must
-    hold.  Stops at the first part that does not."""
-    for g in gens:
-        parts = coset_split(g, lat)
-        if len(parts) > 1 and not all(holds(part) for part in parts.values()):
-            return False
-    return True
-
-
 def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
     """Intersection of every enumerated lattice the system extends from.
 
@@ -286,7 +276,7 @@ def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
     cur: IntLattice | None = None
     for lat in candidates:
         # Groebner-free: the raw generators' parts, certified in the window span
-        if _parts_pass(p.generators, lat, certified):
+        if failing_coset_part(p.generators, lat, certified) is None:
             cur = lat if cur is None else meet(cur, lat)
     if cur is None:
         raise InvariantError("the full lattice failed the window extension test")

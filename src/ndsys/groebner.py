@@ -601,13 +601,14 @@ def eliminate(mod: Submodule, drop) -> Submodule:
     under a block order ranking those above everything, and re-expresses
     them over the retained variables.  The result is a Submodule over the
     smaller ring (its own canonicalization re-saturates by the retained
-    variables); dropping every variable leaves the module's constant part.
+    variables); dropping every variable leaves the module's constant part,
+    and dropping none returns mod itself.
     """
     drop = tuple(sorted(set(int(i) for i in drop)))
     if any(i < 0 or i >= mod.nvars for i in drop):
         raise ValueError("drop variable out of range")
     if not drop:
-        return Submodule(mod.nvars, mod.k, list(mod.generators))
+        return mod
     keep = [i for i in range(mod.nvars) if i not in drop]
     key = make_key(TermOrder(drop=drop), mod.nvars)
     gb = _cut(mod.saturated_vpolys(), key, lambda m: all(m[1][i] == 0 for i in drop))

@@ -4,9 +4,10 @@ A sublattice S of rank r is straightened by a Smith decomposition of its
 basis columns: the unimodular transport turns S into the diagonal lattice
 with moduli d1..dr (remaining coordinates pinned).  Contraction of a
 submodule P of A^k is the intersection with the subring generated by the
-straightened directions, one prime-index step at a time (the chain itself
-runs inside the Groebner engine); extension substitutes the sublattice
-monomials back and returns the A-span.
+straightened directions, for every rank alike: the n - r pinned directions
+are eliminated first, then the moduli are reached one prime-index step at a
+time (the chain itself runs inside the Groebner engine).  Extension
+substitutes the sublattice monomials back and returns the A-span.
 """
 
 from __future__ import annotations
@@ -120,24 +121,23 @@ def _prime_steps(moduli) -> list[tuple[int, int]]:
 def contract(p: Submodule, s: IntLattice) -> ContractedModule:
     """Intersection of p with the subring of monomials supported on s.
 
-    The transport makes s diagonal with moduli d_i, and contraction is
-    transitive (contracting to L, then to S inside L, is contracting to S),
-    so s is reached one prime p of one d_i at a time, largest p first, ties
-    by axis: groebner.prime_step_cuts runs the whole chain on the transported
-    generators, and an index-1 frame keeps them as they are.  Then t_i
-    stands for t_i^{d_i}; degenerate directions are eliminated.
+    The transport makes s diagonal with moduli d_i on its first r axes, and
+    contraction is transitive (contracting to L, then to S inside L, is
+    contracting to S).  So the n - r off-lattice directions are eliminated
+    first, which lands in the Laurent ring of t_1..t_r, and s is reached
+    from there one prime p of one d_i at a time, largest p first, ties by
+    axis: groebner.prime_step_cuts runs that chain, and an index-1 frame
+    keeps the generators as they are.  Then t_i stands for t_i^{d_i}.
     """
     if s.ambient != p.nvars:
         raise ValueError("lattice ambient dimension mismatch")
     ctx = sublattice_context(s)
     n, k, r = p.nvars, p.k, ctx.rank
-    gens = [apply_monomial_map(ctx.transport, g) for g in p.generators]
+    moved = Submodule(n, k, [apply_monomial_map(ctx.transport, g) for g in p.generators])
+    q = eliminate(moved, range(r, n))
     steps = _prime_steps(ctx.moduli)
     if steps:
-        gens = prime_step_cuts(gens, k, steps)
-    q = Submodule(n, k, gens)
-    if r < n:
-        q = eliminate(q, range(r, n))
+        q = Submodule(r, k, prime_step_cuts(list(q.generators), k, steps))
     return ContractedModule(ctx, q)
 
 
@@ -153,23 +153,29 @@ def extend(q: ContractedModule) -> Submodule:
     return Submodule(ctx.ambient, q.module.k, gens)
 
 
+def failing_coset_part(gens, s: IntLattice, holds) -> tuple[LaurentVec, LaurentVec] | None:
+    """The extension rule with the membership test passed in: every coset
+    part, relative to s, of every generator that meets two or more cosets
+    must hold.  Returns the first failing (generator, part), or None."""
+    for g in gens:
+        parts = coset_split(g, s)
+        if len(parts) > 1:
+            for part in parts.values():
+                if not holds(part):
+                    return g, part
+    return None
+
+
 def is_extension_from(p: Submodule, s: IntLattice) -> tuple[bool, tuple[LaurentVec, LaurentVec] | None]:
     """Is p recoverable from its restriction to the sublattice s?
 
-    Splits every canonical generator into its coset components relative to s
-    and tests each component for membership; the first failing (generator,
-    component) pair is returned as a witness.
+    Applies the extension rule to the canonical generators, with membership
+    in p as the test; a failing (generator, part) pair is the witness.
     """
     if s.ambient != p.nvars:
         raise ValueError("lattice ambient dimension mismatch")
-    for g in groebner_basis(p):
-        parts = coset_split(g, s)
-        if len(parts) <= 1:
-            continue
-        for part in parts.values():
-            if not member(part, p):
-                return False, (g, part)
-    return True, None
+    witness = failing_coset_part(groebner_basis(p), s, lambda part: member(part, p))
+    return witness is None, witness
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from itertools import product
 from .linalg import Row, SpanBuilder, nullspace_basis, strip_content
 from .laurent import Exp, LaurentVec
 from .groebner import Submodule
-from .sublattice import ContractedModule, extend
+from .sublattice import ContractedModule, contract, extend
 
 _ZERO = Fraction(0)
 
@@ -219,8 +219,6 @@ def restriction_check(p: Submodule, s, w) -> bool:
     restricted trajectory is scaled to a primitive int row, so the equation
     test sums ints: a positive scale does not change whether a sum is zero.
     """
-    from .sublattice import contract
-
     q = contract(p, s)
     full = _as_box_window(w)
     n = p.nvars

@@ -7,9 +7,9 @@ from ndsys.intlat import (IntLattice, IntMatrix, _congruence_solution_lattice,
                           full_lattice, lattice_from_rows, meet, zero_lattice)
 from ndsys.laurent import LaurentPoly, LaurentVec, coset_split, parse_vector
 from ndsys.groebner import InvariantError, Submodule, groebner_basis, member
-from ndsys.sublattice import is_extension_from
+from ndsys.sublattice import failing_coset_part, is_extension_from
 from ndsys.trajectories import WindowSpan
-from ndsys.coarsest import (_normalized_functionals, _parts_pass, brute_force_coarsest,
+from ndsys.coarsest import (_normalized_functionals, brute_force_coarsest,
                             coarsest_lattice, is_constant_module, is_prime,
                             maximal_sublattices, support_difference_lattice)
 
@@ -271,8 +271,8 @@ def test_audit_asks_each_part_once(monkeypatch):
 
 
 def _reference_report(p, primes=(2, 3, 5, 7)):
-    """Reference: the audit by row sublattices and _parts_pass's coset_split,
-    one member call per part."""
+    """Reference: the audit by row sublattices and failing_coset_part's
+    coset_split, one member call per part."""
     lat = support_difference_lattice(p)
     gens = groebner_basis(p)
     known = {}
@@ -282,7 +282,7 @@ def _reference_report(p, primes=(2, 3, 5, 7)):
             known[part] = member(part, p)
         return known[part]
 
-    audit = tuple((sub, _parts_pass(gens, sub, holds))
+    audit = tuple((sub, failing_coset_part(gens, sub, holds) is None)
                   for prime in primes for sub in _row_sublattices(lat, prime))
     return lat, lat.rank, is_constant_module(p), audit
 

@@ -241,6 +241,7 @@ def test_eliminate_variable():
     assert q.nvars == 1
     assert member(pv("s1^2 - 1", 1, 1), q)
     assert not member(pv("s1 - 1", 1, 1), q)
+    assert eliminate(p, ()) is p
 
 
 def test_eliminate_to_nothing_guard():

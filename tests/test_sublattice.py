@@ -206,10 +206,12 @@ def _component_cut(vectors: list[LaurentVec], k: int) -> list[LaurentVec]:
 
 
 def _laurent_chain_contract(p: Submodule, s) -> Submodule:
-    """contract's chain with LaurentVec blocks and generators between steps."""
+    """contract with LaurentVec blocks and generators between prime steps:
+    the off-lattice directions are eliminated first, as contract does."""
     ctx = sublattice_context(s)
     n, k, r = p.nvars, p.k, ctx.rank
-    gens = [apply_monomial_map(ctx.transport, g) for g in p.generators]
+    moved = Submodule(n, k, [apply_monomial_map(ctx.transport, g) for g in p.generators])
+    gens = list(eliminate(moved, range(r, n)).generators)
     for i, f in _prime_steps(ctx.moduli):
         blocks = []
         for g in gens:
@@ -219,12 +221,22 @@ def _laurent_chain_contract(p: Submodule, s) -> Submodule:
                     for e, c in poly.terms.items():
                         quo, rem = divmod(e[i] + o, f)
                         polys[rem * k + j][e[:i] + (quo,) + e[i + 1:]] = c
-                blocks.append(LaurentVec([LaurentPoly(n, t) for t in polys]))
+                blocks.append(LaurentVec([LaurentPoly(r, t) for t in polys]))
         gens = _component_cut(blocks, k)
-    q = Submodule(n, k, gens)
-    if r < n:
-        q = eliminate(q, range(r, n))
-    return q
+    return Submodule(r, k, gens)
+
+
+def _chain_then_eliminate(p: Submodule, s) -> Submodule:
+    """The order contract took before it eliminated first: the prime chain in
+    all n transported variables, then elimination of the n - r off-lattice
+    ones."""
+    ctx = sublattice_context(s)
+    n, k, r = p.nvars, p.k, ctx.rank
+    gens = [apply_monomial_map(ctx.transport, g) for g in p.generators]
+    steps = _prime_steps(ctx.moduli)
+    if steps:
+        gens = groebner.prime_step_cuts(gens, k, steps)
+    return eliminate(Submodule(n, k, gens), range(r, n))
 
 
 def _direct_contract(p: Submodule, s) -> Submodule:
@@ -290,25 +302,67 @@ def test_chain_matches_direct_route():
 
 def test_chain_keeps_the_laurent_chain_generators():
     """The raw contracted generators, which the window oracle reads, are
-    those of the chain with LaurentVec blocks, string for string.
-
-    Two k=2 generators on the rank-deficient lattice are left out: the
-    chain takes a tenth of a second there, but the elimination of the third
-    variable after it ran past 3 s on each of six seeds tried (past 20 s on
-    one), the open n=3 cliff."""
+    those of the chain with LaurentVec blocks, string for string."""
     rng = random.Random(15)
     lattices = ([[2]], [[3]], [[4]], [[2, 0], [0, 3]], [[1, 1], [0, 4]],
                 [[2, 1], [0, 2]], [[2, 0, 0], [0, 2, 0]])
     for rows in lattices:
         s = lattice_from_rows(len(rows[0]), rows)
         for k, ngens in product((1, 2), (1, 2)):
-            if s.rank < s.ambient and k == ngens == 2:
-                continue
             p = Submodule(s.ambient, k, [g for _ in range(ngens)
                                          for g in _small_module(rng, s.ambient, k).generators])
             got = [vector_to_str(g) for g in contract(p, s).module.generators]
             want = [vector_to_str(g) for g in _laurent_chain_contract(p, s).generators]
             assert got == want, (rows, k, ngens)
+
+
+def _n3_module(rng):
+    """k 1-2, one or two generators, one to three terms per entry with
+    exponents -1..1 and coefficients +-1, +-2."""
+    k = rng.randint(1, 2)
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        entries = []
+        for _ in range(k):
+            t = {}
+            for _ in range(rng.randint(1, 3)):
+                t[tuple(rng.randint(-1, 1) for _ in range(3))] = Fraction(rng.choice([-2, -1, 1, 2]))
+            entries.append(LaurentPoly(3, t))
+        gens.append(LaurentVec(entries))
+    return Submodule(3, k, gens)
+
+
+RANK_DEFICIENT_3 = ([[2, 0, 0]], [[2, 2, 0]], [[0, 3, 3]],
+                    [[2, 0, 0], [0, 3, 0]], [[2, 0, 0], [0, 2, 0]], [[1, 1, 0], [0, 2, 2]])
+
+# draw -> where _chain_then_eliminate ran past a 5 s cap on it (all k=2, two
+# generators); contract takes under 10 ms on each
+REFERENCE_HANGS = {
+    4: "the prime chain in three variables, on moduli (2, 2)",
+    8: "the saturation inside eliminating t3 after the chain",
+    16: "the saturation inside eliminating t3 after the chain",
+    25: "the saturation inside eliminating t3 after the chain",
+    34: "the saturation inside eliminating t3 after the chain",
+    47: "the saturation inside eliminating t3 after the chain",
+    49: "the saturation inside eliminating t3 after the chain",
+    57: "the prime chain in three variables, on moduli (1, 6)",
+}
+
+
+def test_eliminating_first_matches_chain_then_eliminate():
+    """Sixty random n=3 modules over rank-1 and rank-2 lattices: the same
+    canonical basis as the chain-then-eliminate order wherever that order
+    finishes, and the contraction laws where it does not."""
+    rng = random.Random(7)
+    for i in range(60):
+        p = _n3_module(rng)
+        s = lattice_from_rows(3, RANK_DEFICIENT_3[i % len(RANK_DEFICIENT_3)])
+        if i in REFERENCE_HANGS:
+            rep = contract_extend_roundtrips(p, s)
+            assert rep.extension_contained_in_original and rep.double_contraction_stable, i
+        else:
+            want = groebner_basis(_chain_then_eliminate(p, s))
+            assert groebner_basis(contract(p, s).module) == want, i
 
 
 # ---------------------------------------------------------------------------

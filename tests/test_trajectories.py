@@ -8,7 +8,7 @@ from ndsys.intlat import lattice_from_rows
 from ndsys.laurent import LaurentPoly, LaurentVec, parse_vector
 from ndsys.linalg import SpanBuilder, nullspace_basis
 from ndsys.groebner import Submodule
-from ndsys import sublattice
+from ndsys import sublattice, trajectories
 from ndsys.sublattice import contract
 from ndsys.trajectories import (Window, WindowSolutionSpace, WindowSpan,
                                 _as_box_window, _equation_rows, _valid_shifts,
@@ -318,7 +318,8 @@ def test_integer_equation_half_matches_fraction_reference(monkeypatch):
     # so the equation half decides
     real = sublattice.contract
     other = {}
-    monkeypatch.setattr(sublattice, "contract", lambda p, s: real(other[p], s))
+    for module in (sublattice, trajectories):
+        monkeypatch.setattr(module, "contract", lambda p, s: real(other[p], s))
     rng = random.Random(43)
     outcomes = []
     for _ in range(12):

@@ -46,6 +46,9 @@ CASES: dict[str, tuple[int, int, list[str], list[list[int]] | None]] = {
         "[s1^-1*s2 + s1^-2*s2^2*s3^-1 + s1*s2^-1*s3^-2]"], None),
     "n3 [[2,0,0],[0,3,0]]": (3, 2, ["[2*s1*s2 - 2*s3, -2*s3 + 2]", "[2*s1, 2*s1*s2 - s2]"],
                              [[2, 0, 0], [0, 3, 0]]),
+    "n3b [[2,0,0],[0,2,0]]": (3, 2, ["[-s1*s2*s3 - 2*s1*s3, -s1*s2*s3 + 2*s2 - 2]",
+                                     "[-s1*s2*s3 - s2*s3, -s1*s2 - s1*s3 - s3]"],
+                              [[2, 0, 0], [0, 2, 0]]),
 }
 
 # Run in the child: argv[1] is the case as JSON; prints {"steps": [...], "digest": ...}.
