@@ -4,12 +4,15 @@ Rows are dicts mapping column index -> value; absent keys are zero.  Rows come
 in with int or Fraction values and leave (from nullspace_basis) as Fractions.
 In between, a SpanBuilder holds primitive int rows and eliminates
 fraction-free, so building and querying a span does no rational arithmetic.
+Inserts and queries cancel a row's leading column only, until it is no pivot:
+an echelon form decides rank and membership, and nullspace_basis cancels the
+other pivot columns once, when it back-substitutes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import gcd
 
 Row = dict[int, Fraction]
@@ -70,26 +73,30 @@ class SpanBuilder:
         return len(self.pivots)
 
     def _reduce(self, row) -> dict[int, int]:
-        """An int multiple of row with every pivot column eliminated.
+        """An int multiple of row whose leading column is no pivot, or {}.
 
-        Pivot columns go in increasing order; eliminating one can only bring
-        in larger columns, and those that are pivots join the heap.  An int
-        row is copied as it is, zeros dropped: its content is divided out
-        by add, so only a row holding a Fraction needs strip_content.
+        Only the leading column is cancelled, smallest first: the heap holds
+        the row's columns, and eliminating one brings in larger ones only.
+        An int row is copied as it is, zeros dropped: its content is divided
+        out by add, so only a row holding a Fraction needs strip_content.
         """
         out = {c: v for c, v in row.items() if v}
-        if any(type(v) is not int for v in out.values()):
+        if any(type(v) is not int for v in row.values()):
+            bad = [v for v in row.values() if not isinstance(v, (int, Fraction))]
+            if bad:
+                raise TypeError(f"row value {bad[0]!r} is neither an int nor a Fraction")
             out = strip_content(out)
         pivots = self.pivots
-        heap = [c for c in out if c in pivots]
-        heapify(heap)
-        while heap:
+        heap = sorted(out)
+        while out:
             col = heappop(heap)
             if col not in out:
                 continue
-            prow = pivots[col]
+            prow = pivots.get(col)
+            if prow is None:
+                break
             for c in prow:
-                if c != col and c not in out and c in pivots:
+                if c not in out:
                     heappush(heap, c)
             _eliminate(out, col, prow)
         return out

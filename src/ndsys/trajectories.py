@@ -36,8 +36,19 @@ class Window:
         return len(self.points)
 
 
+def _coordinate(v) -> int:
+    """v as an int; a ValueError unless v has an integer value."""
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != v:
+        raise ValueError(f"window coordinate {v!r} is not an integer")
+    return i
+
+
 def box_window(bounds) -> Window:
-    bounds = tuple((int(a), int(b)) for a, b in bounds)
+    bounds = tuple((_coordinate(a), _coordinate(b)) for a, b in bounds)
     for a, b in bounds:
         if a > b:
             raise ValueError("empty box side")
@@ -46,7 +57,7 @@ def box_window(bounds) -> Window:
 
 
 def explicit_window(points) -> Window:
-    pts = tuple(sorted({tuple(int(v) for v in p) for p in points}))
+    pts = tuple(sorted({tuple(map(_coordinate, p)) for p in points}))
     if not pts:
         raise ValueError("empty window")
     if len({len(p) for p in pts}) != 1:
@@ -149,7 +160,8 @@ class WindowSpan:
     """Q-span of all window-supported shifts of the generators.
 
     Membership here certifies membership in the module; a refusal only says
-    the certificate does not fit in this window.
+    the certificate does not fit in this window.  A vector of another shape
+    is an error, as it is for member.
     """
 
     def __init__(self, gens, window: Window, k: int | None = None):
@@ -176,6 +188,8 @@ class WindowSpan:
         return row
 
     def contains(self, v: LaurentVec) -> bool:
+        if v.nvars != self.window.dim or v.k != self.k:
+            raise ValueError("vector shape mismatch")
         try:
             row = self._flatten(v)
         except ValueError:

@@ -1,11 +1,15 @@
 import random
+import re
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 import pytest
 
+from ndsys import linalg
 from ndsys.laurent import parse_vector
-from ndsys.linalg import SpanBuilder, nullspace_basis, rank_of_rows
+from ndsys.linalg import (SpanBuilder, _eliminate, nullspace_basis, rank_of_rows,
+                          strip_content)
 from ndsys.trajectories import _equation_rows, _window_index, box_window
 
 
@@ -154,14 +158,56 @@ def _combination(rng, rows):
     return out
 
 
-def _check_against_reference(rng, rows, ncols):
+def _queries(rng, rows, ncols):
+    queries = [_combination(rng, rows) for _ in range(4)]
+    return queries + [{rng.randrange(ncols): _random_value(rng)
+                       for _ in range(rng.randint(1, 3))} for _ in range(4)]
+
+
+# The integer builder before inserts cancelled the leading column only, kept
+# as the reference: each insert eliminated every pivot column of its row.
+
+
+class _FullReductionBuilder(SpanBuilder):
+    def _reduce(self, row):
+        out = {c: v for c, v in row.items() if v}
+        if any(type(v) is not int for v in out.values()):
+            out = strip_content(out)
+        pivots = self.pivots
+        heap = [c for c in out if c in pivots]
+        heapify(heap)
+        while heap:
+            col = heappop(heap)
+            if col not in out:
+                continue
+            prow = pivots[col]
+            for c in prow:
+                if c != col and c not in out and c in pivots:
+                    heappush(heap, c)
+            _eliminate(out, col, prow)
+        return out
+
+
+def _check_against_full_reduction(rows, ncols, queries, monkeypatch):
+    sb, ref = SpanBuilder(), _FullReductionBuilder()
+    assert [sb.add(r) for r in rows] == [ref.add(r) for r in rows]
+    # the same pivots, inserted in the same order
+    assert list(sb.pivots) == list(ref.pivots)
+    assert [sb.contains(q) for q in queries] == [ref.contains(q) for q in queries]
+    got = nullspace_basis(rows, ncols)
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "SpanBuilder", _FullReductionBuilder)
+        want = nullspace_basis(rows, ncols)
+    assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
+
+
+def _check_against_reference(rng, rows, ncols, monkeypatch):
+    """Check the builder against both references on rows and random queries."""
     added, pivots = _fraction_span(rows)
     sb = SpanBuilder()
     assert [sb.add(r) for r in rows] == added
     assert sb.rank == len(pivots)
-    queries = [_combination(rng, rows) for _ in range(4)]
-    queries += [{rng.randrange(ncols): _random_value(rng)
-                 for _ in range(rng.randint(1, 3))} for _ in range(4)]
+    queries = _queries(rng, rows, ncols)
     for q in queries:
         assert sb.contains(q) == (not _fraction_reduce(pivots, q))
     got = nullspace_basis(rows, ncols)
@@ -169,28 +215,62 @@ def _check_against_reference(rng, rows, ncols):
     # same vectors, listing their entries in the same order
     assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
     assert all(type(c) is Fraction for v in got for c in v.values())
+    _check_against_full_reduction(rows, ncols, queries, monkeypatch)
 
 
-def test_integer_builder_matches_fraction_reference_on_random_rows():
+def test_integer_builder_matches_fraction_reference_on_random_rows(monkeypatch):
     rng = random.Random(2024)
     for _ in range(400):
         ncols = rng.randint(1, 12)
-        _check_against_reference(rng, _random_rows(rng, ncols), ncols)
+        _check_against_reference(rng, _random_rows(rng, ncols), ncols, monkeypatch)
+
+
+K2 = ["[s1 - 1, s2 + 1]", "[s2^2 - s1, s1*s2 - 3]"]
+
+
+def _window_rows(texts, k, side):
+    gens = [parse_vector(t, 2, k) for t in texts]
+    window = box_window([(0, side - 1)] * 2)
+    index = _window_index(window, k)
+    return list(_equation_rows(gens, window, index)), len(index)
 
 
 @pytest.mark.parametrize("texts,k,side", [
     (["1 + s1*s2 + s2^2"], 1, 13),
     (["-1 - s1*s2 - s2^2"], 1, 9),
-    (["[s1 - 1, s2 + 1]", "[s2^2 - s1, s1*s2 - 3]"], 2, 11),
+    (K2, 2, 11),
     (["1/2 - 3*s1 + 5/7*s1*s2^2"], 1, 13),
     (["-2 - 4*s1*s2 + 6*s2^2"], 1, 9),
 ])
-def test_integer_builder_matches_fraction_reference_on_windows(texts, k, side):
-    gens = [parse_vector(t, 2, k) for t in texts]
-    window = box_window([(0, side - 1)] * 2)
-    index = _window_index(window, k)
-    rows = list(_equation_rows(gens, window, index))
-    _check_against_reference(random.Random(side), rows, len(index))
+def test_integer_builder_matches_fraction_reference_on_windows(texts, k, side, monkeypatch):
+    rows, ncols = _window_rows(texts, k, side)
+    _check_against_reference(random.Random(side), rows, ncols, monkeypatch)
+
+
+def test_builder_matches_full_reduction_on_k2_window(monkeypatch):
+    # too large for the Fraction reference
+    rows, ncols = _window_rows(K2, 2, 21)
+    queries = _queries(random.Random(21), rows, ncols)
+    _check_against_full_reduction(rows, ncols, queries, monkeypatch)
+
+
+@pytest.mark.parametrize("texts,k,side,most", [
+    # full reduction on insert made 7299: 2443 inserting, 4856 back-substituting
+    (K2, 2, 15, 1100),
+    # hex rows are echelon as they come: no insert eliminates anything
+    (["1 + s1*s2 + s2^2"], 1, 41, 2962),
+])
+def test_nullspace_elimination_count(texts, k, side, most, monkeypatch):
+    rows, ncols = _window_rows(texts, k, side)
+    calls = []
+
+    def counted(row, col, prow):
+        calls.append(col)
+        _eliminate(row, col, prow)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    nullspace_basis(rows, ncols)
+    assert len(calls) <= most
 
 
 def test_stored_rows_are_primitive_echelon_int_rows():
@@ -207,6 +287,16 @@ def test_stored_rows_are_primitive_echelon_int_rows():
             assert gcd(*prow.values()) == 1
             assert min(prow) == pcol
             assert prow[pcol] > 0
+
+
+@pytest.mark.parametrize("value", [0.5, "1", 1j, None, ""])
+def test_rows_hold_int_or_fraction_values(value):
+    row = {0: 1, 2: value}
+    calls = [SpanBuilder().add, SpanBuilder().contains,
+             lambda r: rank_of_rows([r]), lambda r: nullspace_basis([r], 3)]
+    for call in calls:
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            call(row)
 
 
 def test_nullspace_rejects_columns_out_of_range():

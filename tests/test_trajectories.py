@@ -83,6 +83,16 @@ def test_window_constructors_validate():
     with pytest.raises(ValueError):
         explicit_window([])
     assert explicit_window([(1,), (0,), (1,)]).points == ((0,), (1,))
+    # coordinates with an integer value are taken, others are not truncated
+    assert box_window([(Fraction(-4, 2), 2.0)]).box == ((-2, 2),)
+    assert explicit_window([(Fraction(3), 1.0)]).points == ((3, 1),)
+    for bounds in ([(0, 2.7)], [(Fraction(1, 2), 3)], [(0, "3")], [(0, float("nan"))],
+                   [(0, float("inf"))], [(None, 1)]):
+        with pytest.raises(ValueError, match="not an integer"):
+            box_window(bounds)
+    for points in ([(0.9,), (1.2,)], [(0, Fraction(1, 3))], [("1",)]):
+        with pytest.raises(ValueError, match="not an integer"):
+            explicit_window(points)
 
 
 @pytest.mark.parametrize("points", [
@@ -160,6 +170,14 @@ def test_window_span_certifies_membership_only():
     assert not span.contains(pv("s2^2", 2, 1))
     # sticking out of the window is a refusal, not an error
     assert not span.contains(g.shift((10, 10)))
+
+
+def test_window_span_rejects_vectors_of_another_shape():
+    g = pv("1 + s1*s2 + s2^2", 2, 1)
+    span = WindowSpan([g], box_window([(-4, 4), (-4, 4)]))
+    for v in (pv("[1 + s1*s2 + s2^2, 0]", 2, 2), pv("1 + s1*s2 + s2^2", 3, 1)):
+        with pytest.raises(ValueError, match="vector shape mismatch"):
+            span.contains(v)
 
 
 def test_window_span_passes_linear_algebra_errors_on(monkeypatch):
