@@ -5,7 +5,8 @@ quotient A^k/P: torsion-free means controllable, torsion means autonomous.
 The torsion closure P0 (all vectors with a nonzero multiple inside P) is
 computed by one double relation pass, whose column relations are also the
 image representation of a controllable system; a further relation pass
-presents the obstruction P0/P.
+presents the obstruction P0/P.  Autonomy and its degree come down to the rank
+over the fraction field, read off the leading components of a canonical basis.
 """
 
 from __future__ import annotations
@@ -14,32 +15,23 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .laurent import LaurentPoly, LaurentVec
-from .groebner import (InvariantError, Submodule, eliminate, member,
+from .groebner import (InvariantError, Submodule, eliminate, groebner_basis, member,
                        submodule_contains, submodule_equal, syzygies)
 from .intlat import IntLattice
 from .sublattice import contract, extend, extend_vector
 
 
 def rank_over_fractions(p: Submodule) -> int:
-    """Rank of the generator matrix over the field of rational functions."""
-    rows = [list(g.entries) for g in p.generators]
-    k = p.k
-    rank = 0
-    col = 0
-    while rows and col < k:
-        pivot = next((i for i, r in enumerate(rows) if not r[col].is_zero()), None)
-        if pivot is None:
-            col += 1
-            continue
-        prow = rows.pop(pivot)
-        rank += 1
-        # cross-multiplied elimination keeps everything polynomial
-        rows = [[prow[col] * r[j] - r[col] * prow[j] for j in range(k)]
-                for r in rows if not r[col].is_zero()] + \
-               [r for r in rows if r[col].is_zero()]
-        rows = [r for r in rows if any(not e.is_zero() for e in r)]
-        col += 1
-    return rank
+    """Rank of the generator matrix over the field of rational functions.
+
+    The canonical basis is a Groebner basis under a position-over-term order
+    that ranks lower components higher, so it is in echelon form by component
+    and its number of distinct leading (first nonzero) components is the
+    rank.  A module without that basis yet gets it here, cached on it;
+    analyze, transfer_checks and degree_of_autonomy build it anyway.
+    """
+    return len({next(j for j, e in enumerate(g.entries) if not e.is_zero())
+                for g in groebner_basis(p)})
 
 
 def _columns(gens: list[LaurentVec], k: int) -> list[LaurentVec]:

@@ -39,6 +39,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import add, itemgetter, le, neg, sub
 
+from .intlat import as_int
 from .laurent import Exp, LaurentPoly, LaurentVec
 from .linalg import strip_content
 
@@ -421,6 +422,8 @@ class Submodule:
     """Finitely generated A-submodule of A^k with cached canonical bases."""
 
     def __init__(self, nvars: int, k: int, generators):
+        if nvars < 0:
+            raise ValueError("variable count must be >= 0")
         if k < 1:
             raise ValueError("ambient rank must be >= 1")
         gens = []
@@ -599,23 +602,27 @@ def eliminate(mod: Submodule, drop) -> Submodule:
 
     Cuts the saturated lift to the elements free of the dropped variables,
     under a block order ranking those above everything, and re-expresses
-    them over the retained variables.  The result is a Submodule over the
-    smaller ring (its own canonicalization re-saturates by the retained
-    variables); dropping every variable leaves the module's constant part,
-    and dropping none returns mod itself.
+    them over the retained variables.  The cut is the result's canonical
+    basis, cached on it: the drop-free part of a saturated module is
+    saturated, and on drop-free monomials the block order ranks like the
+    default order.  Dropping every variable leaves the module's constant
+    part, and dropping none returns mod itself.
     """
-    drop = tuple(sorted(set(int(i) for i in drop)))
+    drop = tuple(sorted({as_int(i, "drop variable") for i in drop}))
     if any(i < 0 or i >= mod.nvars for i in drop):
         raise ValueError("drop variable out of range")
     if not drop:
         return mod
     keep = [i for i in range(mod.nvars) if i not in drop]
-    key = make_key(TermOrder(drop=drop), mod.nvars)
-    gb = _cut(mod.saturated_vpolys(), key, lambda m: all(m[1][i] == 0 for i in drop))
-    gens = [vpoly_to_vec({(comp, tuple(e[i] for i in keep)): c
-                          for (comp, e), c in _monic(g, key).items()}, len(keep), mod.k)
-            for g in gb]
-    return Submodule(len(keep), mod.k, gens)
+    gb = _cut(mod.saturated_vpolys(), make_key(TermOrder(drop=drop), mod.nvars),
+              lambda m: all(m[1][i] == 0 for i in drop))
+    sat = [{(comp, tuple(e[i] for i in keep)): c for (comp, e), c in g.items()} for g in gb]
+    key = make_key(DEFAULT_ORDER, len(keep))
+    out = Submodule(len(keep), mod.k, [vpoly_to_vec(_monic(g, key), len(keep), mod.k)
+                                       for g in sat])
+    out._sat_cache = sat
+    out._gb_cache[DEFAULT_ORDER] = out.generators
+    return out
 
 
 def is_groebner_basis(vecs: list[LaurentVec], nvars: int, order: TermOrder | None = None) -> bool:

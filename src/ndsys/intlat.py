@@ -12,6 +12,17 @@ from dataclasses import dataclass
 from math import lcm
 
 
+def as_int(v, what: str) -> int:
+    """v as an int; a ValueError, naming what v is, unless v has an integer value."""
+    try:
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != v:
+        raise ValueError(f"{what} {v!r} is not an integer")
+    return i
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix; rows is a tuple of equal-length tuples."""
@@ -26,7 +37,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows, ncols: int | None = None) -> "IntMatrix":
-        rows = tuple(tuple(int(v) for v in r) for r in rows)
+        rows = tuple(tuple(as_int(v, "matrix entry") for v in r) for r in rows)
         if ncols is None:
             if not rows:
                 raise ValueError("ncols required for empty matrix")
@@ -91,10 +102,11 @@ class IntMatrix:
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular matrix: its HNF is I, so the HNF
-    transform is the inverse."""
-    if not m.is_unimodular():
+    transform is the inverse; any other HNF means m is not unimodular."""
+    h, u, _ = hnf_with_transform(m)
+    if h != IntMatrix.identity(m.ncols):
         raise ValueError("matrix is not unimodular")
-    return hnf_with_transform(m)[1]
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +375,13 @@ def smith(m: IntMatrix) -> SmithDecomposition:
                 row_swap(t, pi)
             if pj != t:
                 col_swap(t, pj)
-            dirty = False
             for i in range(t + 1, n):
                 if d[i][t] != 0:
                     row_add(i, t, -(d[i][t] // d[t][t]))
-                    dirty = dirty or d[i][t] != 0
             for j in range(t + 1, c):
                 if d[t][j] != 0:
                     col_add(j, t, -(d[t][j] // d[t][t]))
-                    dirty = dirty or d[t][j] != 0
-            if not dirty and all(d[i][t] == 0 for i in range(t + 1, n)) \
+            if all(d[i][t] == 0 for i in range(t + 1, n)) \
                     and all(d[t][j] == 0 for j in range(t + 1, c)):
                 # pivot isolated; enforce divisibility of the residual block
                 bad = None
@@ -422,10 +431,10 @@ class GaloisSubgroup:
 
     @staticmethod
     def make(moduli, generators) -> "GaloisSubgroup":
-        moduli = tuple(int(d) for d in moduli)
+        moduli = tuple(as_int(d, "modulus") for d in moduli)
         gens = []
         for g in generators:
-            r = tuple(int(a) % d for a, d in zip(g, moduli))
+            r = tuple(as_int(a, "generator entry") % d for a, d in zip(g, moduli, strict=True))
             if any(r):
                 gens.append(r)
         return GaloisSubgroup(moduli, tuple(sorted(set(gens))))
@@ -486,7 +495,7 @@ def lattice_to_subgroup(lat: IntLattice, moduli) -> GaloisSubgroup:
     Requires the lattice to contain the diagonal lattice of the moduli, so the
     quotient group is defined.
     """
-    d = tuple(int(x) for x in moduli)
+    d = tuple(as_int(x, "modulus") for x in moduli)
     n = lat.ambient
     if len(d) != n:
         raise ValueError("moduli length mismatch")

@@ -16,6 +16,7 @@ from itertools import product
 from .linalg import Row, SpanBuilder, nullspace_basis, strip_content
 from .laurent import Exp, LaurentVec
 from .groebner import Submodule
+from .intlat import as_int
 from .sublattice import ContractedModule, contract, extend
 
 _ZERO = Fraction(0)
@@ -36,19 +37,9 @@ class Window:
         return len(self.points)
 
 
-def _coordinate(v) -> int:
-    """v as an int; a ValueError unless v has an integer value."""
-    try:
-        i = int(v)
-    except (TypeError, ValueError, OverflowError):
-        i = None
-    if i is None or i != v:
-        raise ValueError(f"window coordinate {v!r} is not an integer")
-    return i
-
-
 def box_window(bounds) -> Window:
-    bounds = tuple((_coordinate(a), _coordinate(b)) for a, b in bounds)
+    bounds = tuple((as_int(a, "window coordinate"), as_int(b, "window coordinate"))
+                   for a, b in bounds)
     for a, b in bounds:
         if a > b:
             raise ValueError("empty box side")
@@ -57,7 +48,7 @@ def box_window(bounds) -> Window:
 
 
 def explicit_window(points) -> Window:
-    pts = tuple(sorted({tuple(map(_coordinate, p)) for p in points}))
+    pts = tuple(sorted({tuple(as_int(x, "window coordinate") for x in p) for p in points}))
     if not pts:
         raise ValueError("empty window")
     if len({len(p) for p in pts}) != 1:

@@ -81,3 +81,26 @@ def test_pairs_alternate_and_count_wins(tmp_path, monkeypatch):
     for side in ("parent", "change"):
         assert traced[side]["exit"] == 0 and traced[side]["coarsest.audit_candidates"] == 2599
         assert traced[side]["span_counts"] == {"coarsest.coarsest_lattice": 126}
+
+
+def test_traced_passes_alternate_by_workload(tmp_path, monkeypatch):
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    traced = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        if trace:
+            traced.append((workload, "parent" if checkout == parent else "change", seed))
+        return {"correct": True, "exit": 0,
+                "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
+                             "--pairs", "query-mix=1-2", "--pairs", "contract-ladder=3"]) == 0
+    assert traced == [("query-mix", "parent", 1), ("query-mix", "change", 1),
+                      ("contract-ladder", "change", 1), ("contract-ladder", "parent", 1)]
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())["traced_seed1"]["workloads"]
+    assert record["query-mix"]["first"] == "parent"
+    assert record["contract-ladder"]["first"] == "change"
+    for entry in record.values():
+        assert entry["parent"]["wall_s"] == entry["change"]["wall_s"] == 1.0

@@ -9,7 +9,7 @@ import pytest
 
 import ndsys
 from ndsys import groebner
-from ndsys.analysis import analyze
+from ndsys.analysis import analyze, rank_over_fractions
 from ndsys.laurent import LaurentPoly, LaurentVec, parse_poly, parse_vector
 from ndsys.groebner import (DEFAULT_ORDER, Submodule, TermOrder, _lift, buchberger,
                             eliminate, groebner_basis, is_groebner_basis, make_key,
@@ -264,6 +264,64 @@ def test_eliminate_keeps_subring_members_only():
             lifted = LaurentVec([LaurentPoly(2, {(e[0], 0): c for e, c in
                                                  g.entries[0].terms.items()})])
             assert member(lifted, mod)
+
+
+def _drop_sets(n):
+    return [[i for i in range(n) if mask >> i & 1] for mask in range(1, 2 ** n)]
+
+
+def test_eliminate_returns_its_canonical_basis():
+    """The cut eliminate returns is the saturated lift and the default-order
+    basis a fresh Submodule of its generators computes, for every drop set."""
+    rng = random.Random(113)
+    cases = 0
+    for _ in range(12):
+        n, k = rng.randint(1, 3), rng.randint(1, 2)
+        mod = Submodule(n, k, [_rand_vec(rng, n, k, terms=2, deg=1)
+                               for _ in range(rng.randint(1, 3))])
+        for drop in _drop_sets(n):
+            q = eliminate(mod, drop)
+            fresh = Submodule(q.nvars, q.k, q.generators)
+            assert q.saturated_vpolys() == fresh.saturated_vpolys()
+            assert groebner_basis(q) == groebner_basis(fresh) == list(q.generators)
+            cases += 1
+    assert cases > 30
+
+
+def test_rank_of_an_eliminated_module_runs_no_buchberger(monkeypatch):
+    """rank_over_fractions reads the canonical basis eliminate leaves on its
+    result; a fresh module of the same generators needs a Buchberger run."""
+    rng = random.Random(127)
+    plain = groebner.buchberger
+    runs = []
+
+    def counting(*args):
+        runs.append(args)
+        return plain(*args)
+
+    for _ in range(6):
+        n, k = rng.randint(1, 3), rng.randint(1, 2)
+        mod = Submodule(n, k, [_rand_vec(rng, n, k, terms=2, deg=1) for _ in range(2)])
+        for drop in _drop_sets(n):
+            q = eliminate(mod, drop)
+            fresh = Submodule(q.nvars, q.k, q.generators)
+            with monkeypatch.context() as m:
+                m.setattr(groebner, "buchberger", counting)
+                rank = rank_over_fractions(q)
+                assert not runs
+                assert rank_over_fractions(fresh) == rank and runs
+            runs.clear()
+
+
+def test_integer_arguments_are_not_truncated():
+    p = Submodule(2, 1, [pv("s1 - s2", 2, 1), pv("s1*s2 - 1", 2, 1)])
+    for drop in ([0.7], ["0"], [Fraction(1, 2)], [None]):
+        with pytest.raises(ValueError, match="not an integer"):
+            eliminate(p, drop)
+    assert submodule_equal(eliminate(p, [Fraction(2, 2)]), eliminate(p, [1]))
+    assert eliminate(p, [0.0]).nvars == 1
+    with pytest.raises(ValueError):
+        Submodule(-1, 1, [])
 
 
 def test_submodule_contains():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -104,6 +105,10 @@ def test_unimodular_inverse():
         assert unimodular_inverse(m) @ m == IntMatrix.identity(n)
     with pytest.raises(ValueError):
         unimodular_inverse(IntMatrix.from_rows([[2, 0], [0, 1]], 2))
+    for rows, ncols in (([[1, 2], [2, 4]], 2), ([[1, 0]], 2), ([[1], [0]], 1), ([], 2)):
+        with pytest.raises(ValueError, match="not unimodular"):
+            unimodular_inverse(IntMatrix.from_rows(rows, ncols))
+    assert unimodular_inverse(IntMatrix.identity(0)) == IntMatrix.identity(0)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +222,30 @@ def test_diagonal_lattice_pinned_axis():
     assert lat.contains((4, 0))
     assert not lat.contains((2, 1))
     assert lat.rank == 1
+
+
+def test_integer_inputs_are_not_truncated():
+    """Entries, moduli and generator entries without an integer value raise
+    instead of being truncated; integer values of any type are taken."""
+    bad = [
+        lambda: lattice_from_rows(2, [[1.5, 0], [0, 2]]),
+        lambda: lattice_from_rows(2, [["3", 0]]),
+        lambda: IntMatrix.from_rows([[Fraction(3, 2)]]),
+        lambda: IntMatrix.from_rows([[None]]),
+        lambda: IntMatrix.from_rows([[float("inf")]]),
+        lambda: diagonal_lattice([2.5, 1]),
+        lambda: GaloisSubgroup.make([2.9], [[1]]),
+        lambda: GaloisSubgroup.make([2], [[1.2]]),
+        lambda: lattice_to_subgroup(full_lattice(2), [2.5, 1]),
+    ]
+    for call in bad:
+        with pytest.raises(ValueError, match="not an integer"):
+            call()
+    with pytest.raises(ValueError):
+        GaloisSubgroup.make([2, 2], [[1]])
+    assert IntMatrix.from_rows([[Fraction(4, 2), 3.0]]).rows == ((2, 3),)
+    assert lattice_from_rows(2, [[2.0, 0], [0, Fraction(1)]]) == diagonal_lattice([2, 1])
+    assert GaloisSubgroup.make([2.0], [[Fraction(3)]]) == GaloisSubgroup.make([2], [[1]])
 
 
 def test_coset_rep_is_canonical():

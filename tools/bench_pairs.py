@@ -9,7 +9,9 @@ every seed of every ``--pairs`` workload, the tool runs ``run.py --trace 0``
 once in each checkout, one child process at a time, and alternates which side
 goes first: the parent on even pair indices, the change on odd ones.  It then
 runs one ``--trace 1`` pass of every named workload on seed 1 in each
-checkout.  The record is written to ``BENCH_<label>.json`` in the current
+checkout, alternating the same way by workload index (the parent first on even
+ones), so a host that drifts during the traced passes does not always weigh on
+the same side.  The record is written to ``BENCH_<label>.json`` in the current
 directory.
 
 It gives, for each end-to-end metric, the median and quartiles of each side
@@ -17,7 +19,8 @@ It gives, for each end-to-end metric, the median and quartiles of each side
 order, and ``change_better_pairs``: the pairs in which the change is strictly
 better, in the direction ``BENCHMARK.json`` declares.  Traced runs keep their
 exit code, ``correct``, every per-layer metric and the span counts ``run.py``
-wrote to its results file.  Standard library only.
+wrote to its results file, and ``first`` names the side traced first.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -131,6 +134,15 @@ def traced_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict
     return out
 
 
+def traced_pair(parent: Path, change: Path, workload: str, index: int, seconds: float) -> dict:
+    """Traced seed-1 runs of both sides, the parent first on even workload indices."""
+    order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+    out: dict = {"first": order[0]}
+    for side in order:
+        out[side] = traced_run(parent if side == "parent" else change, workload, 1, seconds)
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -163,9 +175,8 @@ def main(argv=None) -> int:
         },
         "traced_seed1": {
             "command": command.format(1, 1),
-            "workloads": {w: {side: traced_run(path, w, 1, seconds)
-                              for side, path in (("parent", parent), ("change", change))}
-                          for w, _ in args.pairs},
+            "workloads": {w: traced_pair(parent, change, w, i, seconds)
+                          for i, (w, _) in enumerate(args.pairs)},
         },
     }
     out = Path(f"BENCH_{args.label}.json")
