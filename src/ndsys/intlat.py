@@ -432,6 +432,9 @@ class GaloisSubgroup:
     @staticmethod
     def make(moduli, generators) -> "GaloisSubgroup":
         moduli = tuple(as_int(d, "modulus") for d in moduli)
+        # before the generators are reduced modulo them
+        if any(d < 1 for d in moduli):
+            raise ValueError("moduli must be positive")
         gens = []
         for g in generators:
             r = tuple(as_int(a, "generator entry") % d for a, d in zip(g, moduli, strict=True))

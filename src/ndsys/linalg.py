@@ -5,12 +5,15 @@ in with int or Fraction values and leave (from nullspace_basis) as Fractions.
 In between, a SpanBuilder holds primitive int rows and eliminates
 fraction-free, so building and querying a span does no rational arithmetic.
 Inserts and queries cancel a row's leading column only, until it is no pivot:
-an echelon form decides rank and membership, and nullspace_basis cancels the
-other pivot columns once, when it back-substitutes.
+an echelon form decides rank and membership, and reduced_rows cancels the
+other pivot columns once, when it back-substitutes.  Its primitive int rows
+feed nullspace_basis, which formats them as Fractions, and any caller that
+wants the nullspace in ints.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd
@@ -62,7 +65,7 @@ class SpanBuilder:
     Each stored row is a primitive int row whose pivot, its smallest column,
     holds a positive entry and is the pivot of no other stored row.  Stored
     rows are never rewritten: rank and membership need echelon form only, and
-    nullspace_basis back-substitutes once at the end.
+    reduced_rows back-substitutes once at the end.
     """
 
     def __init__(self) -> None:
@@ -110,27 +113,28 @@ class SpanBuilder:
         content = gcd(*red.values())
         if red[pivot] < 0:
             content = -content
-        self.pivots[pivot] = {c: v // content for c, v in red.items()}
+        # red is a fresh dict: keep it when it is already primitive
+        self.pivots[pivot] = red if content == 1 else {c: v // content for c, v in red.items()}
         return True
 
     def contains(self, row: Row) -> bool:
         return not self._reduce(row)
 
 
-def rank_of_rows(rows: list[Row]) -> int:
+def rank_of_rows(rows: Iterable[Row]) -> int:
     sb = SpanBuilder()
     for r in rows:
         sb.add(r)
     return sb.rank
 
 
-def nullspace_basis(rows: list[Row], ncols: int) -> list[Row]:
-    """Basis of {x : A x = 0} for the sparse row list A, columns 0..ncols-1.
+def reduced_rows(rows: Iterable[Row], ncols: int) -> dict[int, dict[int, int]]:
+    """Reduced echelon form of the rows, columns 0..ncols-1, in ints.
 
-    The basis is canonical: one vector per free column, with value 1 at the
-    free column and pivot entries back-substituted.  Window systems repeat a
-    few values many times over, so each entry Fraction(-v, lead) is built
-    once per call and shared between the vectors.
+    Maps each pivot column, in the order the pivots were inserted, to a
+    primitive int row with a positive entry there and no other pivot column:
+    its pivot plus free columns only.  Free column f's nullspace vector has
+    1 at f and -row[f] / row[pivot] at each pivot.
     """
     sb = SpanBuilder()
     for r in rows:
@@ -151,13 +155,25 @@ def nullspace_basis(rows: list[Row], ncols: int) -> list[Row]:
             if content != 1:
                 prow = {c: v // content for c, v in prow.items()}
         reduced[pcol] = prow
+    return {pcol: reduced[pcol] for pcol in sb.pivots}
+
+
+def nullspace_basis(rows: Iterable[Row], ncols: int) -> list[Row]:
+    """Basis of {x : A x = 0} for the sparse row list A, columns 0..ncols-1.
+
+    The basis is canonical: one vector per free column, with value 1 at the
+    free column and pivot entries back-substituted (reduced_rows, formatted
+    as Fractions).  Window systems repeat a few values many times over, so
+    each entry Fraction(-v, lead) is built once per call and shared between
+    the vectors.
+    """
+    reduced = reduced_rows(rows, ncols)
     one = Fraction(1)
     basis = {free: {free: one} for free in range(ncols) if free not in reduced}
     # lead -> v -> Fraction(-v, lead)
     values: dict[int, dict[int, Fraction]] = {}
     # pivots in insertion order, so each vector lists them in that order
-    for pcol in sb.pivots:
-        prow = reduced[pcol]
+    for pcol, prow in reduced.items():
         lead = prow[pcol]
         shared = values.setdefault(lead, {})
         for c, v in prow.items():

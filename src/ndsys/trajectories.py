@@ -4,7 +4,8 @@ Solutions of a difference system on a finite window are computed by exact
 linear algebra on the instantiated equations: one primitive int equation per
 (generator, shift) whose shifted support fits inside the window.  This path
 never consults a Groebner basis, so it serves as an independent check for
-the symbolic operations.
+the symbolic operations.  Questions that need only a dimension count the
+rank of the equations and build no basis.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
-from .linalg import Row, SpanBuilder, nullspace_basis, strip_content
+from .linalg import (Row, SpanBuilder, nullspace_basis, rank_of_rows, reduced_rows,
+                     strip_content)
 from .laurent import Exp, LaurentVec
 from .groebner import Submodule
 from .intlat import as_int
@@ -24,10 +27,22 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class Window:
-    """Finite set of lattice points, optionally a product box."""
+    """Finite set of lattice points, optionally a product box.
+
+    A box window's points are exactly the box's product in sorted order:
+    equation rows on a box compute their columns from that order.
+    """
 
     points: tuple[Exp, ...]
     box: tuple[tuple[int, int], ...] | None = None
+
+    def __post_init__(self):
+        if self.box is None:
+            return
+        if any(a > b for a, b in self.box):
+            raise ValueError("empty box side")
+        if tuple(self.points) != tuple(product(*(range(a, b + 1) for a, b in self.box))):
+            raise ValueError("a box window's points must be its box's points in sorted order")
 
     @property
     def dim(self) -> int:
@@ -40,11 +55,8 @@ class Window:
 def box_window(bounds) -> Window:
     bounds = tuple((as_int(a, "window coordinate"), as_int(b, "window coordinate"))
                    for a, b in bounds)
-    for a, b in bounds:
-        if a > b:
-            raise ValueError("empty box side")
-    pts = tuple(sorted(product(*(range(a, b + 1) for a, b in bounds))))
-    return Window(pts, bounds)
+    # the product of ascending ranges comes in sorted order
+    return Window(tuple(product(*(range(a, b + 1) for a, b in bounds))), bounds)
 
 
 def explicit_window(points) -> Window:
@@ -74,16 +86,9 @@ def _window_index(window: Window, k: int) -> dict[tuple[Exp, int], int]:
 
 
 def _valid_shifts(support: set[Exp], window: Window) -> list[Exp]:
-    """All y such that support + y lies inside the window."""
+    """All y such that support + y lies inside the window, in sorted order."""
     if not support:
         return []
-    n = window.dim
-    if window.box is not None:
-        lo = [min(p[i] for p in support) for i in range(n)]
-        hi = [max(p[i] for p in support) for i in range(n)]
-        ranges = [range(window.box[i][0] - lo[i], window.box[i][1] - hi[i] + 1)
-                  for i in range(n)]
-        return [tuple(y) for y in product(*ranges)]
     pts = set(window.points)
     anchor = next(iter(support))
     out = []
@@ -117,20 +122,41 @@ def _equation_rows(gens: list[LaurentVec], window: Window,
 
     Every shift of a generator has its coefficients, so they are scaled to
     primitive ints once per generator; each row is a positive multiple of the
-    generator's shifted coefficients and spans the same space.
+    generator's shifted coefficients and spans the same space.  index is the
+    window's _window_index, which a box window's rows do not look up: a box
+    lists its points in sorted order, so the column of (x, j) is
+    sum((x_i - lo_i) * stride_i) + j with stride_i counting unknowns, and
+    term (e, j) of shift y sits at offset sum(e_i * stride_i) + j from the
+    shift's base sum((y_i - lo_i) * stride_i).
     """
+    box = window.box
+    if box is not None:
+        strides = [len(index) // len(window)] * len(box)
+        for i in range(len(box) - 1, 0, -1):
+            strides[i - 1] = strides[i] * (box[i][1] - box[i][0] + 1)
     for g in gens:
         terms = strip_content({(e, j): c for j, poly in enumerate(g.entries)
                                for e, c in poly.terms.items()})
         if not terms:
             continue
-        for y in _valid_shifts(g.support(), window):
-            yield {index[(tuple(a + b for a, b in zip(e, y)), j)]: c
-                   for (e, j), c in terms.items()}
+        supp = g.support()
+        if box is None:
+            for y in _valid_shifts(supp, window):
+                yield {index[(tuple(a + b for a, b in zip(e, y)), j)]: c
+                       for (e, j), c in terms.items()}
+            continue
+        offsets = [(sum(a * st for a, st in zip(e, strides)) + j, c)
+                   for (e, j), c in terms.items()]
+        # per axis, (y_i - lo_i) * stride_i for each y_i that keeps supp + y in the box
+        shares = [range(-min(p[i] for p in supp) * st,
+                        (hi - lo - max(p[i] for p in supp) + 1) * st, st)
+                  for i, ((lo, hi), st) in enumerate(zip(box, strides))]
+        for base in map(sum, product(*shares)):
+            yield {base + off: c for off, c in offsets}
 
 
-def window_solutions(mod_or_gens, window: Window, k: int | None = None) -> WindowSolutionSpace:
-    """Nullspace of the instantiated equations on the window."""
+def _system(mod_or_gens, window: Window, k: int | None):
+    """The generators, k and the column index of a system on the window."""
     gens = _generators_of(mod_or_gens, window)
     if k is None:
         if isinstance(mod_or_gens, Submodule):
@@ -141,10 +167,21 @@ def window_solutions(mod_or_gens, window: Window, k: int | None = None) -> Windo
             raise ValueError("ambient rank unknown for empty generator list")
     if any(g.k > k for g in gens):
         raise ValueError("a generator has more than k components")
-    index = _window_index(window, k)
-    rows = list(_equation_rows(gens, window, index))
-    basis = nullspace_basis(rows, len(index))
+    return gens, k, _window_index(window, k)
+
+
+def window_solutions(mod_or_gens, window: Window, k: int | None = None) -> WindowSolutionSpace:
+    """Nullspace of the instantiated equations on the window."""
+    gens, k, index = _system(mod_or_gens, window, k)
+    basis = nullspace_basis(_equation_rows(gens, window, index), len(index))
     return WindowSolutionSpace(window, k, basis, index)
+
+
+def window_dimension(mod_or_gens, window: Window, k: int | None = None) -> int:
+    """window_solutions(...).dimension, read as the number of unknowns minus
+    the rank of the equations: no back-substitution and no Fractions."""
+    gens, k, index = _system(mod_or_gens, window, k)
+    return len(index) - rank_of_rows(_equation_rows(gens, window, index))
 
 
 class WindowSpan:
@@ -214,6 +251,30 @@ def _as_box_window(w) -> Window:
     return box_window(w)
 
 
+def _restricted_rows(reduced: dict[int, dict[int, int]], ncols: int,
+                     cols: list[tuple[int, int]]) -> list[dict[int, int]]:
+    """The nullspace vectors of reduced_rows, in nullspace_basis's order, as
+    primitive int rows on the (column, restricted column) pairs of cols."""
+    # free column -> restricted column -> (numerator, denominator)
+    vecs: dict[int, dict[int, tuple[int, int]]] = {
+        f: {} for f in range(ncols) if f not in reduced}
+    for wc, tc in cols:
+        prow = reduced.get(wc)
+        if prow is None:
+            vecs[wc][tc] = (1, 1)
+            continue
+        for f, v in prow.items():
+            if f != wc:
+                vecs[f][tc] = (-v, prow[wc])
+    out = []
+    for vec in vecs.values():
+        den = lcm(*(d for _, d in vec.values()))
+        row = {tc: v * (den // d) for tc, (v, d) in vec.items()}
+        content = gcd(*row.values())
+        out.append({tc: v // content for tc, v in row.items()} if content > 1 else row)
+    return out
+
+
 def restriction_check(p: Submodule, s, w) -> bool:
     """Window-scale check that restriction onto the sublattice matches the
     contraction: restricted trajectories satisfy the contracted equations and
@@ -221,8 +282,10 @@ def restriction_check(p: Submodule, s, w) -> bool:
 
     Both comparisons run on an interior core of the box, one support
     diameter in from the boundary, to keep boundary artifacts out.  Each
-    restricted trajectory is scaled to a primitive int row, so the equation
-    test sums ints: a positive scale does not change whether a sum is zero.
+    restricted trajectory is read off the box's reduced int rows as a
+    primitive int row, so the equation test sums ints: a positive scale does
+    not change whether a sum is zero.  The contracted side needs only its
+    dimension, unknowns minus the rank of its equations.
     """
     q = contract(p, s)
     full = _as_box_window(w)
@@ -244,13 +307,12 @@ def restriction_check(p: Submodule, s, w) -> bool:
     t_of = {x: q.context.point_to_sub(x) for x in sub_pts}
     t_window = explicit_window(t_of.values())
 
-    sols = window_solutions(p, full)
+    gens, _, index = _system(p, full, p.k)
+    reduced = reduced_rows(_equation_rows(gens, full, index), len(index))
     t_index = _window_index(t_window, p.k)
     # (window column, t-window column) of each restricted unknown
-    cols = [(sols.index[(x, j)], t_index[(t_of[x], j)])
-            for x in sub_pts for j in range(p.k)]
-    restricted = [strip_content({tc: vec[wc] for wc, tc in cols if wc in vec})
-                  for vec in sols.basis]
+    cols = [(index[(x, j)], t_index[(t_of[x], j)]) for x in sub_pts for j in range(p.k)]
+    restricted = _restricted_rows(reduced, len(index), cols)
 
     q_rows = list(_equation_rows(list(q.module.generators), t_window, t_index))
     for row in restricted:
@@ -267,8 +329,7 @@ def restriction_check(p: Submodule, s, w) -> bool:
     span = SpanBuilder()
     for row in restricted:
         span.add(row)
-    q_dim = window_solutions(q.module, t_window).dimension
-    return span.rank == q_dim
+    return span.rank == len(t_index) - rank_of_rows(q_rows)
 
 
 def extension_product_check(q: ContractedModule, w) -> bool:
@@ -296,6 +357,6 @@ def extension_product_check(q: ContractedModule, w) -> bool:
     if len(shapes) != 1:
         raise ValueError("window is not aligned to sublattice translates")
     sub_window = explicit_window(shapes.pop())
-    sub_dim = window_solutions(q.module, sub_window).dimension
-    ext_dim = window_solutions(extend(q), full).dimension
+    sub_dim = window_dimension(q.module, sub_window)
+    ext_dim = window_dimension(extend(q), full)
     return ext_dim == ctx.index * sub_dim

@@ -130,6 +130,24 @@ def test_member_oracle_consistency(capsys):
     assert r["oracle"]["consistent"]
 
 
+@pytest.mark.parametrize("system,window", [
+    ("fibonacci.system", None), ("fibonacci.system", "-3..9"),
+    ("hexagonal.system", None), ("hexagonal.system", "-2..4,-1..5"),
+    ("pair.system", "0..5"), ("skew.system", "1..6,-2..3"),
+])
+def test_simulate_dimension_same_with_and_without_basis(system, window, capsys):
+    argv = ["simulate", system] + ([f"--window={window}"] if window else [])
+    reports = []
+    for extra in ([], ["--basis"]):
+        code, out, _ = run_cli(argv + extra, capsys)
+        assert code == 0
+        reports.append(json.loads(out)["result"])
+    plain, full = reports
+    assert plain["dimension"] == full["dimension"] == len(full["basis"])
+    assert "basis" not in plain
+    assert plain == {key: full[key] for key in plain}
+
+
 def test_simulate_basis_dump(capsys):
     code, out, _ = run_cli(["simulate", "fibonacci.system", "--basis"], capsys)
     assert code == 0

@@ -248,6 +248,13 @@ def test_integer_inputs_are_not_truncated():
     assert GaloisSubgroup.make([2.0], [[Fraction(3)]]) == GaloisSubgroup.make([2], [[1]])
 
 
+def test_galois_subgroup_make_checks_the_moduli_first():
+    # a zero modulus must not reach the reduction of the generator entries
+    for moduli, gens in (([0], [[1]]), ([0], []), ([2, -3], [[1, 1]])):
+        with pytest.raises(ValueError, match="moduli must be positive"):
+            GaloisSubgroup.make(moduli, gens)
+
+
 def test_coset_rep_is_canonical():
     rng = random.Random(37)
     for _ in range(40):

@@ -6,16 +6,17 @@ import pytest
 
 from ndsys.intlat import lattice_from_rows
 from ndsys.laurent import LaurentPoly, LaurentVec, parse_vector
-from ndsys.linalg import SpanBuilder, nullspace_basis
+from ndsys.linalg import (SpanBuilder, nullspace_basis, rank_of_rows, reduced_rows,
+                          strip_content)
 from ndsys.groebner import Submodule
 from ndsys import sublattice, trajectories
 from ndsys.sublattice import contract
 from ndsys.trajectories import (Window, WindowSolutionSpace, WindowSpan,
-                                _as_box_window, _equation_rows, _valid_shifts,
-                                _window_index, box_window,
+                                _as_box_window, _equation_rows, _restricted_rows,
+                                _valid_shifts, _window_index, box_window,
                                 default_membership_window, explicit_window,
                                 extension_product_check, restriction_check,
-                                window_solutions)
+                                window_dimension, window_solutions)
 
 pv = parse_vector
 
@@ -372,3 +373,130 @@ def test_equation_rows_are_primitive_multiples_of_fraction_rows(texts, n, k):
         assert gcd(*row.values()) == 1
         scale = {Fraction(v) / ref[c] for c, v in row.items()}
         assert len(scale) == 1 and scale.pop() > 0
+
+
+def test_box_window_points_must_be_the_sorted_box():
+    hexv = pv("1 + s1*s2 + s2^2", 2, 1)
+    with pytest.raises(ValueError, match="sorted order"):
+        window_solutions(Submodule(2, 1, [hexv]), Window(((0, 0), (0, 1)), ((0, 5), (0, 5))))
+    box = ((0, 2), (-1, 1))
+    points = box_window(box).points
+    with pytest.raises(ValueError, match="sorted order"):
+        Window(tuple(reversed(points)), box)
+    with pytest.raises(ValueError, match="empty box side"):
+        Window((), ((3, 1),))
+    assert Window(points, box) == box_window(box)
+    assert points == tuple(sorted(points))
+
+
+# The row builder box windows used before their columns were computed by
+# offset, kept as the reference: every term of every shift looks its column
+# up by point in the window's index.
+
+
+def _index_equation_rows(gens, window, index):
+    for g in gens:
+        terms = strip_content({(e, j): c for j, poly in enumerate(g.entries)
+                               for e, c in poly.terms.items()})
+        if not terms:
+            continue
+        for y in _valid_shifts(g.support(), window):
+            yield {index[(tuple(a + b for a, b in zip(e, y)), j)]: c
+                   for (e, j), c in terms.items()}
+
+
+def _signed_vec(rng, n, k):
+    """A random vector of k components with exponents in -2..2."""
+    entries = []
+    for _ in range(k):
+        terms = {tuple(rng.randint(-2, 2) for _ in range(n)):
+                 Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 1, 2, 3]))
+                 for _ in range(rng.randint(0, 3))}
+        entries.append(LaurentPoly(n, terms))
+    return LaurentVec(entries)
+
+
+def test_box_offset_rows_match_index_lookup_rows():
+    rng = random.Random(61)
+    nrows = 0
+    for _ in range(90):
+        n, k = rng.randint(1, 3), rng.randint(1, 2)
+        # some generators have fewer than k components
+        gens = [_signed_vec(rng, n, rng.randint(1, k)) for _ in range(rng.randint(1, 3))]
+        bounds = []
+        for _ in range(n):
+            lo = rng.randint(-4, 2)
+            bounds.append((lo, lo + rng.randint(0, {1: 9, 2: 6, 3: 3}[n])))
+        window = box_window(bounds)
+        index = _window_index(window, k)
+        got = [list(row.items()) for row in _equation_rows(gens, window, index)]
+        assert got == [list(row.items()) for row in _index_equation_rows(gens, window, index)]
+        nrows += len(got)
+    assert nrows > 500
+
+
+def _random_rows(rng, ncols):
+    return [{rng.randrange(ncols): rng.choice([rng.randint(-4, 4),
+                                                Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+             for _ in range(rng.randint(1, 4))}
+            for _ in range(rng.randint(0, ncols + 2))]
+
+
+def _systems(rng, count):
+    """Random systems with their window's rows and number of unknowns."""
+    for _ in range(count):
+        n, k = rng.randint(1, 2), rng.randint(1, 2)
+        gens = [_signed_vec(rng, n, k) for _ in range(rng.randint(1, 2))]
+        window = box_window([(0, 9 if n == 1 else 5)] * n)
+        index = _window_index(window, k)
+        yield Submodule(n, k, gens), window, list(_equation_rows(gens, window, index)), len(index)
+
+
+def test_restricted_int_rows_match_fraction_basis_projection():
+    # restriction_check projected the Fraction basis and stripped each vector
+    # to a primitive int row; the projection is kept here as the reference
+    rng = random.Random(67)
+    cases = [(rows, ncols) for _, _, rows, ncols in _systems(rng, 40)]
+    for _ in range(40):
+        ncols = rng.randint(1, 12)
+        cases.append((_random_rows(rng, ncols), ncols))
+    for rows, ncols in cases:
+        picked = rng.sample(range(ncols), rng.randint(0, ncols))
+        cols = list(zip(picked, rng.sample(range(3 * ncols), len(picked))))
+        want = [strip_content({tc: vec[wc] for wc, tc in cols if wc in vec})
+                for vec in nullspace_basis(rows, ncols)]
+        got = _restricted_rows(reduced_rows(rows, ncols), ncols, cols)
+        assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+
+
+def test_rank_only_dimension_matches_basis_length():
+    rng = random.Random(71)
+    for _ in range(60):
+        ncols = rng.randint(1, 12)
+        rows = _random_rows(rng, ncols)
+        assert ncols - rank_of_rows(rows) == len(nullspace_basis(rows, ncols))
+    for p, window, rows, ncols in _systems(rng, 30):
+        assert ncols - rank_of_rows(rows) == len(nullspace_basis(rows, ncols))
+        assert window_dimension(p, window) == window_solutions(p, window).dimension
+        holed = explicit_window(pt for pt in window.points if rng.random() < 0.8)
+        assert window_dimension(p, holed) == window_solutions(p, holed).dimension
+    line = box_window([(0, 5)])
+    assert window_dimension(Submodule(1, 2, []), line) == 12
+    assert window_dimension([pv("[s1 - 1]", 1, 1)], line, k=2) == 7
+
+
+K2_MODULE = ["[s1 - 1, s2 + 1]", "[s2^2 - s1, s1*s2 - 3]"]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the dimension half compares the contracted module's window "
+                          "solutions, free at the core's boundary, with projected ones "
+                          "(ROADMAP item 6)")
+@pytest.mark.parametrize("rows,side", [
+    ([[2, 0], [0, 1]], 15),
+    ([[2, 0], [0, 2]], 15),
+    ([[1, 1], [2, 0]], 9),
+])
+def test_restriction_check_accepts_the_k2_module(rows, side):
+    assert restriction_check(mod(2, 2, K2_MODULE), lattice_from_rows(2, rows),
+                             [(0, side - 1)] * 2)
