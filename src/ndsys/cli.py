@@ -25,7 +25,7 @@ from .sublattice import (contract, extend, galois_group_of, is_extension_from,
 from .analysis import analyze, transfer_checks
 from .coarsest import MAX_ORACLE_INDEX, coarsest_lattice, is_prime
 from .trajectories import (WindowSpan, box_window, default_membership_window,
-                           restriction_check, window_dimension, window_solutions)
+                           restriction_check, window_solutions)
 
 SCHEMA_TAG = "ndsys-report/1"
 
@@ -366,23 +366,22 @@ def _cmd_analyze(sf: SystemFile, args) -> dict:
 def _cmd_simulate(sf: SystemFile, args) -> dict:
     bounds = _pick_window(sf, args, list(sf.rows) or None)
     window = box_window(bounds)
-    out = {"window": [list(b) for b in bounds], "points": len(window)}
-    if not args.basis:
-        out["dimension"] = window_dimension(sf.submodule(), window)
-        return out
     sols = window_solutions(sf.submodule(), window)
-    out["dimension"] = sols.dimension
-    dump = []
-    for vec in sols.basis:
-        entries = []
-        for (pt, comp), idx in sols.index.items():
-            val = vec.get(idx)
-            if val:
-                entries.append({"point": list(pt), "comp": comp,
-                                "value": str(Fraction(val))})
-        entries.sort(key=lambda e: (e["point"], e["comp"]))
-        dump.append(entries)
-    out["basis"] = dump
+    out = {"window": [list(b) for b in bounds],
+           "points": len(window),
+           "dimension": sols.dimension}
+    if args.basis:
+        dump = []
+        for vec in sols.basis:
+            entries = []
+            for (pt, comp), idx in sols.index.items():
+                val = vec.get(idx)
+                if val:
+                    entries.append({"point": list(pt), "comp": comp,
+                                    "value": str(Fraction(val))})
+            entries.sort(key=lambda e: (e["point"], e["comp"]))
+            dump.append(entries)
+        out["basis"] = dump
     return out
 
 

@@ -4,8 +4,7 @@ Solutions of a difference system on a finite window are computed by exact
 linear algebra on the instantiated equations: one primitive int equation per
 (generator, shift) whose shifted support fits inside the window.  This path
 never consults a Groebner basis, so it serves as an independent check for
-the symbolic operations.  Questions that need only a dimension count the
-rank of the equations and build no basis.
+the symbolic operations.
 """
 
 from __future__ import annotations
@@ -155,8 +154,8 @@ def _equation_rows(gens: list[LaurentVec], window: Window,
             yield {base + off: c for off, c in offsets}
 
 
-def _system(mod_or_gens, window: Window, k: int | None):
-    """The generators, k and the column index of a system on the window."""
+def window_solutions(mod_or_gens, window: Window, k: int | None = None) -> WindowSolutionSpace:
+    """Nullspace of the instantiated equations on the window."""
     gens = _generators_of(mod_or_gens, window)
     if k is None:
         if isinstance(mod_or_gens, Submodule):
@@ -167,21 +166,9 @@ def _system(mod_or_gens, window: Window, k: int | None):
             raise ValueError("ambient rank unknown for empty generator list")
     if any(g.k > k for g in gens):
         raise ValueError("a generator has more than k components")
-    return gens, k, _window_index(window, k)
-
-
-def window_solutions(mod_or_gens, window: Window, k: int | None = None) -> WindowSolutionSpace:
-    """Nullspace of the instantiated equations on the window."""
-    gens, k, index = _system(mod_or_gens, window, k)
+    index = _window_index(window, k)
     basis = nullspace_basis(_equation_rows(gens, window, index), len(index))
     return WindowSolutionSpace(window, k, basis, index)
-
-
-def window_dimension(mod_or_gens, window: Window, k: int | None = None) -> int:
-    """window_solutions(...).dimension, read as the number of unknowns minus
-    the rank of the equations: no back-substitution and no Fractions."""
-    gens, k, index = _system(mod_or_gens, window, k)
-    return len(index) - rank_of_rows(_equation_rows(gens, window, index))
 
 
 class WindowSpan:
@@ -307,8 +294,8 @@ def restriction_check(p: Submodule, s, w) -> bool:
     t_of = {x: q.context.point_to_sub(x) for x in sub_pts}
     t_window = explicit_window(t_of.values())
 
-    gens, _, index = _system(p, full, p.k)
-    reduced = reduced_rows(_equation_rows(gens, full, index), len(index))
+    index = _window_index(full, p.k)
+    reduced = reduced_rows(_equation_rows(_generators_of(p, full), full, index), len(index))
     t_index = _window_index(t_window, p.k)
     # (window column, t-window column) of each restricted unknown
     cols = [(index[(x, j)], t_index[(t_of[x], j)]) for x in sub_pts for j in range(p.k)]
@@ -357,6 +344,6 @@ def extension_product_check(q: ContractedModule, w) -> bool:
     if len(shapes) != 1:
         raise ValueError("window is not aligned to sublattice translates")
     sub_window = explicit_window(shapes.pop())
-    sub_dim = window_dimension(q.module, sub_window)
-    ext_dim = window_dimension(extend(q), full)
+    sub_dim = window_solutions(q.module, sub_window).dimension
+    ext_dim = window_solutions(extend(q), full).dimension
     return ext_dim == ctx.index * sub_dim
