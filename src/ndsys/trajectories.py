@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
 
-from .linalg import (Row, SpanBuilder, nullspace_basis, rank_of_rows, reduced_rows,
-                     strip_content)
+from .linalg import Row, SpanBuilder, nullspace_basis, rank_of_rows, strip_content
 from .laurent import Exp, LaurentVec
 from .groebner import Submodule
 from .intlat import as_int
@@ -238,85 +236,69 @@ def _as_box_window(w) -> Window:
     return box_window(w)
 
 
-def _restricted_rows(reduced: dict[int, dict[int, int]], ncols: int,
-                     cols: list[tuple[int, int]]) -> list[dict[int, int]]:
-    """The nullspace vectors of reduced_rows, in nullspace_basis's order, as
-    primitive int rows on the (column, restricted column) pairs of cols."""
-    # free column -> restricted column -> (numerator, denominator)
-    vecs: dict[int, dict[int, tuple[int, int]]] = {
-        f: {} for f in range(ncols) if f not in reduced}
-    for wc, tc in cols:
-        prow = reduced.get(wc)
-        if prow is None:
-            vecs[wc][tc] = (1, 1)
-            continue
-        for f, v in prow.items():
-            if f != wc:
-                vecs[f][tc] = (-v, prow[wc])
-    out = []
-    for vec in vecs.values():
-        den = lcm(*(d for _, d in vec.values()))
-        row = {tc: v * (den // d) for tc, (v, d) in vec.items()}
-        content = gcd(*row.values())
-        out.append({tc: v // content for tc, v in row.items()} if content > 1 else row)
-    return out
-
-
 def restriction_check(p: Submodule, s, w) -> bool:
     """Window-scale check that restriction onto the sublattice matches the
     contraction: restricted trajectories satisfy the contracted equations and
     span a space of the same dimension.
 
     Both comparisons run on an interior core of the box, one support
-    diameter in from the boundary, to keep boundary artifacts out.  Each
-    restricted trajectory is read off the box's reduced int rows as a
-    primitive int row, so the equation test sums ints: a positive scale does
-    not change whether a sum is zero.  The contracted side needs only its
-    dimension, unknowns minus the rank of its equations.
+    diameter in from the boundary, to keep boundary artifacts out.  Each core
+    point x is transported once: it is on the sublattice when y = transport x
+    vanishes past the rank r and each modulus d_i divides y_i, and its
+    t-point is then (y_i // d_i).
+
+    Neither half forms the box's solutions.  A functional vanishes on every
+    box solution exactly when it lies in the row space of the box equations,
+    so the equation half asks the box's echelon form whether each contracted
+    equation, written on the core's sublattice columns, is a member.  Those
+    columns are numbered last, so the echelon rows whose pivots fall among
+    them span the row space's intersection with the core coordinates.  The
+    restricted trajectories then have dimension |core columns| minus that
+    pivot count, and the contracted side |core columns| minus the rank of
+    its equations: the dimension half compares the count with the rank.
     """
-    q = contract(p, s)
     full = _as_box_window(w)
-    n = p.nvars
+    gens = _generators_of(p, full)
+    q = contract(p, s)
+    ctx = q.context
     pts = set()
-    for g in p.generators:
+    for g in gens:
         pts |= g.support()
     margins = []
-    for i in range(n):
+    for i in range(p.nvars):
         vals = [pt[i] for pt in pts] or [0]
         margins.append(max(vals) - min(vals))
     core_bounds = [(lo + m, hi - m) for (lo, hi), m in zip(full.box, margins)]
     if any(lo > hi for lo, hi in core_bounds):
         raise ValueError("window too small for the interior core")
 
-    sub_pts = [x for x in box_window(core_bounds).points if s.contains(x)]
-    if not sub_pts:
+    r, d = ctx.rank, ctx.moduli
+    t_of = {}
+    for x in product(*(range(lo, hi + 1) for lo, hi in core_bounds)):
+        y = ctx.transport.apply(x)
+        if not any(y[r:]) and all(y[i] % d[i] == 0 for i in range(r)):
+            t_of[x] = tuple(y[i] // d[i] for i in range(r))
+    if not t_of:
         raise ValueError("no sublattice points in the core window")
-    t_of = {x: q.context.point_to_sub(x) for x in sub_pts}
-    t_window = explicit_window(t_of.values())
 
-    index = _window_index(full, p.k)
-    reduced = reduced_rows(_equation_rows(_generators_of(p, full), full, index), len(index))
-    t_index = _window_index(t_window, p.k)
-    # (window column, t-window column) of each restricted unknown
-    cols = [(index[(x, j)], t_index[(t_of[x], j)]) for x in sub_pts for j in range(p.k)]
-    restricted = _restricted_rows(reduced, len(index), cols)
+    k = p.k
+    index = _window_index(full, k)
+    ncols = len(index)
+    # number the core's sublattice columns last: each moves up past every other
+    col = list(range(ncols))
+    for x in t_of:
+        for j in range(k):
+            col[index[(x, j)]] += ncols
+    box = SpanBuilder()
+    for row in _equation_rows(gens, full, index):
+        box.add({col[c]: v for c, v in row.items()})
 
-    q_rows = list(_equation_rows(list(q.module.generators), t_window, t_index))
-    for row in restricted:
-        get = row.get
-        for eq in q_rows:
-            acc = 0
-            for col, c in eq.items():
-                v = get(col)
-                if v:
-                    acc += c * v
-            if acc:
-                return False
-
-    span = SpanBuilder()
-    for row in restricted:
-        span.add(row)
-    return span.rank == len(t_index) - rank_of_rows(q_rows)
+    t_cols = {(t, j): col[index[(x, j)]] for x, t in t_of.items() for j in range(k)}
+    q_rows = list(_equation_rows(list(q.module.generators), explicit_window(t_of.values()),
+                                 t_cols))
+    if not all(box.contains(row) for row in q_rows):
+        return False
+    return sum(c >= ncols for c in box.pivots) == rank_of_rows(q_rows)
 
 
 def extension_product_check(q: ContractedModule, w) -> bool:

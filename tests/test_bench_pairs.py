@@ -104,3 +104,41 @@ def test_traced_passes_alternate_by_workload(tmp_path, monkeypatch):
     assert record["contract-ladder"]["first"] == "change"
     for entry in record.values():
         assert entry["parent"]["wall_s"] == entry["change"]["wall_s"] == 1.0
+
+
+def _failing_run(fails):
+    """A stubbed run.py whose untraced runs fail on the (side, seed) pairs in fails."""
+    def fake_run(checkout, workload, seed, seconds, trace):
+        side = "parent" if checkout.name == "parent" else "change"
+        if not trace and (side, seed) in fails:
+            return {"correct": False, "exit": 1, "metrics": {}}
+        wall = {"parent": 1.0, "change": 0.8}[side] + seed
+        return {"correct": True, "exit": 0, "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+    return fake_run
+
+
+def test_pairs_match_by_seed_when_runs_fail(tmp_path, monkeypatch):
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    monkeypatch.setattr(bench_pairs, "run_bench", _failing_run({("parent", 2), ("change", 1)}))
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
+                             "--pairs", "query-mix=1-3"]) == 0
+    workload = json.loads((tmp_path / "BENCH_t.json").read_text())["untraced"]["workloads"]
+    wall = workload["query-mix"]["wall_s"]
+    # only seed 3 ran on both sides
+    assert wall["pairs"] == 1 and wall["change_better_pairs"] == 1
+    assert wall["values"] == {"parent": [4.0], "change": [3.8]}
+    assert "ok_ratio" not in workload["query-mix"]
+    assert workload["query-mix"]["correct"] == {"parent": False, "change": False}
+
+
+def test_record_written_when_both_first_runs_fail(tmp_path, monkeypatch):
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    monkeypatch.setattr(bench_pairs, "run_bench", _failing_run({("parent", 1), ("change", 1)}))
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
+                             "--pairs", "query-mix=1-2"]) == 0
+    wall = json.loads((tmp_path / "BENCH_t.json").read_text())["untraced"]["workloads"][
+        "query-mix"]["wall_s"]
+    assert wall["unit"] == "s" and wall["pairs"] == 1
+    assert wall["values"] == {"parent": [3.0], "change": [2.8]}

@@ -1,19 +1,17 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
-from ndsys.intlat import lattice_from_rows
+from ndsys.intlat import lattice_from_rows, zero_lattice
 from ndsys.laurent import LaurentPoly, LaurentVec, parse_vector
-from ndsys.linalg import (SpanBuilder, nullspace_basis, rank_of_rows, reduced_rows,
-                          strip_content)
+from ndsys.linalg import SpanBuilder, _eliminate, nullspace_basis, rank_of_rows, strip_content
 from ndsys.groebner import Submodule
 from ndsys import sublattice, trajectories
 from ndsys.sublattice import contract
 from ndsys.trajectories import (Window, WindowSolutionSpace, WindowSpan,
-                                _as_box_window, _equation_rows, _restricted_rows,
-                                _valid_shifts, _window_index, box_window,
+                                _as_box_window, _equation_rows, _valid_shifts, _window_index, box_window,
                                 default_membership_window, explicit_window,
                                 extension_product_check, restriction_check,
                                 window_solutions)
@@ -452,21 +450,122 @@ def _systems(rng, count):
         yield Submodule(n, k, gens), window, list(_equation_rows(gens, window, index)), len(index)
 
 
-def test_restricted_int_rows_match_fraction_basis_projection():
-    # restriction_check projected the Fraction basis and stripped each vector
-    # to a primitive int row; the projection is kept here as the reference
+# The projection route restriction_check took before it worked from the row
+# space, kept as the reference: the box's reduced echelon int rows, the
+# nullspace vectors read off them as primitive int rows on the core's
+# sublattice columns, each contracted equation summed against each of them,
+# and the rank of those rows against the contracted side's dimension.
+
+
+def _reduced_rows(rows, ncols):
+    sb = SpanBuilder()
+    for r in rows:
+        sb.add(r)
+    reduced = {}
+    for pcol in sorted(sb.pivots, reverse=True):
+        prow = sb.pivots[pcol]
+        hits = [c for c in prow if c != pcol and c in reduced]
+        if hits:
+            prow = dict(prow)
+            for c in hits:
+                _eliminate(prow, c, reduced[c])
+            content = gcd(*prow.values())
+            if content != 1:
+                prow = {c: v // content for c, v in prow.items()}
+        reduced[pcol] = prow
+    return {pcol: reduced[pcol] for pcol in sb.pivots}
+
+
+def _restricted_rows(reduced, ncols, cols):
+    vecs = {f: {} for f in range(ncols) if f not in reduced}
+    for wc, tc in cols:
+        prow = reduced.get(wc)
+        if prow is None:
+            vecs[wc][tc] = (1, 1)
+            continue
+        for f, v in prow.items():
+            if f != wc:
+                vecs[f][tc] = (-v, prow[wc])
+    out = []
+    for vec in vecs.values():
+        den = lcm(*(d for _, d in vec.values()))
+        row = {tc: v * (den // d) for tc, (v, d) in vec.items()}
+        content = gcd(*row.values())
+        out.append({tc: v // content for tc, v in row.items()} if content > 1 else row)
+    return out
+
+
+def _projection_restriction_check(p, s, w):
+    q = contract(p, s)
+    full = _as_box_window(w)
+    pts = set()
+    for g in p.generators:
+        pts |= g.support()
+    margins = []
+    for i in range(p.nvars):
+        vals = [pt[i] for pt in pts] or [0]
+        margins.append(max(vals) - min(vals))
+    core_bounds = [(lo + m, hi - m) for (lo, hi), m in zip(full.box, margins)]
+    if any(lo > hi for lo, hi in core_bounds):
+        raise ValueError("window too small for the interior core")
+    sub_pts = [x for x in box_window(core_bounds).points if s.contains(x)]
+    if not sub_pts:
+        raise ValueError("no sublattice points in the core window")
+    t_of = {x: q.context.point_to_sub(x) for x in sub_pts}
+    t_window = explicit_window(t_of.values())
+
+    index = _window_index(full, p.k)
+    reduced = _reduced_rows(_equation_rows(list(p.generators), full, index), len(index))
+    t_index = _window_index(t_window, p.k)
+    cols = [(index[(x, j)], t_index[(t_of[x], j)]) for x in sub_pts for j in range(p.k)]
+    restricted = _restricted_rows(reduced, len(index), cols)
+
+    q_rows = list(_equation_rows(list(q.module.generators), t_window, t_index))
+    for row in restricted:
+        for eq in q_rows:
+            if sum(c * row.get(col, 0) for col, c in eq.items()):
+                return False
+    span = SpanBuilder()
+    for row in restricted:
+        span.add(row)
+    return span.rank == len(t_index) - rank_of_rows(q_rows)
+
+
+def test_row_space_check_matches_projection_reference():
     rng = random.Random(67)
-    cases = [(rows, ncols) for _, _, rows, ncols in _systems(rng, 40)]
-    for _ in range(40):
-        ncols = rng.randint(1, 12)
-        cases.append((_random_rows(rng, ncols), ncols))
-    for rows, ncols in cases:
-        picked = rng.sample(range(ncols), rng.randint(0, ncols))
-        cols = list(zip(picked, rng.sample(range(3 * ncols), len(picked))))
-        want = [strip_content({tc: vec[wc] for wc, tc in cols if wc in vec})
-                for vec in nullspace_basis(rows, ncols)]
-        got = _restricted_rows(reduced_rows(rows, ncols), ncols, cols)
-        assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+    lattices = {1: [lattice_from_rows(1, rows) for rows in LATTICES[1]],
+                2: [lattice_from_rows(2, rows) for rows in LATTICES[2] + ([[1, 1]], [[2, 0]])]
+                + [zero_lattice(2)]}
+    cases = []
+    for _ in range(160):
+        n, k = rng.randint(1, 2), rng.randint(1, 2)
+        p = Submodule(n, k, [_random_vec(rng, n, k, 2 if n == 1 else 1)
+                             for _ in range(rng.randint(1, 2))])
+        side = rng.randint(7, 14) if n == 1 else rng.randint(5, 9)
+        lo = rng.randint(-3, 3)
+        cases.append((p, rng.choice(lattices[n]), [(lo, lo + side - 1)] * n))
+    k2 = mod(2, 2, K2_MODULE)
+    for rows, side in (([[2, 0], [0, 1]], 11), ([[1, 1], [2, 0]], 9), ([[1, 1]], 9)):
+        cases.append((k2, lattice_from_rows(2, rows), [(0, side - 1)] * 2))
+    outcomes = []
+    for p, s, bounds in cases:
+        got = _outcome(restriction_check, p, s, bounds)
+        assert got == _outcome(_projection_restriction_check, p, s, bounds)
+        outcomes.append(got)
+    assert {True, False} <= set(outcomes)
+    assert any(isinstance(got, str) for got in outcomes)
+
+
+@pytest.mark.parametrize("bounds", [[(0, 8)], [(0, 8)] * 3])
+def test_restriction_check_rejects_a_box_of_another_dimension(bounds, monkeypatch):
+    def unreached(p, s):
+        raise AssertionError("contract ran before the box was checked")
+
+    monkeypatch.setattr(trajectories, "contract", unreached)
+    with pytest.raises(ValueError, match=f"window has {len(bounds)} axes but the system "
+                                         "has 2 variables"):
+        restriction_check(mod(2, 1, ["1 + s1*s2 + s2^2"]),
+                          lattice_from_rows(2, [[1, 1], [2, 0]]), bounds)
 
 
 def test_rank_only_dimension_matches_basis_length():

@@ -17,7 +17,9 @@ directory.
 It gives, for each end-to-end metric, the median and quartiles of each side
 (``statistics.quantiles``, inclusive method), every run's value in pair
 order, and ``change_better_pairs``: the pairs in which the change is strictly
-better, in the direction ``BENCHMARK.json`` declares.  Traced runs keep their
+better, in the direction ``BENCHMARK.json`` declares.  A pair is one seed's
+two runs; a seed whose run lacks the metric on either side (a failed run) is
+left out of that metric's pairs, values and summaries.  Traced runs keep their
 exit code, ``correct``, every per-layer metric and the span counts ``run.py``
 wrote to its results file, and ``first`` names the side traced first.
 Standard library only.
@@ -97,30 +99,36 @@ def _summary(values: list[float]) -> dict[str, float]:
 
 def untraced_pairs(parent: Path, change: Path, workload: str, seeds: list[int],
                    seconds: float, better: dict[str, str]) -> dict:
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    """Pairs by seed; a pair missing a metric on either side is left out of it."""
+    runs: list[dict[str, dict]] = []
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair: dict[str, dict] = {}
         for side in order:
             res = run_bench(parent if side == "parent" else change, workload, seed, seconds, 0)
-            runs[side].append(res)
+            pair[side] = res
             wall = res.get("metrics", {}).get("wall_s", {}).get("value")
             print(f"{workload} seed {seed} {side}: exit {res['exit']}, "
                   f"correct {res.get('correct')}, wall_s {wall}", file=sys.stderr)
+        runs.append(pair)
     out: dict = {}
     for name, direction in better.items():
-        got = {side: [r["metrics"][name]["value"] for r in rs if name in r.get("metrics", {})]
-               for side, rs in runs.items()}
-        if not got["parent"] or len(got["parent"]) != len(got["change"]):
+        have = [pair for pair in runs
+                if all(name in res.get("metrics", {}) for res in pair.values())]
+        if not have:
             continue
+        got = {side: [pair[side]["metrics"][name]["value"] for pair in have]
+               for side in ("parent", "change")}
         pairs = list(zip(got["parent"], got["change"]))
         wins = sum(c < p if direction == "lower" else c > p for p, c in pairs)
-        unit = runs["parent"][0]["metrics"][name]["unit"]
+        unit = have[0]["parent"]["metrics"][name]["unit"]
         out[name] = {"unit": unit,
                      "parent": _summary(got["parent"]), "change": _summary(got["change"]),
                      "change_better_pairs": wins, "pairs": len(pairs),
                      "values": {side: [round(v, 6) for v in vals] for side, vals in got.items()}}
-    out["correct"] = {side: all(r.get("correct") and r["exit"] == 0 for r in rs)
-                      for side, rs in runs.items()}
+    out["correct"] = {side: all(pair[side].get("correct") and pair[side]["exit"] == 0
+                                for pair in runs)
+                      for side in ("parent", "change")}
     return out
 
 
