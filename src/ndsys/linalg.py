@@ -61,9 +61,10 @@ class SpanBuilder:
     """Incrementally built row space in echelon form.
 
     Each stored row is a primitive int row whose pivot, its smallest column,
-    holds a positive entry and is the pivot of no other stored row.  Stored
-    rows are never rewritten: rank and membership need echelon form only, and
-    nullspace_basis back-substitutes once at the end.
+    holds a positive entry and is the pivot of no other stored row.  Inserts
+    never rewrite a stored row: rank and membership need echelon form only,
+    and nullspace_basis back-substitutes its own builder's rows once, at the
+    end.
     """
 
     def __init__(self) -> None:
@@ -131,9 +132,9 @@ def nullspace_basis(rows: Iterable[Row], ncols: int) -> list[Row]:
 
     The basis is canonical: one vector per free column f, with 1 at f and
     -row[f] / row[pivot] at each pivot, in the reduced echelon form.  The
-    rows go into a SpanBuilder in echelon form, and one back-substitution,
-    from the largest pivot down, leaves each pivot row with a positive entry
-    at its pivot and no other pivot column.  Window systems repeat a few
+    rows go into a SpanBuilder in echelon form, and one back-substitution of
+    its stored rows, from the largest pivot down, leaves each with a positive
+    entry at its pivot and no other pivot column.  Window systems repeat a few
     values many times over, so each entry Fraction(-v, lead) is built once
     per call and shared between the vectors.
     """
@@ -142,27 +143,24 @@ def nullspace_basis(rows: Iterable[Row], ncols: int) -> list[Row]:
         if any(not 0 <= c < ncols for c in r):
             raise ValueError(f"row has a column outside 0..{ncols - 1}")
         sb.add(r)
-    # back-substitute from the largest pivot down: the rows right of a pivot
-    # are already reduced and hold no other pivot column
-    reduced: dict[int, dict[int, int]] = {}
-    for pcol in sorted(sb.pivots, reverse=True):
-        prow = sb.pivots[pcol]
-        hits = [c for c in prow if c != pcol and c in reduced]
+    # back-substitute in place, from the largest pivot down: the rows right
+    # of a pivot are already reduced and hold no other pivot column
+    pivots = sb.pivots
+    for pcol in sorted(pivots, reverse=True):
+        prow = pivots[pcol]
+        hits = [c for c in prow if c != pcol and c in pivots]
+        for c in hits:
+            _eliminate(prow, c, pivots[c])
         if hits:
-            prow = dict(prow)
-            for c in hits:
-                _eliminate(prow, c, reduced[c])
             content = gcd(*prow.values())
             if content != 1:
-                prow = {c: v // content for c, v in prow.items()}
-        reduced[pcol] = prow
+                pivots[pcol] = {c: v // content for c, v in prow.items()}
     one = Fraction(1)
-    basis = {free: {free: one} for free in range(ncols) if free not in reduced}
+    basis = {free: {free: one} for free in range(ncols) if free not in pivots}
     # lead -> v -> Fraction(-v, lead)
     values: dict[int, dict[int, Fraction]] = {}
     # pivots in insertion order, so each vector lists them in that order
-    for pcol in sb.pivots:
-        prow = reduced[pcol]
+    for pcol, prow in pivots.items():
         lead = prow[pcol]
         shared = values.setdefault(lead, {})
         for c, v in prow.items():

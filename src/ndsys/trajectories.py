@@ -276,8 +276,8 @@ def restriction_check(p: Submodule, s, w) -> bool:
     t_of = {}
     for x in product(*(range(lo, hi + 1) for lo, hi in core_bounds)):
         y = ctx.transport.apply(x)
-        if not any(y[r:]) and all(y[i] % d[i] == 0 for i in range(r)):
-            t_of[x] = tuple(y[i] // d[i] for i in range(r))
+        if not any(y[r:]) and not any(v % m for v, m in zip(y, d)):
+            t_of[x] = tuple(v // m for v, m in zip(y, d))
     if not t_of:
         raise ValueError("no sublattice points in the core window")
 
