@@ -11,10 +11,10 @@ from ndsys.groebner import Submodule
 from ndsys import sublattice, trajectories
 from ndsys.sublattice import contract
 from ndsys.trajectories import (Window, WindowSolutionSpace, WindowSpan,
-                                _as_box_window, _equation_rows, _valid_shifts, _window_index, box_window,
-                                default_membership_window, explicit_window,
-                                extension_product_check, restriction_check,
-                                window_solutions)
+                                _as_box_window, _equation_rows, _valid_shifts,
+                                _window_index, box_window, default_membership_window,
+                                explicit_window, extension_product_check,
+                                restriction_check, window_solutions)
 
 pv = parse_vector
 
@@ -457,7 +457,7 @@ def _systems(rng, count):
 # and the rank of those rows against the contracted side's dimension.
 
 
-def _reduced_rows(rows, ncols):
+def _reduced_rows(rows):
     sb = SpanBuilder()
     for r in rows:
         sb.add(r)
@@ -515,7 +515,7 @@ def _projection_restriction_check(p, s, w):
     t_window = explicit_window(t_of.values())
 
     index = _window_index(full, p.k)
-    reduced = _reduced_rows(_equation_rows(list(p.generators), full, index), len(index))
+    reduced = _reduced_rows(_equation_rows(list(p.generators), full, index))
     t_index = _window_index(t_window, p.k)
     cols = [(index[(x, j)], t_index[(t_of[x], j)]) for x in sub_pts for j in range(p.k)]
     restricted = _restricted_rows(reduced, len(index), cols)
