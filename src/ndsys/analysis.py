@@ -5,8 +5,8 @@ quotient A^k/P: torsion-free means controllable, torsion means autonomous.
 The torsion closure P0 (all vectors with a nonzero multiple inside P) is
 computed by one double relation pass, whose column relations are also the
 image representation of a controllable system; a further relation pass
-presents the obstruction P0/P.  Autonomy and its degree come down to the rank
-over the fraction field, read off the leading components of a canonical basis.
+presents the obstruction P0/P.  Rank over the fraction field, autonomy and
+its degree are read off the canonical basis's leading exponents by component.
 """
 
 from __future__ import annotations
@@ -15,23 +15,18 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .laurent import LaurentPoly, LaurentVec
-from .groebner import (InvariantError, Submodule, eliminate, groebner_basis, member,
+from .groebner import (InvariantError, Submodule, leading_exponents, member,
                        submodule_contains, submodule_equal, syzygies)
 from .intlat import IntLattice
 from .sublattice import contract, extend, extend_vector
 
 
 def rank_over_fractions(p: Submodule) -> int:
-    """Rank of the generator matrix over the field of rational functions.
-
-    The canonical basis is a Groebner basis under a position-over-term order
-    that ranks lower components higher, so it is in echelon form by component
-    and its number of distinct leading (first nonzero) components is the
-    rank.  A module without that basis yet gets it here, cached on it;
-    analyze, transfer_checks and degree_of_autonomy build it anyway.
+    """Rank of the generator matrix over the field of rational functions: the
+    canonical basis is in echelon form by component under its
+    position-over-term order, so its number of leading components is the rank.
     """
-    return len({next(j for j, e in enumerate(g.entries) if not e.is_zero())
-                for g in groebner_basis(p)})
+    return len(leading_exponents(p))
 
 
 def _columns(gens: list[LaurentVec], k: int) -> list[LaurentVec]:
@@ -123,17 +118,21 @@ def decomposition(p: Submodule) -> tuple[Submodule, Submodule]:
 
 
 def degree_of_autonomy(p: Submodule) -> int:
-    """n minus the size of the largest coordinate subring on which the
-    contracted system is still not autonomous; n when no subring qualifies.
+    """n minus the largest size of a variable set S with rank(P ∩ A_S^k) < k,
+    A_S the Laurent ring in S; n when no S qualifies.
+
+    That rank falls short exactly when A^k/P has an element whose annihilator
+    meets A_S only in 0, so the largest such S has the size of dim A^k/P.  The
+    saturated lift has the Laurent module's dimension, and so has its
+    position-over-term initial module, a sum of monomial ideals I_j e_j, each
+    of dimension the largest S supporting none of I_j's generators (Kredel and
+    Weispfenning, J. Symbolic Comput. 6, 1988): S's complement meets them all.
     """
-    n, k = p.nvars, p.k
-    for size in range(n, -1, -1):
-        for keep in combinations(range(n), size):
-            drop = [i for i in range(n) if i not in keep]
-            q = eliminate(p, drop)
-            if rank_over_fractions(q) < k:
-                return n - size
-    return n
+    n, table = p.nvars, leading_exponents(p)
+    supports = [[{i for i, x in enumerate(e) if x} for e in table.get(j, ())] for j in range(p.k)]
+    # the smallest variable set meeting every leading support of some component
+    return next((size for size in range(n) for hit in combinations(range(n), size)
+                 if any(all(s.intersection(hit) for s in sup) for sup in supports)), n)
 
 
 @dataclass(frozen=True)

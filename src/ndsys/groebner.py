@@ -25,7 +25,8 @@ step to the next and leave the engine once, after the last step.
 A term order is a flat int tuple key (make_key); its negation orders the
 reducer's heap of pending terms, largest first.  Reducers are looked up by the
 term's component, through a _lead_index of the basis that Buchberger keeps up
-to date and a Submodule keeps beside its saturated basis for member.
+to date and a Submodule keeps beside its saturated basis, for member and for
+leading_exponents, the table analysis reads rank and dimension from.
 Buchberger drops redundant pairs by the Gebauer-Moeller criteria and meets
 the rest by least sugar degree, the normal strategy made robust to
 non-homogeneous input, with the smallest lcm first among equal sugars.
@@ -439,7 +440,7 @@ class Submodule:
         self.generators: tuple[LaurentVec, ...] = tuple(gens)
         self._gb_cache: dict[TermOrder, tuple[LaurentVec, ...]] = {}
         self._sat_cache: list[VPoly] | None = None
-        # member's default key and the _leads of _sat_cache under it
+        # _read_index: the default key and the _leads of _sat_cache under it
         self._read: tuple | None = None
 
     def __repr__(self):
@@ -502,14 +503,21 @@ def member(v: LaurentVec, mod: Submodule) -> bool:
         raise ValueError("vector shape mismatch")
     if v.is_zero():
         return True
-    sat = mod.saturated_vpolys()
-    if not sat:
-        return False
+    key, leads = _read_index(mod)
+    return not top_reduce(strip_content(_lift(v)[0]), mod.saturated_vpolys(), key, leads)
+
+
+def _read_index(mod: Submodule) -> tuple:
+    """The default key and the _leads of the saturated lift under it, cached."""
     if mod._read is None:
         key = make_key(DEFAULT_ORDER, mod.nvars)
-        mod._read = key, _leads(sat, key)
-    key, leads = mod._read
-    return not top_reduce(strip_content(_lift(v)[0]), sat, key, leads)
+        mod._read = key, _leads(mod.saturated_vpolys(), key)
+    return mod._read
+
+
+def leading_exponents(mod: Submodule) -> dict[int, list[Exp]]:
+    """Leading exponents of the canonical basis, by leading component."""
+    return {comp: [exp for exp, _, _ in row] for comp, row in _read_index(mod)[1].items()}
 
 
 def prime_step_cuts(vectors: list[LaurentVec], k: int, steps) -> list[LaurentVec]:

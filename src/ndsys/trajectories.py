@@ -162,6 +162,8 @@ def window_solutions(mod_or_gens, window: Window, k: int | None = None) -> Windo
             k = gens[0].k
         else:
             raise ValueError("ambient rank unknown for empty generator list")
+    elif (k := as_int(k, "ambient rank")) < 1:
+        raise ValueError("ambient rank must be >= 1")
     if any(g.k > k for g in gens):
         raise ValueError("a generator has more than k components")
     index = _window_index(window, k)
@@ -181,6 +183,8 @@ class WindowSpan:
         gens = _generators_of(gens, window)
         if k is None:
             k = gens[0].k if gens else 1
+        elif (k := as_int(k, "ambient rank")) < 1:
+            raise ValueError("ambient rank must be >= 1")
         if any(g.k > k for g in gens):
             raise ValueError("a generator has more than k components")
         self.window = window
@@ -261,13 +265,8 @@ def restriction_check(p: Submodule, s, w) -> bool:
     gens = _generators_of(p, full)
     q = contract(p, s)
     ctx = q.context
-    pts = set()
-    for g in gens:
-        pts |= g.support()
-    margins = []
-    for i in range(p.nvars):
-        vals = [pt[i] for pt in pts] or [0]
-        margins.append(max(vals) - min(vals))
+    pts = set().union(*(g.support() for g in gens))
+    margins = [max(c) - min(c) for c in zip(*pts)] if pts else [0] * p.nvars
     core_bounds = [(lo + m, hi - m) for (lo, hi), m in zip(full.box, margins)]
     if any(lo > hi for lo, hi in core_bounds):
         raise ValueError("window too small for the interior core")
@@ -310,6 +309,7 @@ def extension_product_check(q: ContractedModule, w) -> bool:
     if ctx.rank != ctx.ambient:
         raise ValueError("product structure needs a full-rank sublattice")
     full = _as_box_window(w)
+    _generators_of(q.module, full)  # at full rank the contraction has n variables too
     cosets: dict[Exp, list[Exp]] = {}
     for x in full.points:
         cosets.setdefault(ctx.lattice.coset_rep(x), []).append(x)

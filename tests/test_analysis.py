@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import ndsys.analysis
+from ndsys import groebner
 from ndsys.intlat import diagonal_lattice, lattice_from_rows
 from ndsys.laurent import LaurentPoly, LaurentVec, parse_vector
-from ndsys.groebner import (InvariantError, Submodule, member,
+from ndsys.groebner import (InvariantError, Submodule, eliminate, groebner_basis, member,
                             submodule_contains, submodule_equal)
 from ndsys.sublattice import contract, extend
 from ndsys.analysis import (analyze, decomposition, degree_of_autonomy,
@@ -42,6 +44,19 @@ def _cross_multiplied_rank(p: Submodule) -> int:
     return rank
 
 
+def _subset_loop_degree(p: Submodule) -> int:
+    """The degree of autonomy by one elimination per variable subset, largest
+    first, as analysis computed it before it read the degree off the leading
+    exponents; kept here as the reference, with the cross-multiplied rank."""
+    n, k = p.nvars, p.k
+    for size in range(n, -1, -1):
+        for keep in combinations(range(n), size):
+            q = eliminate(p, [i for i in range(n) if i not in keep])
+            if _cross_multiplied_rank(q) < k:
+                return n - size
+    return n
+
+
 def _small_poly(rng, n, terms):
     return LaurentPoly(n, {tuple(rng.randint(-1, 1) for _ in range(n)):
                            Fraction(rng.choice([1, -1, 2, 3]))
@@ -70,24 +85,51 @@ def test_rank_over_fractions_examples():
     assert rank_over_fractions(Submodule(2, 1, [])) == 0
 
 
-def test_rank_and_degree_match_cross_multiplied_elimination(monkeypatch):
-    """Fixed-seed differential test: the rank read off the canonical basis
-    and the degree of autonomy built on it equal the cross-multiplied
-    elimination's, for n 0-3 and k 1-3, zero modules and dependent rows
-    included."""
+def test_rank_and_degree_match_cross_multiplied_elimination():
+    """Fixed-seed differential test: the rank and the degree of autonomy read
+    off the canonical basis's leading exponents equal the cross-multiplied
+    elimination's rank and the subset loop's degree, for n 0-3 and k 1-3,
+    zero modules and dependent rows included."""
     seen = set()
+    degrees = set()
     for seed in range(200):
         rng = random.Random(1000 + seed)
         n, k = rng.randint(0, 3), rng.randint(1, 3)
         p = _module_with_dependent_rows(rng, n, k)
         rank, degree = rank_over_fractions(p), degree_of_autonomy(p)
-        with monkeypatch.context() as m:
-            m.setattr(ndsys.analysis, "rank_over_fractions", _cross_multiplied_rank)
-            assert degree == degree_of_autonomy(p), seed
         assert rank == _cross_multiplied_rank(p), seed
+        assert degree == _subset_loop_degree(Submodule(n, k, p.generators)), seed
         seen.add((n, k, rank))
-    # every rank 0..k was met for every shape
+        degrees.add((n, degree))
+    # every rank 0..k was met for every shape, and every degree 0..n for every n
     assert seen == {(n, k, r) for n in range(4) for k in range(1, 4) for r in range(k + 1)}
+    assert degrees == {(n, d) for n in range(4) for d in range(n + 1)}
+
+
+def test_degree_of_an_analyzed_module_runs_no_buchberger(monkeypatch):
+    """degree_of_autonomy and rank_over_fractions read the leading exponents
+    of the canonical basis a module already holds; a fresh module of the same
+    generators needs a Buchberger run."""
+    rng = random.Random(131)
+    plain = groebner.buchberger
+    runs = []
+
+    def counting(*args):
+        runs.append(args)
+        return plain(*args)
+
+    for _ in range(12):
+        n, k = rng.randint(1, 3), rng.randint(1, 2)
+        p = _module_with_dependent_rows(rng, n, k)
+        groebner_basis(p)
+        fresh = Submodule(n, k, p.generators)
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "buchberger", counting)
+            degree, rank = degree_of_autonomy(p), rank_over_fractions(p)
+            assert not runs
+            assert (degree_of_autonomy(fresh), rank_over_fractions(fresh)) == (degree, rank)
+            assert runs or not fresh.generators
+        runs.clear()
 
 
 def test_torsion_closure_examples():
@@ -188,6 +230,17 @@ def test_degree_of_autonomy_ladder():
     assert degree_of_autonomy(Submodule(2, 1, [])) == 0
     assert degree_of_autonomy(Submodule(2, 2, [pv("[s1, s2]", 2, 2)])) == 0
     assert degree_of_autonomy(Submodule(1, 1, [pv("1", 1, 1)])) == 1
+    hex3 = "1 + s1*s2 + s2*s3 + s3^2"
+    assert degree_of_autonomy(Submodule(3, 1, [pv(hex3, 3, 1)])) == 1
+    assert degree_of_autonomy(Submodule(3, 1, [pv(g, 3, 1)
+                                               for g in (hex3, "s1 - 1", "s2 - 1")])) == 3
+    assert degree_of_autonomy(Submodule(3, 2, [pv("[s1 - 1, 0]", 3, 2),
+                                               pv("[0, s2*s3 - 1]", 3, 2)])) == 1
+    hex4 = pv("1 + s1*s2 + s2*s3 + s3*s4 + s4^2", 4, 1)
+    assert degree_of_autonomy(Submodule(4, 1, [hex4])) == 1
+    assert degree_of_autonomy(Submodule(4, 1, [hex4, pv("s1 - s2*s4 + 2", 4, 1)])) == 2
+    assert degree_of_autonomy(Submodule(4, 1, [pv("1", 4, 1)])) == 4
+    assert degree_of_autonomy(Submodule(4, 1, [])) == 0
 
 
 def test_degree_matches_restriction_degree():

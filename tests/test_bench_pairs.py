@@ -29,6 +29,32 @@ def test_seed_lists():
     assert bench_pairs._pair_spec("query-mix=4") == ("query-mix", [4])
     with pytest.raises(Exception):
         bench_pairs._pair_spec("query-mix")
+    # a backwards range would leave the workload with no pairs
+    with pytest.raises(bench_pairs.argparse.ArgumentTypeError, match="runs backwards"):
+        bench_pairs._pair_spec("query-mix=5-2")
+    with pytest.raises(bench_pairs.argparse.ArgumentTypeError, match="runs backwards"):
+        bench_pairs._pair_spec("query-mix=1,7-6")
+
+
+def test_bad_pairs_are_argument_errors(tmp_path, monkeypatch, capsys):
+    """A repeated workload would run twice and keep only its last runs; it and
+    a backwards seed range stop the tool before any run."""
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+
+    def unreached(*args):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "run_bench", unreached)
+    monkeypatch.chdir(tmp_path)
+    base = ["--parent", str(parent), "--change", str(change), "--label", "t"]
+    for pairs, message in ((["query-mix=1-2", "contract-ladder=1", "query-mix=3"],
+                            "more than once in --pairs: query-mix"),
+                           (["query-mix=5-2"], "runs backwards")):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(base + [arg for spec in pairs for arg in ("--pairs", spec)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "BENCH_t.json").exists()
 
 
 def test_summary_quartiles():

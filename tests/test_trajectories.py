@@ -4,7 +4,7 @@ from math import gcd, lcm
 
 import pytest
 
-from ndsys.intlat import lattice_from_rows, zero_lattice
+from ndsys.intlat import IntLattice, lattice_from_rows, zero_lattice
 from ndsys.laurent import LaurentPoly, LaurentVec, parse_vector
 from ndsys.linalg import SpanBuilder, _eliminate, nullspace_basis, rank_of_rows, strip_content
 from ndsys.groebner import Submodule
@@ -157,6 +157,33 @@ def test_extension_product_requires_full_rank():
     q = contract(mod(2, 1, ["1 + s1*s2"]), lattice_from_rows(2, [[1, 1]]))
     with pytest.raises(ValueError):
         extension_product_check(q, [(0, 3), (0, 3)])
+
+
+@pytest.mark.parametrize("bounds", [[(0, 7)], [(0, 7)] * 3])
+def test_extension_product_rejects_a_box_of_another_dimension(bounds, monkeypatch):
+    q = contract(mod(2, 1, ["1 + s1*s2 + s2^2"]), lattice_from_rows(2, [[2, 0], [0, 2]]))
+
+    def unreached(self, x):
+        raise AssertionError("a point was mapped before the box was checked")
+
+    monkeypatch.setattr(IntLattice, "coset_rep", unreached)
+    with pytest.raises(ValueError, match=f"window has {len(bounds)} axes but the system "
+                                         "has 2 variables"):
+        extension_product_check(q, bounds)
+
+
+@pytest.mark.parametrize("k", [0, -2, 1.5, "2"])
+def test_explicit_ambient_rank_is_checked(k):
+    g = pv("s1 - 1", 1, 1)
+    box = box_window([(0, 5)])
+    message = "ambient rank must be >= 1" if isinstance(k, int) else "is not an integer"
+    for build in (lambda: window_solutions([], box, k=k), lambda: window_solutions([g], box, k=k),
+                  lambda: WindowSpan([], box, k=k), lambda: WindowSpan([g], box, k=k)):
+        with pytest.raises(ValueError, match=message):
+            build()
+    # an integral value of another type is the integer it equals
+    assert window_solutions([g], box, k=2.0).k == 2
+    assert WindowSpan([g], box, k=Fraction(2)).k == 2
 
 
 def test_window_span_certifies_membership_only():

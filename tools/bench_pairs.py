@@ -38,11 +38,14 @@ from pathlib import Path
 
 
 def _seeds(text: str) -> list[int]:
-    """'1-3,7' -> [1, 2, 3, 7]."""
+    """'1-3,7' -> [1, 2, 3, 7]; a range that runs backwards is an error."""
     out: list[int] = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        out += range(int(lo), int(hi or lo) + 1)
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise ValueError(f"seed range {part!r} runs backwards")
+        out += range(lo, hi + 1)
     return out
 
 
@@ -52,8 +55,8 @@ def _pair_spec(text: str) -> tuple[str, list[int]]:
         raise argparse.ArgumentTypeError(f"expected WORKLOAD=SEEDS, got {text!r}")
     try:
         return name, _seeds(seeds)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad seed list in {text!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad seed list in {text!r}: {exc}") from None
 
 
 def _commit(checkout: Path) -> str:
@@ -160,6 +163,10 @@ def main(argv=None) -> int:
                     metavar="WORKLOAD=SEEDS", help="e.g. query-mix=1-10 (repeatable)")
     ap.add_argument("--describe", default="", help="one line on what the change does")
     args = ap.parse_args(argv)
+    names = [w for w, _ in args.pairs]
+    repeated = sorted({w for w in names if names.count(w) > 1})
+    if repeated:
+        ap.error(f"workload given more than once in --pairs: {', '.join(repeated)}")
 
     parent, change = args.parent.resolve(), args.change.resolve()
     for checkout in (parent, change):
