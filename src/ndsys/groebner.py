@@ -6,45 +6,56 @@ and the lifted module is saturated by the product of the variables.  The
 reduced Groebner basis of that saturation is the canonical form; membership,
 equality, syzygies, quotients and elimination all run against it.
 
-Internally a vector polynomial is a dict {(component, exponent): int}.  Every
-lift enters the engine through linalg.strip_content, which scales it by a
-positive rational to primitive integer coefficients, and S-pairs and reduction
-are fraction-free: they only multiply by positive integers, so each result is
-a positive multiple of the one rational arithmetic gives and strips to the
-same primitive vector.  A reduced basis holds primitive elements with a
-positive leading coefficient; it becomes monic only where it leaves the engine
-as LaurentVecs.
+Internally a vector polynomial is a dict {monomial: int}, a monomial being
+one int that packs its component and exponent under a term order (make_key).
+Every lift enters the engine through linalg.strip_content, which scales it by
+a positive rational to primitive integer coefficients, and S-pairs and
+reduction are fraction-free: they only multiply by positive integers, so each
+result is a positive multiple of the one rational arithmetic gives and strips
+to the same primitive vector.  A reduced basis holds primitive elements with
+a positive leading coefficient; it becomes monic only where it leaves the
+engine as LaurentVecs.
 
 Every Groebner run goes through _cut, which returns a reduced basis: of the
-whole span, or of its part inside a low block (an elimination).  So every
-result, syzygies included, depends on the inputs alone and not on the order
-in which Buchberger meets them.  Contraction's chain of prime-index cuts,
+whole span, or of its part below a bound (an elimination).  So every result,
+syzygies included, depends on the inputs alone and not on the order in which
+Buchberger meets them.  Contraction's chain of prime-index cuts,
 prime_step_cuts, runs here too, so its generators keep this form from one
 step to the next and leave the engine once, after the last step.
 
-A term order is a flat int tuple key (make_key); its negation orders the
-reducer's heap of pending terms, largest first.  Reducers are looked up by the
-term's component, through a _lead_index of the basis that Buchberger keeps up
-to date and a Submodule keeps beside its saturated basis, for member and for
-leading_exponents, the table analysis reads rank and dimension from.
-Buchberger drops redundant pairs by the Gebauer-Moeller criteria and meets
-the rest by least sugar degree, the normal strategy made robust to
-non-homogeneous input, with the smallest lcm first among equal sugars.
+Packed ints compare like the term order, so a leading monomial is max(f) and
+the reducer's heap holds negated monomials, largest first.  Packing is affine
+in the exponent, so a monomial times x^s is an int sum, and one masked
+subtraction tells whether a leading monomial divides a term.  Vectors are
+packed once on the way in (_lift, vec_to_vpoly) and unpacked once on the way
+out.  Reducers are looked up by the term's component, through a _lead_index
+of the basis that Buchberger keeps up to date and a Submodule keeps beside
+its saturated basis, for member and for leading_exponents, the table
+analysis reads rank and dimension from.  Buchberger drops redundant pairs by
+the Gebauer-Moeller criteria and meets the rest by least sugar degree, the
+normal strategy made robust to non-homogeneous input, with the smallest lcm
+first among equal sugars.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
-from operator import add, itemgetter, le, neg, sub
+from operator import le, mul, sub
 
 from .intlat import as_int
 from .laurent import Exp, LaurentPoly, LaurentVec
 from .linalg import strip_content
 
-VPoly = dict[tuple[int, Exp], int]
+VPoly = dict[int, int]
+
+FIELD_BITS = 64
+_OFF = 1 << FIELD_BITS - 2  # a field holding v stores v + _OFF
+_MASK = (1 << FIELD_BITS) - 1
+_TOP = 1 << FIELD_BITS - 1  # a field's guard bit
 
 
 class InvariantError(RuntimeError):
@@ -68,145 +79,219 @@ class TermOrder:
             raise ValueError(f"unknown order kind {self.kind!r}")
 
 
-def make_key(order: TermOrder, nvars: int, comp_rank=None):
-    """Sort key on module monomials (component, exponent); max = leading.
+class Packing:
+    """Module monomials (component, exponent) packed into ints; see make_key.
 
-    The key is one flat int tuple: the dropped block's term key, the
-    component's rank, the negated component, then the kept block's term key
-    (grevlex: total degree, then the negated exponents from the last
-    variable).  key.rev is its elementwise negation, so a min-heap on it
-    yields the largest monomial first.
+    A field is a linear form in the exponent, a list of (variable, sign)
+    pairs, or "rank" or "comp".  Its value v sits in FIELD_BITS bits as
+    v + 2^(FIELD_BITS-2), in [0, 2^(FIELD_BITS-1)), so the top (guard) bit
+    of every field of an in-range monomial is clear.
     """
-    drop = tuple(sorted(set(order.drop)))
-    if any(i < 0 or i >= nvars for i in drop):
-        raise ValueError("drop variable out of range")
-    keep = tuple(i for i in range(nvars) if i not in drop)
 
-    if order.kind == "grevlex" and not drop:
-        if comp_rank is None:
-            def key(mon):
-                comp, exp = mon
-                return (-comp, sum(exp), *map(neg, reversed(exp)))
+    def __init__(self, order: TermOrder, nvars: int, comp_rank=None):
+        drop = tuple(sorted(set(order.drop)))
+        if any(i < 0 or i >= nvars for i in drop):
+            raise ValueError("drop variable out of range")
+        keep = tuple(i for i in range(nvars) if i not in drop)
 
-            def rev(mon):
-                comp, exp = mon
-                return (comp, -sum(exp), *reversed(exp))
-        else:
-            rank = tuple(comp_rank)
+        def block(sel):
+            if not sel:
+                return []
+            if order.kind == "lex":
+                return [[(i, 1)] for i in sel]
+            return [[(i, 1) for i in sel]] + [[(i, -1)] for i in reversed(sel)]
 
-            def key(mon):
-                comp, exp = mon
-                return (rank[comp], -comp, sum(exp), *map(neg, reversed(exp)))
+        forms = block(drop) + ["rank", "comp"] + block(keep)
+        shifts = [FIELD_BITS * (len(forms) - 1 - f) for f in range(len(forms))]
+        fields = list(zip(forms, shifts))
+        self.nvars = nvars
+        self.rank = None if comp_rank is None else tuple(comp_rank)
+        self.comp_shift = shifts[forms.index("comp")]
+        self.rank_shift = shifts[forms.index("rank")]
+        self.top_shift = shifts[0]
+        self.weights = [0] * nvars
+        # each variable's exponent is read off its own one-variable field
+        reads = [None] * nvars
+        # the total degree is the sum of the fields that hold positive forms
+        # (a block's degree, or a lex exponent)
+        self.degree_shifts = []
+        for form, s in fields:
+            if isinstance(form, list):
+                for i, sign in form:
+                    self.weights[i] += sign << s
+                if len(form) == 1:
+                    reads[form[0][0]] = (s, form[0][1])
+                if form[0][1] > 0:
+                    self.degree_shifts.append(s)
+        self.reads = reads
+        self.offsets = sum(_OFF << s for s in shifts)
+        # a | b iff b - a + bias has the guard bits of divided: the fields of
+        # negated exponents must not grow from a to b, the others not shrink
+        falling = [s for form, s in fields
+                   if isinstance(form, list) and len(form) == 1 and form[0][1] < 0]
+        self.guard = sum(_TOP << s for s in shifts)
+        self.bias = self.guard - sum(1 << s for s in falling)
+        self.divided = self.guard - sum(_TOP << s for s in falling)
+        # Laurent exponents inside +-limit keep every field of a lift, sums
+        # included, in range
+        self.limit = _OFF // (2 * max(nvars, 1))
 
-            def rev(mon):
-                comp, exp = mon
-                return (-rank[comp], comp, -sum(exp), *reversed(exp))
-    else:
-        if order.kind == "grevlex":
-            def tkey(sel):
-                return (sum(sel), *map(neg, reversed(sel)))
-        else:
-            def tkey(sel):
-                return sel
+    def base(self, comp: int) -> int:
+        """The packed monomial of comp with the zero exponent."""
+        rank = self.rank[comp] if self.rank is not None else 0
+        return self.offsets + (rank << self.rank_shift) - (comp << self.comp_shift)
 
-        def key(mon):
-            comp, exp = mon
-            rank = comp_rank[comp] if comp_rank is not None else 0
-            return (*tkey([exp[i] for i in drop]), rank, -comp,
-                    *tkey([exp[i] for i in keep]))
+    def pack(self, comp: int, exp: Exp) -> int:
+        return self.base(comp) + sum(map(mul, exp, self.weights))
 
-        def rev(mon):
-            return tuple(map(neg, key(mon)))
+    def unpack(self, m: int) -> tuple[int, Exp]:
+        return (self.comp(m),
+                tuple([sign * ((m >> s & _MASK) - _OFF) for s, sign in self.reads]))
 
-    key.rev = rev
-    return key
+    def max_degree(self, g: VPoly) -> int:
+        """The largest total degree of g's monomials."""
+        shifts = self.degree_shifts
+        return max(sum([m >> s & _MASK for s in shifts]) for m in g) - _OFF * len(shifts)
+
+    def comp(self, m: int) -> int:
+        return _OFF - (m >> self.comp_shift & _MASK)
+
+    def divides(self, a: int, b: int) -> bool:
+        """Does monomial a divide b (same component, exponents <=)."""
+        return (a ^ b) >> self.comp_shift & _MASK == 0 and \
+            (b - a + self.bias) & self.guard == self.divided
+
+    def top_floor(self, v: int) -> int:
+        """The least packed monomial whose most significant field holds v."""
+        return (v + _OFF) << self.top_shift
+
+    def check(self, g: VPoly) -> None:
+        """A ValueError when a monomial of g has a field out of range."""
+        if any(map(self.guard.__and__, g)):
+            raise ValueError(f"exponent outside the packed range ({FIELD_BITS}-bit fields)")
+
+
+def make_key(order: TermOrder, nvars: int, comp_rank=None) -> Packing:
+    """The packing of module monomials (component, exponent) under order.
+
+    A monomial packs into one int made of the flat sort key's fields, most
+    significant first: the dropped block's term key, the component's rank,
+    the negated component, then the kept block's term key (grevlex: total
+    degree, then the negated exponents from the last variable; lex: the
+    exponents).  Each field holds its value offset into [0, 2^(B-1)), B =
+    FIELD_BITS, so packed ints order like the term order and max is the
+    leading monomial.  Packing is affine in the exponent: a monomial times
+    x^s is m + (pack(c, s) - pack(c, 0)), and a shift by a packed
+    difference is one addition.  Packings are shared: one per order, nvars
+    and component ranking.
+    """
+    return _packing(order, nvars, None if comp_rank is None else tuple(comp_rank))
+
+
+_packing = lru_cache(maxsize=256)(Packing)
 
 
 # ---------------------------------------------------------------------------
 # raw engine on vector polynomials
 
 
-def vec_to_vpoly(v: LaurentVec) -> VPoly:
+def _pack_vec(v: LaurentVec, key: Packing, lift: bool) -> tuple[VPoly, Exp]:
+    """v packed under key and the exponent subtracted from its terms: with
+    lift, the least exponent of each variable, else none.  A ValueError when
+    an exponent of v is outside +-key.limit."""
+    pts = v.support()
+    if lift and not pts:
+        raise ValueError("zero vector has no polynomial lift")
+    cols = list(zip(*pts))
+    if cols:
+        lo, hi = min(map(min, cols)), max(map(max, cols))
+        if not -key.limit < lo <= hi < key.limit:
+            raise ValueError(f"exponent {hi if hi >= key.limit else lo} outside the packed "
+                             f"range: below 2^{FIELD_BITS - 3}/{v.nvars} in absolute value")
+    low = tuple(map(min, cols)) if lift else (0,) * v.nvars
+    weights = key.weights
+    shift = sum(map(mul, low, weights))
     out: VPoly = {}
     for j, p in enumerate(v.entries):
+        b = key.base(j) - shift
         for e, c in p.terms.items():
-            out[(j, e)] = c
-    return out
+            out[b + sum(map(mul, e, weights))] = c
+    return out, low
 
 
-def _lift(v: LaurentVec) -> tuple[VPoly, Exp]:
+def vec_to_vpoly(v: LaurentVec, key: Packing) -> VPoly:
+    return _pack_vec(v, key, False)[0]
+
+
+def _lift(v: LaurentVec, key: Packing) -> tuple[VPoly, Exp]:
     """Shift a nonzero vector into the polynomial ring so every exponent is
-    >= 0 and each variable touches 0; returns the lift and the subtracted
-    exponent."""
-    pts = v.support()
-    if not pts:
-        raise ValueError("zero vector has no polynomial lift")
-    m = tuple(min(p[i] for p in pts) for i in range(v.nvars))
-    return {(j, tuple(map(sub, e, m))): c
-            for j, p in enumerate(v.entries) for e, c in p.terms.items()}, m
+    >= 0 and each variable touches 0; returns the lift, packed under key, and
+    the subtracted exponent."""
+    return _pack_vec(v, key, True)
 
 
-def vpoly_to_vec(f: VPoly, nvars: int, k: int) -> LaurentVec:
+def vpoly_to_vec(f: VPoly, key: Packing, k: int) -> LaurentVec:
     polys: list[dict[Exp, Fraction]] = [dict() for _ in range(k)]
-    for (j, e), c in f.items():
+    for m, c in f.items():
+        j, e = key.unpack(m)
         polys[j][e] = c
-    return LaurentVec([LaurentPoly(nvars, t) for t in polys])
+    return LaurentVec([LaurentPoly(key.nvars, t) for t in polys])
 
 
-def _leading(f: VPoly, key):
-    m = max(f, key=key)
+def _repack(fs: list[VPoly], src: Packing, dst: Packing) -> list[VPoly]:
+    return [{dst.pack(*src.unpack(m)): c for m, c in f.items()} for f in fs]
+
+
+def _leading(f: VPoly):
+    m = max(f)
     return m, f[m]
-
-
-def _mono_divides(a, b) -> bool:
-    """Does module monomial a divide b (same component, exponents <=)."""
-    return a[0] == b[0] and all(map(le, a[1], b[1]))
 
 
 def _lcm(a: Exp, b: Exp) -> Exp:
     return tuple(map(max, a, b))
 
 
-def _lead_index(led) -> dict[int, list]:
-    """Reducers by component from (leading term, element) pairs: lists of
-    (lead exponent, lead coefficient, element) in the given order."""
+def _lead_index(led, key: Packing) -> dict[int, list]:
+    """Reducers by component field from ((leading monomial, coefficient),
+    element) pairs: lists of (lead - key.bias, lead coefficient, element) in
+    the given order."""
     index: dict[int, list] = {}
-    for ((comp, exp), lc), g in led:
-        index.setdefault(comp, []).append((exp, lc, g))
+    cs, bias = key.comp_shift, key.bias
+    for (lead, lc), g in led:
+        index.setdefault(lead >> cs & _MASK, []).append((lead - bias, lc, g))
     return index
 
 
-def _leads(basis: list[VPoly], key) -> dict[int, list]:
+def _leads(basis: list[VPoly], key: Packing) -> dict[int, list]:
     """The _lead_index of basis under key."""
-    return _lead_index((_leading(g, key), g) for g in basis)
+    return _lead_index(((_leading(g), g) for g in basis), key)
 
 
-def _reduce(f: VPoly, basis: list[VPoly], key, leads, full: bool) -> VPoly:
+def _reduce(f: VPoly, basis: list[VPoly], key: Packing, leads, full: bool) -> VPoly:
     """Reduce f against basis; leads, when given, is _leads(basis, key).
 
-    The terms still to treat sit in a heap under key.rev, largest first;
-    a cancelled term leaves a stale heap entry that is skipped.  Each term
-    is reduced by the first element, in basis order, whose leading monomial
-    divides it.  With full set, irreducible terms move to the remainder and
-    reduction goes on; otherwise the loop stops at the first one and returns
-    the work dict.  Fraction-free: to cancel c*m with a reducer of leading
-    coefficient l, the work and the remainder so far are multiplied by
+    The terms still to treat sit in a heap of negated monomials, largest
+    first; a cancelled term leaves a stale heap entry that is skipped.  Each
+    term is reduced by the first element, in basis order, whose leading
+    monomial divides it.  With full set, irreducible terms move to the
+    remainder and reduction goes on; otherwise the loop stops at the first one
+    and returns the work dict.  Fraction-free: to cancel c*m with a reducer of
+    leading coefficient l, the work and the remainder so far are multiplied by
     |l|/gcd(l, c), so the result is a positive multiple of the rational one.
     """
     index = leads if leads is not None else _leads(basis, key)
-    rev = key.rev
+    cs, bias, guard, divided = key.comp_shift, key.bias, key.guard, key.divided
     work = dict(f)
-    heap = [(rev(m), m) for m in work]
+    heap = [-m for m in work]
     heapify(heap)
     remainder: VPoly = {}
     while heap:
-        mon = heappop(heap)[1]
+        mon = -heappop(heap)
         coef = work.pop(mon, 0)
         if not coef:
             continue
-        comp, exp = mon
-        for lexp, lc, g in index.get(comp, ()):
-            if all(map(le, lexp, exp)):
+        for low, lc, g in index.get(mon >> cs & _MASK, ()):
+            if (mon - low) & guard == divided:
                 break
         else:
             if not full:
@@ -214,7 +299,8 @@ def _reduce(f: VPoly, basis: list[VPoly], key, leads, full: bool) -> VPoly:
                 return work
             remainder[mon] = coef
             continue
-        shift = tuple(map(sub, exp, lexp))
+        lead = low + bias
+        shift = mon - lead
         d = gcd(lc, coef)
         scale = abs(lc) // d
         factor = coef // d if lc > 0 else -coef // d
@@ -223,15 +309,14 @@ def _reduce(f: VPoly, basis: list[VPoly], key, leads, full: bool) -> VPoly:
                 work[m2] *= scale
             for m2 in remainder:
                 remainder[m2] *= scale
-        lm = (comp, lexp)
         for m2, c2 in g.items():
-            if m2 == lm:
+            if m2 == lead:
                 continue
-            tgt = (m2[0], tuple(map(add, m2[1], shift)))
+            tgt = m2 + shift
             nv = work.get(tgt)
             if nv is None:
                 work[tgt] = -factor * c2
-                heappush(heap, (rev(tgt), tgt))
+                heappush(heap, -tgt)
                 continue
             nv -= factor * c2
             if nv:
@@ -241,12 +326,12 @@ def _reduce(f: VPoly, basis: list[VPoly], key, leads, full: bool) -> VPoly:
     return remainder
 
 
-def normal_form(f: VPoly, basis: list[VPoly], key, leads=None) -> VPoly:
+def normal_form(f: VPoly, basis: list[VPoly], key: Packing, leads=None) -> VPoly:
     """Fully reduce f against basis."""
     return _reduce(f, basis, key, leads, True)
 
 
-def top_reduce(f: VPoly, basis: list[VPoly], key, leads=None) -> VPoly:
+def top_reduce(f: VPoly, basis: list[VPoly], key: Packing, leads=None) -> VPoly:
     """Cancel leading terms only, stopping at the first irreducible lead.
 
     Decides membership (zero remainder) exactly like full reduction while
@@ -255,24 +340,22 @@ def top_reduce(f: VPoly, basis: list[VPoly], key, leads=None) -> VPoly:
     return _reduce(f, basis, key, leads, False)
 
 
-def _spoly(f: VPoly, lead_f, g: VPoly, lead_g) -> VPoly:
-    """S-vector of f and g, given their leading terms."""
-    (cf, ef), lcf = lead_f
-    (cg, eg), lcg = lead_g
-    if cf != cg:
-        raise InvariantError("S-pair of leading terms in different components")
-    lcm = _lcm(ef, eg)
-    sf = tuple(map(sub, lcm, ef))
-    sg = tuple(map(sub, lcm, eg))
+def _spoly(f: VPoly, lead_f, g: VPoly, lead_g, lcm: int, key: Packing) -> VPoly:
+    """S-vector of f and g, given their leading terms and the packed lcm of
+    their leading monomials."""
+    lf, lcf = lead_f
+    lg, lcg = lead_g
+    if not (key.divides(lf, lcm) and key.divides(lg, lcm)):
+        raise InvariantError("S-pair lcm is not a common multiple of the leading monomials")
+    sf = lcm - lf
+    sg = lcm - lg
     # a positive multiple of f/lcf*x^sf - g/lcg*x^sg
     d = gcd(lcf, lcg)
     mf = abs(lcg) // d if lcf > 0 else -abs(lcg) // d
     mg = abs(lcf) // d if lcg > 0 else -abs(lcf) // d
-    out: VPoly = {}
-    for (c, e), v in f.items():
-        out[(c, tuple(map(add, e, sf)))] = v * mf
-    for (c, e), v in g.items():
-        tgt = (c, tuple(map(add, e, sg)))
+    out: VPoly = {m + sf: v * mf for m, v in f.items()}
+    for m, v in g.items():
+        tgt = m + sg
         nv = out.get(tgt, 0) - v * mg
         if nv:
             out[tgt] = nv
@@ -281,7 +364,7 @@ def _spoly(f: VPoly, lead_f, g: VPoly, lead_g) -> VPoly:
     return out
 
 
-def buchberger(gens: list[VPoly], key) -> list[VPoly]:
+def buchberger(gens: list[VPoly], key: Packing) -> list[VPoly]:
     """Buchberger with the Gebauer-Moeller pair criteria and sugar-degree
     pair selection.
 
@@ -294,6 +377,8 @@ def buchberger(gens: list[VPoly], key) -> list[VPoly]:
     either of its elements with the newcomer's lead (B); dropped pairs are
     skipped when they reach the top of the queue.  There is no product
     criterion: the coprime-lcm shortcut is unsound for module leading terms.
+    The criteria read each element's lead unpacked, kept as it joins, and
+    every element that joins is checked to have all its fields in range.
 
     Pairs are met by least sugar (Giovini, Mora, Niesi, Robbiano and
     Traverso, "One sugar cube, please", ISSAC 1991), in its simplified form
@@ -304,73 +389,79 @@ def buchberger(gens: list[VPoly], key) -> list[VPoly]:
     pair (i, j) with lcm L has sugar max(s_i + |L| - |lead_i|,
     s_j + |L| - |lead_j|), |.| the total degree; each element keeps
     s - |lead| so that a pair sums only its lcm.  Ties go to the smaller
-    lcm under key, then to the earlier pair, so the raw output is
-    reproducible run to run.
+    packed lcm, then to the earlier pair, so the raw output is reproducible
+    run to run.
     """
     basis: list[VPoly] = []
     leads: list = []
+    # each element's lead as (component, exponent)
+    lexps: list[tuple[int, Exp]] = []
     # each element's sugar less the total degree of its leading exponent
     ecarts: list[int] = []
     index: dict[int, list] = {}
     queued: dict[int, dict[tuple[int, int], Exp]] = {}
     heap: list = []
     seq = 0
+    cs, bias = key.comp_shift, key.bias
 
     def join(g, sugar):
         nonlocal seq
-        lead = _leading(g, key)
-        (comp, exp), lc = lead
+        key.check(g)
+        lead = _leading(g)
+        comp, exp = key.unpack(lead[0])
         new = len(basis)
         ecart = sugar - sum(exp)
         lcms: dict[Exp, int] = {}
-        for t, ((c, e), _) in enumerate(leads):
+        for t, (c, e) in enumerate(lexps):
             if c == comp:
                 lcms.setdefault(_lcm(e, exp), t)
         live = queued.setdefault(comp, {})
         for (i, j), lcm in list(live.items()):
-            if all(map(le, exp, lcm)) and lcm != _lcm(leads[i][0][1], exp) \
-                    and lcm != _lcm(leads[j][0][1], exp):
+            if all(map(le, exp, lcm)) and lcm != _lcm(lexps[i][1], exp) \
+                    and lcm != _lcm(lexps[j][1], exp):
                 del live[i, j]
         for lcm, t in lcms.items():
             if not any(o != lcm and all(map(le, o, lcm)) for o in lcms):
                 live[t, new] = lcm
                 et = ecarts[t]
                 heappush(heap, (sum(lcm) + (et if et > ecart else ecart),
-                                key((comp, lcm)), seq, t, new))
+                                key.pack(comp, lcm), seq, t, new))
                 seq += 1
         basis.append(g)
         leads.append(lead)
+        lexps.append((comp, exp))
         ecarts.append(ecart)
-        index.setdefault(comp, []).append((exp, lc, g))
+        index.setdefault(lead[0] >> cs & _MASK, []).append((lead[0] - bias, lead[1], g))
 
     for g in gens:
         if g:
-            join(strip_content(g), max(map(sum, map(itemgetter(1), g))))
+            join(strip_content(g), key.max_degree(g))
     while heap:
-        sugar, _, _, i, j = heappop(heap)
-        if queued[leads[i][0][0]].pop((i, j), None) is None:
+        sugar, lcm, _, i, j = heappop(heap)
+        if queued[lexps[i][0]].pop((i, j), None) is None:
             continue
-        s = _spoly(basis[i], leads[i], basis[j], leads[j])
+        s = _spoly(basis[i], leads[i], basis[j], leads[j], lcm, key)
         r = strip_content(normal_form(s, basis, key, index))
         if r:
             join(r, sugar)
     return basis
 
 
-def reduced_basis(basis: list[VPoly], key) -> list[VPoly]:
+def reduced_basis(basis: list[VPoly], key: Packing) -> list[VPoly]:
     """Unique reduced basis: minimal, interreduced, sorted by LM, each
     element primitive with a positive leading coefficient."""
-    items = sorted(((_leading(g, key), g) for g in basis if g), key=lambda it: key(it[0][0]))
+    items = sorted(((_leading(g), g) for g in basis if g), key=lambda it: it[0][0])
     kept: list = []
     for lead, g in items:
-        if not any(_mono_divides(l, lead[0]) for (l, _), _ in kept):
+        if not any(key.divides(l, lead[0]) for (l, _), _ in kept):
             kept.append((lead, g))
     # one pass suffices: in a minimal basis reduction keeps every leading
     # monomial, and a normal form depends only on the others' leading monomials
     for i, ((lm, _), g) in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
         if others:
-            g = normal_form(g, [h for _, h in others], key, _lead_index(others))
+            g = normal_form(g, [h for _, h in others], key, _lead_index(others, key))
+            key.check(g)
         g = strip_content(g)
         if g[lm] < 0:
             g = {m: -c for m, c in g.items()}
@@ -378,24 +469,25 @@ def reduced_basis(basis: list[VPoly], key) -> list[VPoly]:
     return [g for _, g in kept]
 
 
-def _monic(g: VPoly, key) -> dict:
+def _monic(g: VPoly) -> dict:
     """The monic form of g, in which a reduced basis leaves the engine."""
-    _, lc = _leading(g, key)
+    _, lc = _leading(g)
     return {m: Fraction(c, lc) for m, c in g.items()}
 
 
-def _cut(vpolys: list[VPoly], key, low=None) -> list[VPoly]:
-    """Reduced basis of the span's elements whose monomials all satisfy low.
+def _cut(vpolys: list[VPoly], key: Packing, bound=None) -> list[VPoly]:
+    """Reduced basis of the span's elements whose monomials all pack below
+    bound.
 
-    Runs Buchberger under key and reduces only the elements inside the low
-    block (all of them when low is None).  When key ranks everything outside
-    the block above it, those elements are a Groebner basis of the span's
-    intersection with the block, so this is that intersection's unique
-    reduced basis.
+    Runs Buchberger under key and reduces only the elements below the bound
+    (all of them when bound is None).  When key ranks everything at or above
+    the bound over everything below it, those elements are a Groebner basis
+    of the span's intersection with the low block, so this is that
+    intersection's unique reduced basis.
     """
     gb = buchberger(vpolys, key)
-    if low is not None:
-        gb = [g for g in gb if all(low(m) for m in g)]
+    if bound is not None:
+        gb = [g for g in gb if max(g) < bound]
     return reduced_basis(gb, key)
 
 
@@ -403,13 +495,18 @@ def syzygy_basis(vecs: list[VPoly], k: int, nvars: int) -> list[VPoly]:
     """Reduced basis of {r in A^c : sum r_i vecs_i = 0} for polynomial vecs.
 
     Standard tag construction: append unit tags as extra components ranked
-    below the original block and cut to the tag-only elements.
+    below the original block and cut to the tag-only elements.  The vectors
+    and the relations are packed under the default order's key.
     """
-    zero = tuple(0 for _ in range(nvars))
-    combined = [{**v, (k + i, zero): 1} for i, v in enumerate(vecs)]
+    base = make_key(DEFAULT_ORDER, nvars)
     key = make_key(DEFAULT_ORDER, nvars, comp_rank=[1] * k + [0] * len(vecs))
-    return [{(comp - k, e): v for (comp, e), v in g.items()}
-            for g in _cut(combined, key, lambda m: m[0] >= k)]
+    # the two keys differ in the rank field alone: 1 below k, 0 for the tags
+    up = key.base(0) - base.base(0)
+    combined = [{**{m + up: c for m, c in v.items()}, key.base(k + i): 1}
+                for i, v in enumerate(vecs)]
+    down = base.base(0) - key.base(k)
+    return [{m + down: c for m, c in g.items()}
+            for g in _cut(combined, key, key.top_floor(1))]
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +520,8 @@ class Submodule:
     """Finitely generated A-submodule of A^k with cached canonical bases."""
 
     def __init__(self, nvars: int, k: int, generators):
+        nvars = as_int(nvars, "variable count")
+        k = as_int(k, "ambient rank")
         if nvars < 0:
             raise ValueError("variable count must be >= 0")
         if k < 1:
@@ -452,7 +551,8 @@ class Submodule:
     def saturated_vpolys(self) -> list[VPoly]:
         """Reduced default-order basis of the saturated polynomial lift."""
         if self._sat_cache is None:
-            lifts = [_lift(g)[0] for g in self.generators]
+            key = make_key(DEFAULT_ORDER, self.nvars)
+            lifts = [_lift(g, key)[0] for g in self.generators]
             self._sat_cache = _saturate(lifts, self.nvars, self.k)
         return self._sat_cache
 
@@ -463,7 +563,7 @@ def _saturate(lifts: list[VPoly], nvars: int, k: int) -> list[VPoly]:
     if nvars == 0 or len(basis) <= 1:
         # a single lifted generator has no monomial content left to divide out
         return basis
-    f: VPoly = {(0, tuple(1 for _ in range(nvars))): 1}
+    f: VPoly = {key.pack(0, (1,) * nvars): 1}
     while True:
         quo = _quotient_vpolys(basis, f, nvars, k)
         nxt = _cut(quo, key)
@@ -475,9 +575,9 @@ def _saturate(lifts: list[VPoly], nvars: int, k: int) -> list[VPoly]:
 def _quotient_vpolys(basis: list[VPoly], f: VPoly, nvars: int, k: int) -> list[VPoly]:
     """Generators of (M : f) for the module M spanned by basis; f a 1-term
     or general polynomial given at component 0 (interpreted as a scalar)."""
-    scalar = {e: c for (_, e), c in f.items()}
-    vecs = [{(j, e): c for e, c in scalar.items()} for j in range(k)] + basis
-    projs = [{(comp, e): c for (comp, e), c in s.items() if comp < k}
+    key = make_key(DEFAULT_ORDER, nvars)
+    vecs = [{m + key.base(j) - key.base(0): c for m, c in f.items()} for j in range(k)] + basis
+    projs = [{m: c for m, c in s.items() if key.comp(m) < k}
              for s in syzygy_basis(vecs, k, nvars)]
     return [proj for proj in projs if proj]
 
@@ -491,8 +591,9 @@ def groebner_basis(mod: Submodule, order: TermOrder | None = None) -> list[Laure
     if cached is None:
         sat = mod.saturated_vpolys()
         key = make_key(order, mod.nvars)
-        vp = sat if order == DEFAULT_ORDER else _cut(sat, key)
-        cached = tuple(vpoly_to_vec(_monic(g, key), mod.nvars, mod.k) for g in vp)
+        if order != DEFAULT_ORDER:
+            sat = _cut(_repack(sat, make_key(DEFAULT_ORDER, mod.nvars), key), key)
+        cached = tuple(vpoly_to_vec(_monic(g), key, mod.k) for g in sat)
         mod._gb_cache[order] = cached
     return list(cached)
 
@@ -504,7 +605,7 @@ def member(v: LaurentVec, mod: Submodule) -> bool:
     if v.is_zero():
         return True
     key, leads = _read_index(mod)
-    return not top_reduce(strip_content(_lift(v)[0]), mod.saturated_vpolys(), key, leads)
+    return not top_reduce(strip_content(_lift(v, key)[0]), mod.saturated_vpolys(), key, leads)
 
 
 def _read_index(mod: Submodule) -> tuple:
@@ -517,7 +618,13 @@ def _read_index(mod: Submodule) -> tuple:
 
 def leading_exponents(mod: Submodule) -> dict[int, list[Exp]]:
     """Leading exponents of the canonical basis, by leading component."""
-    return {comp: [exp for exp, _, _ in row] for comp, row in _read_index(mod)[1].items()}
+    key, index = _read_index(mod)
+    out: dict[int, list[Exp]] = {}
+    for row in index.values():
+        for low, _, _ in row:
+            comp, exp = key.unpack(low + key.bias)
+            out.setdefault(comp, []).append(exp)
+    return out
 
 
 def prime_step_cuts(vectors: list[LaurentVec], k: int, steps) -> list[LaurentVec]:
@@ -529,7 +636,7 @@ def prime_step_cuts(vectors: list[LaurentVec], k: int, steps) -> list[LaurentVec
     divmod(e_i + o, p), each lifted by its own least exponent, and cut to the
     first block under the default order with the other p*k - k components
     ranked over it.  Between steps the cut stays a reduced basis in the
-    engine's int form; only the last one leaves, as monic LaurentVecs ([]
+    engine's packed form; only the last one leaves, as monic LaurentVecs ([]
     once a cut is empty).
 
     No saturation pass between steps: monomial scaling respects the component
@@ -537,22 +644,23 @@ def prime_step_cuts(vectors: list[LaurentVec], k: int, steps) -> list[LaurentVec
     resulting submodule saturates itself on demand.
     """
     nvars = vectors[0].nvars if vectors else 0
-    gens = [strip_content(vec_to_vpoly(v)) for v in vectors if not v.is_zero()]
+    key = make_key(DEFAULT_ORDER, nvars)
+    gens = [strip_content(vec_to_vpoly(v, key)) for v in vectors if not v.is_zero()]
     for i, p in steps:
         if not gens:
             return []
+        step = make_key(DEFAULT_ORDER, nvars, comp_rank=[0] * k + [1] * (p * k - k))
         blocks = []
         for g in gens:
+            terms = [(*key.unpack(m), c) for m, c in g.items()]
             for o in range(p):
-                block = {}
-                for (j, e), c in g.items():
-                    quo, rem = divmod(e[i] + o, p)
-                    block[rem * k + j, e[:i] + (quo,) + e[i + 1:]] = c
-                m = tuple(map(min, zip(*(e for _, e in block))))
-                blocks.append({(j, tuple(map(sub, e, m))): c for (j, e), c in block.items()})
-        key = make_key(DEFAULT_ORDER, nvars, comp_rank=[0] * k + [1] * (p * k - k))
-        gens = _cut(blocks, key, lambda mon: mon[0] < k)
-    return [vpoly_to_vec(_monic(g, key), nvars, k) for g in gens]
+                block = [(rem * k + j, e[:i] + (quo,) + e[i + 1:], c)
+                         for j, e, c in terms for quo, rem in [divmod(e[i] + o, p)]]
+                low = tuple(map(min, zip(*(e for _, e, _ in block))))
+                blocks.append({step.pack(j, tuple(map(sub, e, low))): c for j, e, c in block})
+        key = step
+        gens = _cut(blocks, key, key.top_floor(1))
+    return [vpoly_to_vec(_monic(g), key, k) for g in gens]
 
 
 def submodule_equal(a: Submodule, b: Submodule) -> bool:
@@ -578,12 +686,13 @@ def syzygies(vectors: list[LaurentVec], nvars: int, k: int) -> Submodule:
     for v in vectors:
         if v.k != k or v.nvars != nvars:
             raise ValueError("vector shape mismatch")
+    key = make_key(DEFAULT_ORDER, nvars)
     zero = tuple(0 for _ in range(nvars))
-    lifts = [({}, zero) if v.is_zero() else _lift(v) for v in vectors]
+    lifts = [({}, zero) if v.is_zero() else _lift(v, key) for v in vectors]
     syz = syzygy_basis([f for f, _ in lifts], k, nvars)
     gens = []
     for s in syz:
-        vec = vpoly_to_vec(s, nvars, c)
+        vec = vpoly_to_vec(s, key, c)
         # undo the per-coordinate unit shifts of the lift
         entries = [p.shift(tuple(-x for x in lifts[i][1])) for i, p in enumerate(vec.entries)]
         gens.append(LaurentVec(entries))
@@ -596,13 +705,13 @@ def module_quotient(mod: Submodule, f: LaurentPoly) -> Submodule:
         raise ValueError("variable count mismatch")
     if f.is_zero():
         raise ValueError("quotient by zero")
-    fv = strip_content(_lift(LaurentVec.wrap(f))[0])
+    key = make_key(DEFAULT_ORDER, mod.nvars)
+    fv = strip_content(_lift(LaurentVec.wrap(f), key)[0])
     sat = mod.saturated_vpolys()
     if not sat:
         return Submodule(mod.nvars, mod.k, [])
     quo = _quotient_vpolys(sat, fv, mod.nvars, mod.k)
-    return Submodule(mod.nvars, mod.k,
-                     [vpoly_to_vec(g, mod.nvars, mod.k) for g in quo])
+    return Submodule(mod.nvars, mod.k, [vpoly_to_vec(g, key, mod.k) for g in quo])
 
 
 def eliminate(mod: Submodule, drop) -> Submodule:
@@ -622,12 +731,16 @@ def eliminate(mod: Submodule, drop) -> Submodule:
     if not drop:
         return mod
     keep = [i for i in range(mod.nvars) if i not in drop]
-    gb = _cut(mod.saturated_vpolys(), make_key(TermOrder(drop=drop), mod.nvars),
-              lambda m: all(m[1][i] == 0 for i in drop))
-    sat = [{(comp, tuple(e[i] for i in keep)): c for (comp, e), c in g.items()} for g in gb]
-    key = make_key(DEFAULT_ORDER, len(keep))
-    out = Submodule(len(keep), mod.k, [vpoly_to_vec(_monic(g, key), len(keep), mod.k)
-                                       for g in sat])
+    key = make_key(TermOrder(drop=drop), mod.nvars)
+    # lifted exponents are >= 0, so a zero dropped degree means no dropped variable
+    gb = _cut(_repack(mod.saturated_vpolys(), make_key(DEFAULT_ORDER, mod.nvars), key),
+              key, key.top_floor(1))
+    out_key = make_key(DEFAULT_ORDER, len(keep))
+    sat = []
+    for g in gb:
+        terms = ((key.unpack(m), c) for m, c in g.items())
+        sat.append({out_key.pack(comp, tuple(e[i] for i in keep)): c for (comp, e), c in terms})
+    out = Submodule(len(keep), mod.k, [vpoly_to_vec(_monic(g), out_key, mod.k) for g in sat])
     out._sat_cache = sat
     out._gb_cache[DEFAULT_ORDER] = out.generators
     return out
@@ -637,12 +750,14 @@ def is_groebner_basis(vecs: list[LaurentVec], nvars: int, order: TermOrder | Non
     """Buchberger criterion: every S-pair reduces to zero (test hook)."""
     order = order or DEFAULT_ORDER
     key = make_key(order, nvars)
-    vps = [strip_content(vec_to_vpoly(v)) for v in vecs if not v.is_zero()]
-    leads = [_leading(g, key) for g in vps]
+    vps = [strip_content(vec_to_vpoly(v, key)) for v in vecs if not v.is_zero()]
+    leads = [_leading(g) for g in vps]
+    lexps = [key.unpack(lead) for lead, _ in leads]
     for j in range(len(vps)):
         for i in range(j):
-            if leads[i][0][0] != leads[j][0][0]:
+            if lexps[i][0] != lexps[j][0]:
                 continue
-            if normal_form(_spoly(vps[i], leads[i], vps[j], leads[j]), vps, key):
+            lcm = key.pack(lexps[i][0], _lcm(lexps[i][1], lexps[j][1]))
+            if normal_form(_spoly(vps[i], leads[i], vps[j], leads[j], lcm, key), vps, key):
                 return False
     return True

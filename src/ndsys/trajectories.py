@@ -77,6 +77,23 @@ def _generators_of(mod_or_gens, window: Window | None = None) -> list[LaurentVec
     return gens
 
 
+def _ambient_rank(mod_or_gens, gens: list[LaurentVec], k) -> int:
+    """k checked against the generators; when None, the module's ambient
+    rank or the generators'."""
+    if k is None:
+        if isinstance(mod_or_gens, Submodule):
+            k = mod_or_gens.k
+        elif gens:
+            k = gens[0].k
+        else:
+            raise ValueError("ambient rank unknown for empty generator list")
+    elif (k := as_int(k, "ambient rank")) < 1:
+        raise ValueError("ambient rank must be >= 1")
+    if any(g.k > k for g in gens):
+        raise ValueError("a generator has more than k components")
+    return k
+
+
 def _window_index(window: Window, k: int) -> dict[tuple[Exp, int], int]:
     """Column of each (point, component) unknown on the window."""
     return {(p, j): i * k + j for i, p in enumerate(window.points) for j in range(k)}
@@ -155,17 +172,7 @@ def _equation_rows(gens: list[LaurentVec], window: Window,
 def window_solutions(mod_or_gens, window: Window, k: int | None = None) -> WindowSolutionSpace:
     """Nullspace of the instantiated equations on the window."""
     gens = _generators_of(mod_or_gens, window)
-    if k is None:
-        if isinstance(mod_or_gens, Submodule):
-            k = mod_or_gens.k
-        elif gens:
-            k = gens[0].k
-        else:
-            raise ValueError("ambient rank unknown for empty generator list")
-    elif (k := as_int(k, "ambient rank")) < 1:
-        raise ValueError("ambient rank must be >= 1")
-    if any(g.k > k for g in gens):
-        raise ValueError("a generator has more than k components")
+    k = _ambient_rank(mod_or_gens, gens, k)
     index = _window_index(window, k)
     basis = nullspace_basis(_equation_rows(gens, window, index), len(index))
     return WindowSolutionSpace(window, k, basis, index)
@@ -180,13 +187,8 @@ class WindowSpan:
     """
 
     def __init__(self, gens, window: Window, k: int | None = None):
-        gens = _generators_of(gens, window)
-        if k is None:
-            k = gens[0].k if gens else 1
-        elif (k := as_int(k, "ambient rank")) < 1:
-            raise ValueError("ambient rank must be >= 1")
-        if any(g.k > k for g in gens):
-            raise ValueError("a generator has more than k components")
+        source, gens = gens, _generators_of(gens, window)
+        k = _ambient_rank(source, gens, k)
         self.window = window
         self.k = k
         self.index = _window_index(window, k)

@@ -168,3 +168,32 @@ def test_record_written_when_both_first_runs_fail(tmp_path, monkeypatch):
         "query-mix"]["wall_s"]
     assert wall["unit"] == "s" and wall["pairs"] == 1
     assert wall["values"] == {"parent": [3.0], "change": [2.8]}
+
+
+def test_traced_pairs_list_the_counters_that_differ(tmp_path, monkeypatch):
+    """Only metrics in unit count are compared: an equal count is not
+    listed, a differing one is, and so is one that a side lacks."""
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        if not trace:
+            return {"correct": True, "exit": 0,
+                    "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+        side = "parent" if checkout == parent else "change"
+        metrics = {"groebner.spairs": {"value": 40, "unit": "count"},
+                   "groebner.basis_peak": {"value": {"parent": 7, "change": 8}[side],
+                                           "unit": "count"},
+                   "groebner.normal_form_s": {"value": {"parent": 0.1, "change": 0.2}[side],
+                                              "unit": "s"}}
+        if side == "change":
+            metrics["coarsest.audit_candidates"] = {"value": 3, "unit": "count"}
+        return {"correct": True, "exit": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
+                             "--pairs", "query-mix=1", "--pairs", "contract-ladder=1"]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())["traced_seed1"]["workloads"]
+    for entry in record.values():
+        assert entry["counters_differ"] == ["coarsest.audit_candidates", "groebner.basis_peak"]
+        assert entry["parent"]["groebner.spairs"] == entry["change"]["groebner.spairs"] == 40

@@ -1,8 +1,10 @@
 import heapq
+import json
 import random
 import re
 from fractions import Fraction
 from math import gcd
+from operator import add, le
 from pathlib import Path
 
 import pytest
@@ -10,12 +12,15 @@ import pytest
 import ndsys
 from ndsys import groebner
 from ndsys.analysis import analyze, rank_over_fractions
+from ndsys.cli import main
+from ndsys.intlat import diagonal_lattice
 from ndsys.laurent import LaurentPoly, LaurentVec, parse_poly, parse_vector
 from ndsys.groebner import (DEFAULT_ORDER, Submodule, TermOrder, _lift, buchberger,
                             eliminate, groebner_basis, is_groebner_basis, make_key,
                             member, module_quotient, submodule_contains,
                             submodule_equal, syzygies, vec_to_vpoly)
 from ndsys.linalg import nullspace_basis, strip_content
+from ndsys.sublattice import contract
 from ndsys.trajectories import WindowSpan, box_window
 
 pv = parse_vector
@@ -37,16 +42,27 @@ def _rand_module(rng, nvars, k, ngens=3):
     return Submodule(nvars, k, gens)
 
 
+def _packed(f, key):
+    """A {(comp, exp): c} dict packed under key."""
+    return {key.pack(*m): c for m, c in f.items()}
+
+
+def _unpacked(f, key):
+    """A packed vector polynomial as {(comp, exp): c}."""
+    return {key.unpack(m): c for m, c in f.items()}
+
+
 # ---------------------------------------------------------------------------
 # membership and canonical bases
 
 
 def test_lift():
-    lifted, m = _lift(LaurentVec.wrap(parse_poly("s1^-2 + s1", 1)))
+    key = make_key(DEFAULT_ORDER, 1)
+    lifted, m = _lift(LaurentVec.wrap(parse_poly("s1^-2 + s1", 1)), key)
     assert m == (-2,)
-    assert lifted == {(0, (0,)): 1, (0, (3,)): 1}
+    assert _unpacked(lifted, key) == {(0, (0,)): 1, (0, (3,)): 1}
     with pytest.raises(ValueError):
-        _lift(LaurentVec.wrap(LaurentPoly(1)))
+        _lift(LaurentVec.wrap(LaurentPoly(1)), key)
 
 
 def _rational_gens():
@@ -59,22 +75,22 @@ def test_engine_coefficients_are_primitive_ints():
     primitive; a reduced basis has positive leading coefficients."""
     gens = _rational_gens()
     key = make_key(DEFAULT_ORDER, 2)
-    raw = buchberger([_lift(g)[0] for g in gens], key)
+    raw = buchberger([_lift(g, key)[0] for g in gens], key)
     sat = Submodule(2, 2, gens).saturated_vpolys()
     assert raw and sat
     for g in raw + sat:
         assert all(type(c) is int for c in g.values())
         assert gcd(*g.values()) == 1
     for g in sat:
-        assert g[max(g, key=key)] > 0
+        assert g[max(g)] > 0
 
 
 def test_groebner_basis_is_monic_fractions():
     key = make_key(DEFAULT_ORDER, 2)
     for v in groebner_basis(Submodule(2, 2, _rational_gens())):
-        f = vec_to_vpoly(v)
+        f = vec_to_vpoly(v, key)
         assert all(type(c) is Fraction for c in f.values())
-        assert f[max(f, key=key)] == 1
+        assert f[max(f)] == 1
 
 
 def test_rational_rescaling_keeps_canonical_basis():
@@ -324,6 +340,22 @@ def test_integer_arguments_are_not_truncated():
         Submodule(-1, 1, [])
 
 
+@pytest.mark.parametrize("bad", [1.5, "2", None, Fraction(3, 2)])
+def test_submodule_sizes_are_checked_integers(bad):
+    with pytest.raises(ValueError, match=re.escape(f"ambient rank {bad!r} is not an integer")):
+        Submodule(2, bad, [])
+    with pytest.raises(ValueError, match=re.escape(f"variable count {bad!r} is not an integer")):
+        Submodule(bad, 1, [])
+
+
+def test_submodule_sizes_of_integral_value_are_ints():
+    p = Submodule(2.0, Fraction(2), [pv("[s1, 1]", 2, 2)])
+    assert (p.nvars, p.k) == (2, 2) and type(p.nvars) is type(p.k) is int
+    assert member(pv("[s1^2, s1]", 2, 2), p)
+    with pytest.raises(ValueError, match="ambient rank must be >= 1"):
+        Submodule(2, 0.0, [])
+
+
 def test_submodule_contains():
     big = Submodule(1, 1, [pv("s1 - 1", 1, 1)])
     small = Submodule(1, 1, [pv("s1^2 - 1", 1, 1)])
@@ -364,7 +396,8 @@ def test_outputs_do_not_depend_on_buchberger_input_order(monkeypatch):
 
 def test_engine_format_stays_in_groebner():
     """Only groebner.py knows the engine's vector format and Buchberger run."""
-    names = re.compile(r"VPoly|vpoly|make_key|buchberger|reduced_basis|_lifted_vpolys")
+    names = re.compile(r"VPoly|vpoly|make_key|buchberger|reduced_basis|_lifted_vpolys"
+                       r"|Packing|FIELD_BITS|top_floor|_repack|_pack_vec")
     for path in sorted(Path(ndsys.__file__).parent.glob("*.py")):
         if path.name == "groebner.py":
             continue
@@ -393,15 +426,20 @@ def _nested_key(order, nvars, comp_rank=None):
     return key
 
 
+def _mono_divides(a, b) -> bool:
+    """Does module monomial a divide b (same component, exponents <=)."""
+    return a[0] == b[0] and all(x <= y for x, y in zip(a[1], b[1]))
+
+
 def _rescan_reduce(f, basis, key, full):
-    """The reducer before the heap: rescan the work for its largest term and
-    try every element's lead in basis order."""
-    lms = [groebner._leading(g, key) for g in basis]
+    """The reducer before the heap, on {(comp, exp): c} dicts: rescan the work
+    for its largest term and try every element's lead in basis order."""
+    lms = [(lm, g[lm]) for g in basis for lm in [max(g, key=key)]]
     work = dict(f)
     remainder = {}
     while work:
         mon = max(work, key=key)
-        hit = next((i for i, (lm, _) in enumerate(lms) if groebner._mono_divides(lm, mon)), None)
+        hit = next((i for i, (lm, _) in enumerate(lms) if _mono_divides(lm, mon)), None)
         if hit is None:
             if not full:
                 return work
@@ -454,8 +492,10 @@ def test_flat_key_orders_like_the_nested_key():
         mons = list({(rng.randrange(k), tuple(rng.randint(0, 3) for _ in range(nvars)))
                      for _ in range(40)})
         key = make_key(order, nvars, rank)
-        assert sorted(mons, key=key) == sorted(mons, key=_nested_key(order, nvars, rank))
-        assert all(key.rev(m) == tuple(-x for x in key(m)) for m in mons)
+        nested = _nested_key(order, nvars, rank)
+        assert sorted(mons, key=lambda m: key.pack(*m)) == sorted(mons, key=nested)
+        # the reducer's heap holds negated monomials: largest first
+        assert sorted(mons, key=lambda m: -key.pack(*m)) == sorted(mons, key=nested, reverse=True)
 
 
 def test_heap_reducer_matches_rescan_reducer():
@@ -469,37 +509,43 @@ def test_heap_reducer_matches_rescan_reducer():
         for _ in range(6):
             basis = [_rand_vpoly(rng, nvars, k) for _ in range(rng.randint(1, 4))]
             if rng.random() < 0.5:
-                basis = buchberger(basis, make_key(DEFAULT_ORDER, nvars, rank))
+                gb_key = make_key(DEFAULT_ORDER, nvars, rank)
+                basis = [_unpacked(g, gb_key)
+                         for g in buchberger([_packed(g, gb_key) for g in basis], gb_key)]
+            packed = [_packed(g, key) for g in basis]
             for _ in range(3):
                 f = _rand_vpoly(rng, nvars, k, terms=8, deg=4)
-                assert groebner.normal_form(f, basis, key) == _rescan_reduce(f, basis, old, True)
-                assert groebner.top_reduce(f, basis, key) == _rescan_reduce(f, basis, old, False)
+                nf = groebner.normal_form(_packed(f, key), packed, key)
+                top = groebner.top_reduce(_packed(f, key), packed, key)
+                assert _unpacked(nf, key) == _rescan_reduce(f, basis, old, True)
+                assert _unpacked(top, key) == _rescan_reduce(f, basis, old, False)
 
 
 def _plain_buchberger(gens, key):
     """Buchberger without pair criteria: every pair of leads in one component
     is reduced, smallest lcm first, ties by creation sequence."""
     basis = [strip_content(g) for g in gens if g]
-    leads = [groebner._leading(g, key) for g in basis]
+    leads = [groebner._leading(g) for g in basis]
     heap, seq = [], 0
 
     def push(i, j):
         nonlocal seq
-        if leads[i][0][0] == leads[j][0][0]:
-            lcm = tuple(map(max, leads[i][0][1], leads[j][0][1]))
-            heapq.heappush(heap, (key((leads[i][0][0], lcm)), seq, i, j))
+        (ci, ei), (cj, ej) = key.unpack(leads[i][0]), key.unpack(leads[j][0])
+        if ci == cj:
+            lcm = key.pack(ci, tuple(map(max, ei, ej)))
+            heapq.heappush(heap, (lcm, seq, i, j))
             seq += 1
 
     for j in range(len(basis)):
         for i in range(j):
             push(i, j)
     while heap:
-        _, _, i, j = heapq.heappop(heap)
-        s = groebner._spoly(basis[i], leads[i], basis[j], leads[j])
+        lcm, _, i, j = heapq.heappop(heap)
+        s = groebner._spoly(basis[i], leads[i], basis[j], leads[j], lcm, key)
         r = strip_content(groebner.normal_form(s, basis, key))
         if r:
             basis.append(r)
-            leads.append(groebner._leading(r, key))
+            leads.append(groebner._leading(r))
             for t in range(len(basis) - 1):
                 push(t, len(basis) - 1)
     return basis
@@ -541,9 +587,10 @@ def test_pair_criteria_match_plain_buchberger(monkeypatch):
         # the component ranking of a prime_step_cuts step half the time
         rank = [0, 1] if k == 2 and rng.random() < 0.5 else None
         key = make_key(DEFAULT_ORDER, nvars, rank)
-        raw = _check_against_plain(calls, gens, key)
+        raw = _check_against_plain(calls, [_packed(g, key) for g in gens], key)
         if rank is None:
-            assert is_groebner_basis([groebner.vpoly_to_vec(g, nvars, k) for g in raw], nvars)
+            vecs = [groebner.vpoly_to_vec(g, key, k) for g in raw]
+            assert is_groebner_basis(vecs, nvars)
 
 
 def test_pair_criteria_match_plain_buchberger_over_orders(monkeypatch):
@@ -558,7 +605,114 @@ def test_pair_criteria_match_plain_buchberger_over_orders(monkeypatch):
         rank = rng.choice([None, [rng.randint(0, 2) for _ in range(k)]])
         gens = [_rand_vpoly(rng, nvars, k, terms=3) for _ in range(rng.randint(2, 4))]
         key = make_key(order, nvars, rank)
-        raw = _check_against_plain(calls, gens, key)
+        raw = _check_against_plain(calls, [_packed(g, key) for g in gens], key)
         if rank is None:
-            vecs = [groebner.vpoly_to_vec(g, nvars, k) for g in raw]
+            vecs = [groebner.vpoly_to_vec(g, key, k) for g in raw]
             assert is_groebner_basis(vecs, nvars, order)
+
+
+# ---------------------------------------------------------------------------
+# the packing against (component, exponent) tuples
+
+
+def _edge_exponent(rng, nvars):
+    """An exponent with entries in -3..3 or within 3 of +-(2^62/nvars - 1),
+    the largest magnitude every field holds, sums included."""
+    edge = groebner._OFF // nvars - 1
+    return tuple(rng.choice([rng.randint(-3, 3), edge - rng.randint(0, 3),
+                             -edge + rng.randint(0, 3)]) for _ in range(nvars))
+
+
+def test_packing_matches_the_tuple_monomials():
+    """On Laurent exponents up to the field limit, under every key case: the
+    int order is the nested key's, unpack inverts pack, a shift by a packed
+    difference is tuple addition and the guard-bit test is divisibility."""
+    rng = random.Random(109)
+    for nvars, k, order, rank in _key_cases():
+        key = make_key(order, nvars, rank)
+        nested = _nested_key(order, nvars, rank)
+        mons = list({(rng.randrange(k), _edge_exponent(rng, nvars)) for _ in range(30)})
+        mons += [(c, e) for c in range(k) for e in [(0,) * nvars, (1,) * nvars, (-1,) * nvars]]
+        assert sorted(mons, key=lambda m: key.pack(*m)) == sorted(mons, key=nested)
+        for comp, exp in mons:
+            m = key.pack(comp, exp)
+            assert key.unpack(m) == (comp, exp) and key.comp(m) == comp
+            assert not m & key.guard
+            shift = tuple(rng.randint(-3, 3) for _ in range(nvars))
+            moved = tuple(map(add, exp, shift))
+            assert m + key.pack(k - 1, shift) - key.pack(k - 1, (0,) * nvars) == \
+                key.pack(comp, moved)
+            if all(abs(x) < groebner._OFF // nvars for x in moved):
+                assert key.unpack(key.pack(comp, moved)) == (comp, moved)
+        for a in mons:
+            for b in mons:
+                want = a[0] == b[0] and all(map(le, a[1], b[1]))
+                assert key.divides(key.pack(*a), key.pack(*b)) == want
+
+
+def test_bounds_match_the_low_predicates():
+    """max(g) < key.top_floor(1) is each cut's old low predicate: the tag
+    components of syzygy_basis, the first block of a prime step, and the
+    drop-free part of an elimination (lifted, so exponents >= 0)."""
+    rng = random.Random(113)
+    for _ in range(300):
+        nvars, k, c = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        cases = [(make_key(DEFAULT_ORDER, nvars, [1] * k + [0] * c), k + c,
+                  lambda m: m[0] >= k),
+                 (make_key(DEFAULT_ORDER, nvars, [0] * k + [1] * (c * k)), k + c * k,
+                  lambda m: m[0] < k)]
+        drop = tuple(sorted(rng.sample(range(nvars), rng.randint(1, nvars))))
+        cases.append((make_key(TermOrder(drop=drop), nvars), k,
+                      lambda m: all(m[1][i] == 0 for i in drop)))
+        for key, ncomp, low in cases:
+            g = {(rng.randrange(ncomp), tuple(rng.choice([0, 0, 1, 2]) for _ in range(nvars)))
+                 for _ in range(rng.randint(1, 4))}
+            packed = [key.pack(*m) for m in g]
+            assert (max(packed) < key.top_floor(1)) == all(low(m) for m in g)
+
+
+def test_exponents_outside_the_packed_range_are_rejected(tmp_path, capsys):
+    """An input exponent past the limit is a ValueError, never a wrapped
+    answer, from member, groebner_basis and contract, and ndsys exits 3;
+    one just inside the limit is exact."""
+    limit = make_key(DEFAULT_ORDER, 2).limit
+    inside = pv(f"[s1^{limit - 1} - s2^-{limit - 1}]", 2, 1)
+    (g,) = groebner_basis(Submodule(2, 1, [inside]))
+    assert g.entries[0].support() == {(limit - 1, limit - 1), (0, 0)}
+    assert member(inside, Submodule(2, 1, [g]))
+    for e in (limit, -limit):
+        far = pv(f"[s1^{e} + s2]", 2, 1)
+        with pytest.raises(ValueError, match="packed range"):
+            groebner_basis(Submodule(2, 1, [far]))
+        with pytest.raises(ValueError, match="packed range"):
+            member(far, Submodule(2, 1, [pv("[s1 - 1]", 2, 1)]))
+        with pytest.raises(ValueError, match="packed range"):
+            contract(Submodule(2, 1, [far]), diagonal_lattice([2, 1]))
+    system = tmp_path / "far.system"
+    system.write_text(f"n = 2\nk = 1\nP = [[s1^{limit} + s2]]\n")
+    assert main(["gb", str(system)]) == 3
+    err = capsys.readouterr()
+    assert not err.out and json.loads(err.err)["error"] == "precondition"
+
+
+def test_spoly_checks_its_lcm():
+    """An lcm that is not a multiple of both leading monomials, here of
+    leads in different components, is a defect."""
+    key = make_key(DEFAULT_ORDER, 2)
+    f, g = {key.pack(0, (1, 0)): 1}, {key.pack(1, (0, 1)): 1}
+    with pytest.raises(groebner.InvariantError):
+        groebner._spoly(f, groebner._leading(f), g, groebner._leading(g),
+                        key.pack(0, (1, 1)), key)
+
+
+def test_buchberger_checks_the_fields_of_every_joining_element():
+    """An input with a field out of range, and an S-vector whose degree
+    leaves the range, each raise instead of wrapping into the next field."""
+    key = make_key(DEFAULT_ORDER, 2)
+    top = groebner._OFF - 1
+    with pytest.raises(ValueError, match="packed range"):
+        buchberger([{key.pack(0, (top + 1, 0)): 1}], key)
+    # y*[x, y^top] - x*[y, 0] = [0, y^(top+1)], whose degree field overflows
+    gens = [{key.pack(0, (1, 0)): 1, key.pack(1, (0, top)): 1}, {key.pack(0, (0, 1)): 1}]
+    with pytest.raises(ValueError, match="packed range"):
+        buchberger(gens, key)

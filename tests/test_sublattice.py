@@ -196,13 +196,13 @@ def _component_cut(vectors: list[LaurentVec], k: int) -> list[LaurentVec]:
     components, under the default order with components k and above ranked
     over them; the LaurentVec cut each prime step made before the chain
     stayed in the engine's int form."""
-    lifts = [_lift(v)[0] for v in vectors if not v.is_zero()]
-    if not lifts:
+    if all(v.is_zero() for v in vectors):
         return []
     nvars, big_k = vectors[0].nvars, vectors[0].k
     key = make_key(DEFAULT_ORDER, nvars, comp_rank=[0] * k + [1] * (big_k - k))
-    return [vpoly_to_vec(_monic(g, key), nvars, k)
-            for g in _cut(lifts, key, lambda m: m[0] < k)]
+    lifts = [_lift(v, key)[0] for v in vectors if not v.is_zero()]
+    # the first k components are those of rank 0, the least top field
+    return [vpoly_to_vec(_monic(g), key, k) for g in _cut(lifts, key, key.top_floor(1))]
 
 
 def _laurent_chain_contract(p: Submodule, s) -> Submodule:
@@ -389,9 +389,9 @@ def _recorded_steps(monkeypatch, p, s):
     sizes = []
     plain = groebner._cut
 
-    def recording_cut(vpolys, key, low=None):
-        sizes.append(max(comp for g in vpolys for comp, _ in g) // p.k + 1)
-        return plain(vpolys, key, low)
+    def recording_cut(vpolys, key, bound=None):
+        sizes.append(max(key.comp(m) for g in vpolys for m in g) // p.k + 1)
+        return plain(vpolys, key, bound)
 
     monkeypatch.setattr(groebner, "_cut", recording_cut)
     return sizes, contract(p, s)

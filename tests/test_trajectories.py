@@ -186,6 +186,18 @@ def test_explicit_ambient_rank_is_checked(k):
     assert WindowSpan([g], box, k=Fraction(2)).k == 2
 
 
+def test_window_span_takes_the_ambient_rank_of_a_module():
+    """Without k, WindowSpan reads k off a Submodule, as window_solutions
+    does, even with no generators; an empty list of generators has none."""
+    box = box_window([(-1, 1), (-1, 1)])
+    span = WindowSpan(Submodule(2, 2, []), box)
+    assert span.k == window_solutions(Submodule(2, 2, []), box).k == 2
+    assert span.contains(LaurentVec([LaurentPoly(2), LaurentPoly(2)]))
+    assert not span.contains(pv("[1, 0]", 2, 2))
+    with pytest.raises(ValueError, match="ambient rank unknown"):
+        WindowSpan([], box)
+
+
 def test_window_span_certifies_membership_only():
     g = pv("1 + s1*s2 + s2^2", 2, 1)
     span = WindowSpan([g], box_window([(-4, 4), (-4, 4)]))

@@ -21,7 +21,10 @@ better, in the direction ``BENCHMARK.json`` declares.  A pair is one seed's
 two runs; a seed whose run lacks the metric on either side (a failed run) is
 left out of that metric's pairs, values and summaries.  Traced runs keep their
 exit code, ``correct``, every per-layer metric and the span counts ``run.py``
-wrote to its results file, and ``first`` names the side traced first.
+wrote to its results file, ``first`` names the side traced first, and
+``counters_differ`` lists the metrics in unit ``count`` whose values differ
+between the two sides (a metric one side lacks counts as differing), so a
+record shows at once whether a change kept its work counters.
 Standard library only.
 """
 
@@ -135,22 +138,29 @@ def untraced_pairs(parent: Path, change: Path, workload: str, seeds: list[int],
     return out
 
 
-def traced_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def traced_run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, set]:
+    """One traced run's record, and the names of its metrics in unit count."""
     res = run_bench(checkout, workload, seed, seconds, 1)
     out = {"correct": res.get("correct", False), "exit": res["exit"]}
-    out.update({k: m["value"] for k, m in res.get("metrics", {}).items()})
+    metrics = res.get("metrics", {})
+    out.update({k: m["value"] for k, m in metrics.items()})
     record = checkout / "perfbench" / "results" / f"{workload}-seed{seed}-trace1.json"
     if res["exit"] == 0 and record.is_file():
         out["span_counts"] = json.loads(record.read_text()).get("span_counts", {})
-    return out
+    return out, {k for k, m in metrics.items() if m.get("unit") == "count"}
 
 
 def traced_pair(parent: Path, change: Path, workload: str, index: int, seconds: float) -> dict:
-    """Traced seed-1 runs of both sides, the parent first on even workload indices."""
+    """Traced seed-1 runs of both sides, the parent first on even workload
+    indices, and the count metrics whose values differ between them."""
     order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
     out: dict = {"first": order[0]}
+    counts: set = set()
     for side in order:
-        out[side] = traced_run(parent if side == "parent" else change, workload, 1, seconds)
+        out[side], names = traced_run(parent if side == "parent" else change, workload, 1, seconds)
+        counts |= names
+    out["counters_differ"] = sorted(name for name in counts
+                                    if out["parent"].get(name) != out["change"].get(name))
     return out
 
 
