@@ -102,36 +102,35 @@ class Packing:
             return [[(i, 1) for i in sel]] + [[(i, -1)] for i in reversed(sel)]
 
         forms = block(drop) + ["rank", "comp"] + block(keep)
-        shifts = [FIELD_BITS * (len(forms) - 1 - f) for f in range(len(forms))]
-        fields = list(zip(forms, shifts))
+        shifts = [FIELD_BITS * f for f in range(len(forms) - 1, -1, -1)]
         self.nvars = nvars
         self.rank = None if comp_rank is None else tuple(comp_rank)
         self.comp_shift = shifts[forms.index("comp")]
         self.rank_shift = shifts[forms.index("rank")]
         self.top_shift = shifts[0]
-        self.weights = [0] * nvars
-        # each variable's exponent is read off its own one-variable field
-        reads = [None] * nvars
-        # the total degree is the sum of the fields that hold positive forms
-        # (a block's degree, or a lex exponent)
-        self.degree_shifts = []
-        for form, s in fields:
-            if isinstance(form, list):
-                for i, sign in form:
-                    self.weights[i] += sign << s
-                if len(form) == 1:
-                    reads[form[0][0]] = (s, form[0][1])
-                if form[0][1] > 0:
-                    self.degree_shifts.append(s)
-        self.reads = reads
         self.offsets = sum(_OFF << s for s in shifts)
+        self.guard = sum(_TOP << s for s in shifts)
+        self.weights = [0] * nvars
+        # each exponent is read off its own one-variable field, and the total
+        # degree is the sum of the fields of positive forms
+        self.reads: list = [None] * nvars
+        self.degree_shifts = []
+        falling = 0
+        for form, s in zip(forms, shifts):
+            if isinstance(form, str):
+                continue
+            for i, sign in form:
+                self.weights[i] += sign << s
+            if len(form) == 1:
+                self.reads[form[0][0]] = (s, form[0][1])
+            if form[0][1] > 0:
+                self.degree_shifts.append(s)
+            else:
+                falling += 1 << s
         # a | b iff b - a + bias has the guard bits of divided: the fields of
         # negated exponents must not grow from a to b, the others not shrink
-        falling = [s for form, s in fields
-                   if isinstance(form, list) and len(form) == 1 and form[0][1] < 0]
-        self.guard = sum(_TOP << s for s in shifts)
-        self.bias = self.guard - sum(1 << s for s in falling)
-        self.divided = self.guard - sum(_TOP << s for s in falling)
+        self.bias = self.guard - falling
+        self.divided = self.guard - falling * _TOP
         # Laurent exponents inside +-limit keep every field of a lift, sums
         # included, in range
         self.limit = _OFF // (2 * max(nvars, 1))
