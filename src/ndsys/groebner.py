@@ -131,8 +131,8 @@ class Packing:
         # negated exponents must not grow from a to b, the others not shrink
         self.bias = self.guard - falling
         self.divided = self.guard - falling * _TOP
-        # Laurent exponents inside +-limit keep every field of a lift, sums
-        # included, in range
+        # exponents inside +-limit keep every field, sums included, in range,
+        # and so do lifted exponents, when each variable's span is below 2*limit
         self.limit = _OFF // (2 * max(nvars, 1))
 
     def base(self, comp: int) -> int:
@@ -194,20 +194,8 @@ _packing = lru_cache(maxsize=256)(Packing)
 # raw engine on vector polynomials
 
 
-def _pack_vec(v: LaurentVec, key: Packing, lift: bool) -> tuple[VPoly, Exp]:
-    """v packed under key and the exponent subtracted from its terms: with
-    lift, the least exponent of each variable, else none.  A ValueError when
-    an exponent of v is outside +-key.limit."""
-    pts = v.support()
-    if lift and not pts:
-        raise ValueError("zero vector has no polynomial lift")
-    cols = list(zip(*pts))
-    if cols:
-        lo, hi = min(map(min, cols)), max(map(max, cols))
-        if not -key.limit < lo <= hi < key.limit:
-            raise ValueError(f"exponent {hi if hi >= key.limit else lo} outside the packed "
-                             f"range: below 2^{FIELD_BITS - 3}/{v.nvars} in absolute value")
-    low = tuple(map(min, cols)) if lift else (0,) * v.nvars
+def _pack_entries(v: LaurentVec, key: Packing, low: Exp) -> VPoly:
+    """v packed under key, each exponent less low (no shift when low is ())."""
     weights = key.weights
     shift = sum(map(mul, low, weights))
     out: VPoly = {}
@@ -215,18 +203,33 @@ def _pack_vec(v: LaurentVec, key: Packing, lift: bool) -> tuple[VPoly, Exp]:
         b = key.base(j) - shift
         for e, c in p.terms.items():
             out[b + sum(map(mul, e, weights))] = c
-    return out, low
+    return out
 
 
 def vec_to_vpoly(v: LaurentVec, key: Packing) -> VPoly:
-    return _pack_vec(v, key, False)[0]
+    """v packed under key; a ValueError when an exponent is not strictly
+    inside +-key.limit."""
+    cols = list(zip(*v.support()))
+    if cols and not -key.limit < min(map(min, cols)) <= max(map(max, cols)) < key.limit:
+        raise ValueError(f"exponent outside the packed range: not strictly between "
+                         f"-2^{FIELD_BITS - 3}/{v.nvars} and 2^{FIELD_BITS - 3}/{v.nvars}")
+    return _pack_entries(v, key, ())
 
 
 def _lift(v: LaurentVec, key: Packing) -> tuple[VPoly, Exp]:
     """Shift a nonzero vector into the polynomial ring so every exponent is
     >= 0 and each variable touches 0; returns the lift, packed under key, and
-    the subtracted exponent."""
-    return _pack_vec(v, key, True)
+    the subtracted exponent.  A ValueError when a variable's exponents span
+    2*key.limit or more."""
+    pts = v.support()
+    if not pts:
+        raise ValueError("zero vector has no polynomial lift")
+    cols = list(zip(*pts))
+    low = tuple(map(min, cols))
+    if cols and max(map(sub, map(max, cols), low)) >= 2 * key.limit:
+        raise ValueError(f"exponents outside the packed range: a variable's exponents "
+                         f"span 2^{FIELD_BITS - 2}/{v.nvars} or more")
+    return _pack_entries(v, key, low), low
 
 
 def vpoly_to_vec(f: VPoly, key: Packing, k: int) -> LaurentVec:

@@ -397,7 +397,7 @@ def test_outputs_do_not_depend_on_buchberger_input_order(monkeypatch):
 def test_engine_format_stays_in_groebner():
     """Only groebner.py knows the engine's vector format and Buchberger run."""
     names = re.compile(r"VPoly|vpoly|make_key|buchberger|reduced_basis|_lifted_vpolys"
-                       r"|Packing|FIELD_BITS|top_floor|_repack|_pack_vec")
+                       r"|Packing|FIELD_BITS|top_floor|_repack|_pack_entries")
     for path in sorted(Path(ndsys.__file__).parent.glob("*.py")):
         if path.name == "groebner.py":
             continue
@@ -672,24 +672,32 @@ def test_bounds_match_the_low_predicates():
 
 
 def test_exponents_outside_the_packed_range_are_rejected(tmp_path, capsys):
-    """An input exponent past the limit is a ValueError, never a wrapped
-    answer, from member, groebner_basis and contract, and ndsys exits 3;
-    one just inside the limit is exact."""
+    """A lift whose exponents span twice the limit, or an exponent past the
+    limit where contraction packs Laurent exponents, is a ValueError, never a
+    wrapped answer, from member, groebner_basis and contract, and ndsys exits
+    3; a span just inside is exact, and the canonical basis it gives is valid
+    input again."""
     limit = make_key(DEFAULT_ORDER, 2).limit
-    inside = pv(f"[s1^{limit - 1} - s2^-{limit - 1}]", 2, 1)
+    e = limit - 1
+    inside = pv(f"[s1^{e}*s2^{e} - s1^-{e}*s2^-{e}]", 2, 1)
     (g,) = groebner_basis(Submodule(2, 1, [inside]))
-    assert g.entries[0].support() == {(limit - 1, limit - 1), (0, 0)}
+    # the lift fills the degree field up to its edge
+    assert g.entries[0].support() == {(2 * e, 2 * e), (0, 0)}
     assert member(inside, Submodule(2, 1, [g]))
-    for e in (limit, -limit):
-        far = pv(f"[s1^{e} + s2]", 2, 1)
+    for far in (f"[s1^{limit} + s1^-{limit}]", f"[s2^{2 * limit} - 1]"):
+        far = pv(far, 2, 1)
         with pytest.raises(ValueError, match="packed range"):
             groebner_basis(Submodule(2, 1, [far]))
         with pytest.raises(ValueError, match="packed range"):
             member(far, Submodule(2, 1, [pv("[s1 - 1]", 2, 1)]))
         with pytest.raises(ValueError, match="packed range"):
             contract(Submodule(2, 1, [far]), diagonal_lattice([2, 1]))
+    shifted = pv(f"[s1^{limit} + s1^{limit}*s2]", 2, 1)
+    assert groebner_basis(Submodule(2, 1, [shifted])) == [pv("[s2 + 1]", 2, 1)]
+    with pytest.raises(ValueError, match="packed range"):
+        contract(Submodule(2, 1, [shifted]), diagonal_lattice([2, 1]))
     system = tmp_path / "far.system"
-    system.write_text(f"n = 2\nk = 1\nP = [[s1^{limit} + s2]]\n")
+    system.write_text(f"n = 2\nk = 1\nP = [[s1^{2 * limit} + s2]]\n")
     assert main(["gb", str(system)]) == 3
     err = capsys.readouterr()
     assert not err.out and json.loads(err.err)["error"] == "precondition"
