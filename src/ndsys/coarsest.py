@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import mul
 
-from .intlat import IntLattice, IntMatrix, lattice_from_rows, meet, zero_lattice
+from .intlat import IntLattice, IntMatrix, as_int, lattice_from_rows, meet, zero_lattice
 from .laurent import LaurentPoly, LaurentVec
 from .groebner import InvariantError, Submodule, groebner_basis, member, syzygies
 from .sublattice import failing_coset_part
@@ -72,17 +72,6 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
-def _echelon_pivots(rows) -> list[int] | None:
-    """Pivot columns of rows in echelon form with positive pivots, else None."""
-    cols: list[int] = []
-    for row in rows:
-        col = next((i for i, v in enumerate(row) if v), None)
-        if col is None or row[col] < 0 or (cols and col <= cols[-1]):
-            return None
-        cols.append(col)
-    return cols
-
-
 def maximal_sublattices(lat: IntLattice, prime: int) -> list[IntLattice]:
     """All (p^r - 1)/(p - 1) index-p sublattices of a rank-r lattice.
 
@@ -90,17 +79,16 @@ def maximal_sublattices(lat: IntLattice, prime: int) -> list[IntLattice]:
     mod p on the coefficients of the basis b.  With m the index of a's last
     nonzero entry and t_i = -a_i * a_m^-1 mod p, that kernel has the basis
     e_i + t_i*e_m (i != m) and p*e_m, so the sublattice is spanned by
-    b_i + t_i*b_m and p*b_m.  When b is in echelon form (an HNF basis always
-    is) these rows are too, on b's pivot columns, and reducing the entries
-    above each pivot into [0, pivot) gives the canonical basis without an HNF
-    run; any other basis goes through lattice_from_rows.  The list follows
-    _normalized_functionals' order.  The count holds only for a prime p, and
-    a non-prime raises ValueError.
+    b_i + t_i*b_m and p*b_m.  b is an HNF basis, so these rows are in
+    echelon form on b's pivot columns, and reducing the entries above each
+    pivot into [0, pivot) gives the canonical basis without an HNF run.  The
+    list follows _normalized_functionals' order.  The count holds only for a
+    prime p, and a non-prime raises ValueError.
     """
+    prime = as_int(prime, "audit modulus")
     if not is_prime(prime):
         raise ValueError(f"audit modulus {prime} is not prime")
     b = lat.basis.rows
-    cols = _echelon_pivots(b)
     minus_inverse = [0] + [-pow(x, -1, prime) for x in range(1, prime)]
     out = []
     for a in _normalized_functionals(lat.rank, prime):
@@ -114,17 +102,14 @@ def maximal_sublattices(lat: IntLattice, prime: int) -> list[IntLattice]:
             if a[i]:
                 t = a[i] * minus_inverse[a[m]] % prime
                 rows[i] = tuple(v + t * w for v, w in zip(b[i], bm))
-        if cols is None:
-            out.append(lattice_from_rows(lat.ambient, rows))
-            continue
         # same pivots as b: reduce above each pivot, in ascending order
-        for j, col in enumerate(cols):
+        for j, col in enumerate(lat.pivots):
             rj = rows[j]
             for i in range(j):
                 q = rows[i][col] // rj[col]
                 if q:
                     rows[i] = tuple(v - q * w for v, w in zip(rows[i], rj))
-        out.append(IntLattice(lat.ambient, IntMatrix(tuple(rows), lat.ambient)))
+        out.append(IntLattice._of(lat.ambient, IntMatrix(tuple(rows), lat.ambient)))
     return out
 
 
@@ -136,23 +121,14 @@ def _coordinate_terms(gens, lat: IntLattice):
     pair per generator.  Every generator lies in one coset of lat by
     construction, so a point off lat raises InvariantError.
     """
-    steps = [(next(i for i, v in enumerate(row) if v), row) for row in lat.basis.rows]
     out = []
     for g in gens:
         terms = [(j, e, c) for j, poly in enumerate(g.entries) for e, c in poly.terms.items()]
         base = terms[0][1]
         coords = []
         for _, e, _ in terms:
-            x = tuple(a - b for a, b in zip(e, base))
-            c = []
-            for col, row in steps:
-                q, rem = divmod(x[col], row[col])
-                if rem:
-                    break
-                if q:
-                    x = tuple(a - q * w for a, w in zip(x, row))
-                c.append(q)
-            if any(x):
+            c, rest = lat.reduce(tuple(a - b for a, b in zip(e, base)))
+            if any(rest):
                 raise InvariantError("candidate lattice rejected by its own construction")
             coords.append(c)
         out.append((terms, coords))
@@ -184,7 +160,7 @@ def coarsest_lattice(p: Submodule, audit_primes=(2, 3, 5, 7),
     once for the whole audit.  A repeated audit modulus would repeat its
     entries and raises ValueError.
     """
-    audit_primes = tuple(audit_primes)
+    audit_primes = tuple(as_int(q, "audit modulus") for q in audit_primes)
     if len(set(audit_primes)) != len(audit_primes):
         raise ValueError(f"audit modulus repeated in {audit_primes}")
     lat = support_difference_lattice(p)
@@ -241,6 +217,7 @@ def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
     n = p.nvars
     if n > 2:
         raise ValueError("brute force is limited to n <= 2")
+    index_bound = as_int(index_bound, "index bound")
     if index_bound < 1:
         raise ValueError("index bound must be at least 1")
     if index_bound > MAX_ORACLE_INDEX:

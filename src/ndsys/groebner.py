@@ -264,13 +264,8 @@ def _lead_index(led, key: Packing) -> dict[int, list]:
     return index
 
 
-def _leads(basis: list[VPoly], key: Packing) -> dict[int, list]:
-    """The _lead_index of basis under key."""
-    return _lead_index(((_leading(g), g) for g in basis), key)
-
-
-def _reduce(f: VPoly, basis: list[VPoly], key: Packing, leads, full: bool) -> VPoly:
-    """Reduce f against basis; leads, when given, is _leads(basis, key).
+def _reduce(f: VPoly, key: Packing, index: dict[int, list], full: bool) -> VPoly:
+    """Reduce f against the basis whose _lead_index under key is index.
 
     The terms still to treat sit in a heap of negated monomials, largest
     first; a cancelled term leaves a stale heap entry that is skipped.  Each
@@ -281,7 +276,6 @@ def _reduce(f: VPoly, basis: list[VPoly], key: Packing, leads, full: bool) -> VP
     leading coefficient l, the work and the remainder so far are multiplied by
     |l|/gcd(l, c), so the result is a positive multiple of the rational one.
     """
-    index = leads if leads is not None else _leads(basis, key)
     cs, bias, guard, divided = key.comp_shift, key.bias, key.guard, key.divided
     work = dict(f)
     heap = [-m for m in work]
@@ -328,18 +322,18 @@ def _reduce(f: VPoly, basis: list[VPoly], key: Packing, leads, full: bool) -> VP
     return remainder
 
 
-def normal_form(f: VPoly, basis: list[VPoly], key: Packing, leads=None) -> VPoly:
-    """Fully reduce f against basis."""
-    return _reduce(f, basis, key, leads, True)
+def normal_form(f: VPoly, key: Packing, index: dict[int, list]) -> VPoly:
+    """Fully reduce f against the basis whose _lead_index is index."""
+    return _reduce(f, key, index, True)
 
 
-def top_reduce(f: VPoly, basis: list[VPoly], key: Packing, leads=None) -> VPoly:
+def top_reduce(f: VPoly, key: Packing, index: dict[int, list]) -> VPoly:
     """Cancel leading terms only, stopping at the first irreducible lead.
 
     Decides membership (zero remainder) exactly like full reduction while
     skipping all tail work; the returned tail is not normalized.
     """
-    return _reduce(f, basis, key, leads, False)
+    return _reduce(f, key, index, False)
 
 
 def _spoly(f: VPoly, lead_f, g: VPoly, lead_g, lcm: int, key: Packing) -> VPoly:
@@ -443,7 +437,7 @@ def buchberger(gens: list[VPoly], key: Packing) -> list[VPoly]:
         if queued[lexps[i][0]].pop((i, j), None) is None:
             continue
         s = _spoly(basis[i], leads[i], basis[j], leads[j], lcm, key)
-        r = strip_content(normal_form(s, basis, key, index))
+        r = strip_content(normal_form(s, key, index))
         if r:
             join(r, sugar)
     return basis
@@ -462,7 +456,7 @@ def reduced_basis(basis: list[VPoly], key: Packing) -> list[VPoly]:
     for i, ((lm, _), g) in enumerate(kept):
         others = kept[:i] + kept[i + 1:]
         if others:
-            g = normal_form(g, [h for _, h in others], key, _lead_index(others, key))
+            g = normal_form(g, key, _lead_index(others, key))
             key.check(g)
         g = strip_content(g)
         if g[lm] < 0:
@@ -541,7 +535,7 @@ class Submodule:
         self.generators: tuple[LaurentVec, ...] = tuple(gens)
         self._gb_cache: dict[TermOrder, tuple[LaurentVec, ...]] = {}
         self._sat_cache: list[VPoly] | None = None
-        # _read_index: the default key and the _leads of _sat_cache under it
+        # _read_index: the default key and the _lead_index of _sat_cache under it
         self._read: tuple | None = None
 
     def __repr__(self):
@@ -606,15 +600,15 @@ def member(v: LaurentVec, mod: Submodule) -> bool:
         raise ValueError("vector shape mismatch")
     if v.is_zero():
         return True
-    key, leads = _read_index(mod)
-    return not top_reduce(strip_content(_lift(v, key)[0]), mod.saturated_vpolys(), key, leads)
+    key, index = _read_index(mod)
+    return not top_reduce(strip_content(_lift(v, key)[0]), key, index)
 
 
 def _read_index(mod: Submodule) -> tuple:
-    """The default key and the _leads of the saturated lift under it, cached."""
+    """The default key and the _lead_index of the saturated lift under it, cached."""
     if mod._read is None:
         key = make_key(DEFAULT_ORDER, mod.nvars)
-        mod._read = key, _leads(mod.saturated_vpolys(), key)
+        mod._read = key, _lead_index(((_leading(g), g) for g in mod.saturated_vpolys()), key)
     return mod._read
 
 
@@ -754,12 +748,13 @@ def is_groebner_basis(vecs: list[LaurentVec], nvars: int, order: TermOrder | Non
     key = make_key(order, nvars)
     vps = [strip_content(vec_to_vpoly(v, key)) for v in vecs if not v.is_zero()]
     leads = [_leading(g) for g in vps]
+    index = _lead_index(zip(leads, vps), key)
     lexps = [key.unpack(lead) for lead, _ in leads]
     for j in range(len(vps)):
         for i in range(j):
             if lexps[i][0] != lexps[j][0]:
                 continue
             lcm = key.pack(lexps[i][0], _lcm(lexps[i][1], lexps[j][1]))
-            if normal_form(_spoly(vps[i], leads[i], vps[j], leads[j], lcm, key), vps, key):
+            if normal_form(_spoly(vps[i], leads[i], vps[j], leads[j], lcm, key), key, index):
                 return False
     return True

@@ -2,14 +2,16 @@
 
 Lattices are stored by a canonical basis: the row-style Hermite normal form
 with strictly increasing pivot columns, positive pivots, and entries above
-each pivot reduced into [0, pivot).  Two equal lattices therefore compare
-equal as data.
+each pivot reduced into [0, pivot).  Constructing an IntLattice checks that
+form, which is unique for each lattice, so two equal lattices compare equal
+as data; lattice_from_rows takes any generating rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from functools import cached_property
+from math import lcm, prod
 
 
 def as_int(v, what: str) -> int:
@@ -186,16 +188,46 @@ def integer_kernel_rows(m: IntMatrix) -> list[tuple[int, ...]]:
 # Lattices
 
 
+def _dimension(v) -> int:
+    """An ambient dimension: a nonnegative integer."""
+    n = as_int(v, "ambient dimension")
+    if n < 0:
+        raise ValueError(f"ambient dimension {n} is negative")
+    return n
+
+
 @dataclass(frozen=True)
 class IntLattice:
-    """Sublattice of Z^ambient given by its canonical HNF basis rows."""
+    """Sublattice of Z^ambient given by its canonical HNF basis rows: an
+    IntMatrix of width ambient, a nonnegative integer, that equals its own
+    hnf.  Construction checks all three and raises otherwise."""
 
     ambient: int
     basis: IntMatrix
 
     def __post_init__(self):
+        if not isinstance(self.basis, IntMatrix):
+            raise TypeError(f"basis must be an IntMatrix, got {type(self.basis).__name__}")
+        object.__setattr__(self, "ambient", _dimension(self.ambient))
         if self.basis.ncols != self.ambient:
             raise ValueError("basis width differs from ambient dimension")
+        h = hnf(self.basis)  # ints, even where the basis holds integral floats
+        if h != self.basis:
+            raise ValueError("basis is not in Hermite normal form "
+                             "(lattice_from_rows takes any generating rows)")
+        object.__setattr__(self, "basis", h)
+
+    @classmethod
+    def _of(cls, ambient: int, basis: IntMatrix) -> "IntLattice":
+        """Wrap a basis already in HNF, unchecked, as the package builds them."""
+        lat = object.__new__(cls)
+        lat.__dict__.update(ambient=ambient, basis=basis)
+        return lat
+
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis row, strictly increasing."""
+        return tuple(next(i for i, v in enumerate(row) if v) for row in self.basis.rows)
 
     @property
     def rank(self) -> int:
@@ -205,53 +237,47 @@ class IntLattice:
         """Group index [Z^n : L]; None when the lattice has lower rank."""
         if self.rank != self.ambient:
             return None
-        prod = 1
-        for row in self.basis.rows:
-            prod *= _pivot(row)
-        return prod
+        return prod(row[c] for c, row in zip(self.pivots, self.basis.rows))
+
+    def reduce(self, x: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(c, r) with x = sum_i c_i * basis_i + r, r the canonical
+        representative of x + L (in [0, pivot) at each pivot column): r is
+        zero exactly when x is on L, and c is then x's basis coordinates."""
+        coords = []
+        for c, row in zip(self.pivots, self.basis.rows):
+            q = x[c] // row[c]
+            if q:
+                x = tuple(a - q * b for a, b in zip(x, row))
+            coords.append(q)
+        return tuple(coords), tuple(x)
 
     def coset_rep(self, x: tuple[int, ...]) -> tuple[int, ...]:
         """Canonical representative of x + L."""
         if len(x) != self.ambient:
             raise ValueError("point dimension mismatch")
-        return self.coset_reducer()(x)
-
-    def coset_reducer(self):
-        """The map x -> coset_rep(x), with each basis row's pivot column
-        found once, for reducing many points of the ambient dimension."""
-        steps = [(next(i for i, val in enumerate(row) if val), row)
-                 for row in self.basis.rows]
-
-        def rep(x: tuple[int, ...]) -> tuple[int, ...]:
-            for c, row in steps:
-                q = x[c] // row[c]
-                if q:
-                    x = tuple(a - q * b for a, b in zip(x, row))
-            return tuple(x)
-
-        return rep
+        return self.reduce(x)[1]
 
     def contains(self, x: tuple[int, ...]) -> bool:
-        return all(v == 0 for v in self.coset_rep(x))
+        return not any(self.coset_rep(x))
 
     def contains_lattice(self, other: "IntLattice") -> bool:
         return all(self.contains(r) for r in other.basis.rows)
 
 
-def _pivot(row: tuple[int, ...]) -> int:
-    return next(v for v in row if v != 0)
-
-
 def lattice_from_rows(ambient: int, rows) -> IntLattice:
-    return IntLattice(ambient, hnf(IntMatrix.from_rows(rows, ambient)))
+    """The lattice spanned by any integer rows of length ambient."""
+    ambient = _dimension(ambient)
+    return IntLattice._of(ambient, hnf(IntMatrix.from_rows(rows, ambient)))
 
 
 def zero_lattice(ambient: int) -> IntLattice:
-    return IntLattice(ambient, IntMatrix((), ambient))
+    ambient = _dimension(ambient)
+    return IntLattice._of(ambient, IntMatrix((), ambient))
 
 
 def full_lattice(ambient: int) -> IntLattice:
-    return IntLattice(ambient, IntMatrix.identity(ambient))
+    ambient = _dimension(ambient)
+    return IntLattice._of(ambient, IntMatrix.identity(ambient))
 
 
 def diagonal_lattice(moduli) -> IntLattice:
@@ -259,6 +285,7 @@ def diagonal_lattice(moduli) -> IntLattice:
 
     A modulus of 0 pins that coordinate to zero: the basis row is absent.
     """
+    moduli = [as_int(d, "modulus") for d in moduli]
     n = len(moduli)
     rows = []
     for i, d in enumerate(moduli):

@@ -236,11 +236,10 @@ def coset_split(v: LaurentVec, lat) -> dict[Exp, LaurentVec]:
     """
     if lat.ambient != v.nvars:
         raise ValueError("lattice ambient dimension mismatch")
-    coset_rep = lat.coset_reducer()
     parts: dict[Exp, list[dict[Exp, Fraction]]] = {}
     for j, p in enumerate(v.entries):
         for e, c in p.terms.items():
-            rep = coset_rep(e)
+            rep = lat.reduce(e)[1]
             slot = parts.get(rep)
             if slot is None:
                 slot = parts[rep] = [{} for _ in range(v.k)]

@@ -13,6 +13,7 @@ substitutes the sublattice monomials back and returns the A-span.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 from .groebner import (
@@ -51,7 +52,7 @@ class SublatticeContext:
     def rank(self) -> int:
         return self.lattice.rank
 
-    @property
+    @cached_property
     def moduli(self) -> tuple[int, ...]:
         """Positive diagonal entries d1 | d2 | ... | dr."""
         return self.decomposition.diagonal[: self.rank]
@@ -67,16 +68,21 @@ class SublatticeContext:
         ud = self.decomposition.U @ self.decomposition.D
         return IntMatrix.from_rows([row[: self.rank] for row in ud.rows], self.rank)
 
+    def t_point(self, x: tuple[int, ...]) -> tuple[int, ...] | None:
+        """(y_i // d_i) for y = transport x, or None off the sublattice: when
+        y is nonzero past the rank or a modulus d_i does not divide y_i."""
+        y = self.transport.apply(x)
+        d = self.moduli
+        if any(y[len(d):]) or any(v % m for v, m in zip(y, d)):
+            return None
+        return tuple(v // m for v, m in zip(y, d))
+
     def point_to_sub(self, x: tuple[int, ...]) -> tuple[int, ...]:
         """Coordinates of a sublattice point in the straightened basis."""
-        y = self.transport.apply(x)
-        r = self.rank
-        if any(v != 0 for v in y[r:]):
+        t = self.t_point(x)
+        if t is None:
             raise ValueError("point is not in the sublattice")
-        d = self.moduli
-        if any(y[i] % d[i] != 0 for i in range(r)):
-            raise ValueError("point is not in the sublattice")
-        return tuple(y[i] // d[i] for i in range(r))
+        return t
 
     def point_from_sub(self, t: tuple[int, ...]) -> tuple[int, ...]:
         return self.sub_exponent_matrix().apply(t)

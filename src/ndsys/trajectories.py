@@ -249,9 +249,8 @@ def restriction_check(p: Submodule, s, w) -> bool:
 
     Both comparisons run on an interior core of the box, one support
     diameter in from the boundary, to keep boundary artifacts out.  Each core
-    point x is transported once: it is on the sublattice when y = transport x
-    vanishes past the rank r and each modulus d_i divides y_i, and its
-    t-point is then (y_i // d_i).
+    point is transported once, by SublatticeContext.t_point, which picks the
+    sublattice points and gives their t-points.
 
     Neither half forms the box's solutions.  A functional vanishes on every
     box solution exactly when it lies in the row space of the box equations,
@@ -273,12 +272,8 @@ def restriction_check(p: Submodule, s, w) -> bool:
     if any(lo > hi for lo, hi in core_bounds):
         raise ValueError("window too small for the interior core")
 
-    r, d = ctx.rank, ctx.moduli
-    t_of = {}
-    for x in product(*(range(lo, hi + 1) for lo, hi in core_bounds)):
-        y = ctx.transport.apply(x)
-        if not any(y[r:]) and not any(v % m for v, m in zip(y, d)):
-            t_of[x] = tuple(v // m for v, m in zip(y, d))
+    t_of = {x: t for x in product(*(range(lo, hi + 1) for lo, hi in core_bounds))
+            if (t := ctx.t_point(x)) is not None}
     if not t_of:
         raise ValueError("no sublattice points in the core window")
 

@@ -122,6 +122,28 @@ def test_maximal_sublattice_enumeration():
     assert maximal_sublattices(zero_lattice(2), 2) == []
 
 
+def test_maximal_sublattices_audit_modulus_goes_through_as_int():
+    with pytest.raises(ValueError, match="audit modulus 2.5 is not an integer"):
+        maximal_sublattices(full_lattice(2), 2.5)
+    assert maximal_sublattices(full_lattice(2), 2.0) == maximal_sublattices(full_lattice(2), 2)
+
+
+def test_coarsest_audit_moduli_go_through_as_int():
+    p = Submodule(2, 1, [pv("1 + s1*s2 + s2^2", 2, 1)])
+    with pytest.raises(ValueError, match="audit modulus '2' is not an integer"):
+        coarsest_lattice(p, audit_primes=("2",))
+    assert coarsest_lattice(p, audit_primes=(2.0, 3)) == coarsest_lattice(p, audit_primes=(2, 3))
+    with pytest.raises(ValueError, match="repeated"):
+        coarsest_lattice(p, audit_primes=(2, 2.0))
+
+
+def test_brute_force_index_bound_goes_through_as_int():
+    p = Submodule(1, 1, [pv("s1^2 - 1", 1, 1)])
+    with pytest.raises(ValueError, match="index bound 2.5 is not an integer"):
+        brute_force_coarsest(p, 2.5)
+    assert brute_force_coarsest(p, 4.0) == brute_force_coarsest(p, 4)
+
+
 def test_maximal_sublattices_rejects_non_prime():
     assert [q for q in range(1, 30) if is_prime(q)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     for q in (1, 4, 6, 9):
@@ -146,6 +168,16 @@ def _kernel_sublattices(lat, prime):
     return out
 
 
+def _assert_raw_rows_rejected(n, rows, hnf_lat):
+    """The raw rows are a basis only when they are already canonical."""
+    raw = IntMatrix.from_rows(rows, n)
+    if raw == hnf_lat.basis:
+        assert IntLattice(n, raw) == hnf_lat
+    else:
+        with pytest.raises(ValueError, match="Hermite normal form"):
+            IntLattice(n, raw)
+
+
 def test_maximal_sublattices_match_kernel_reference():
     rng = random.Random(101)
     checked = 0
@@ -156,12 +188,11 @@ def test_maximal_sublattices_match_kernel_reference():
         hnf_lat = lattice_from_rows(n, rows)
         if hnf_lat.rank != r:
             continue
-        # the raw rows as a basis too: the enumeration follows the basis given
-        for lat in (hnf_lat, IntLattice(n, IntMatrix.from_rows(rows, n))):
-            for p in (2, 3, 5, 7):
-                got = maximal_sublattices(lat, p)
-                assert got == _kernel_sublattices(lat, p)
-                assert len(got) == (p ** r - 1) // (p - 1)
+        _assert_raw_rows_rejected(n, rows, hnf_lat)
+        for p in (2, 3, 5, 7):
+            got = maximal_sublattices(hnf_lat, p)
+            assert got == _kernel_sublattices(hnf_lat, p)
+            assert len(got) == (p ** r - 1) // (p - 1)
         checked += 1
 
 
@@ -191,13 +222,13 @@ def test_closed_form_matches_row_reference():
                 hnf_lat = lattice_from_rows(n, rows)
                 if hnf_lat.rank != r:
                     continue
-                for lat in (hnf_lat, IntLattice(n, IntMatrix.from_rows(rows, n))):
-                    for p in (2, 3, 5, 7):
-                        if r == 4 and p > 3:
-                            continue
-                        got = maximal_sublattices(lat, p)
-                        assert got == _row_sublattices(lat, p)
-                        cases += len(got)
+                _assert_raw_rows_rejected(n, rows, hnf_lat)
+                for p in (2, 3, 5, 7):
+                    if r == 4 and p > 3:
+                        continue
+                    got = maximal_sublattices(hnf_lat, p)
+                    assert got == _row_sublattices(hnf_lat, p)
+                    cases += len(got)
                 built += 1
     assert cases > 1000
 

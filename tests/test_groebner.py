@@ -405,6 +405,21 @@ def test_engine_format_stays_in_groebner():
         assert not hits, f"{path.name}: {hits}"
 
 
+def test_lattice_reducer_stays_in_intlat():
+    """IntLattice has the one point reducer: the older reducers are gone, and
+    no module other than intlat.py scans a lattice row for its pivot."""
+    from ndsys import coarsest, intlat
+    assert not hasattr(intlat.IntLattice, "coset_reducer")
+    assert not hasattr(intlat, "_pivot")
+    assert not hasattr(coarsest, "_echelon_pivots")
+    scan = re.compile(r"enumerate\(row\) if v")
+    for path in sorted(Path(ndsys.__file__).parent.glob("*.py")):
+        if path.name == "intlat.py":
+            continue
+        hits = [line for line in path.read_text().splitlines() if scan.search(line)]
+        assert not hits, f"{path.name}: {hits}"
+
+
 # ---------------------------------------------------------------------------
 # the engine against its earlier forms
 
@@ -513,10 +528,11 @@ def test_heap_reducer_matches_rescan_reducer():
                 basis = [_unpacked(g, gb_key)
                          for g in buchberger([_packed(g, gb_key) for g in basis], gb_key)]
             packed = [_packed(g, key) for g in basis]
+            index = groebner._lead_index(((groebner._leading(g), g) for g in packed), key)
             for _ in range(3):
                 f = _rand_vpoly(rng, nvars, k, terms=8, deg=4)
-                nf = groebner.normal_form(_packed(f, key), packed, key)
-                top = groebner.top_reduce(_packed(f, key), packed, key)
+                nf = groebner.normal_form(_packed(f, key), key, index)
+                top = groebner.top_reduce(_packed(f, key), key, index)
                 assert _unpacked(nf, key) == _rescan_reduce(f, basis, old, True)
                 assert _unpacked(top, key) == _rescan_reduce(f, basis, old, False)
 
@@ -542,7 +558,7 @@ def _plain_buchberger(gens, key):
     while heap:
         lcm, _, i, j = heapq.heappop(heap)
         s = groebner._spoly(basis[i], leads[i], basis[j], leads[j], lcm, key)
-        r = strip_content(groebner.normal_form(s, basis, key))
+        r = strip_content(groebner.normal_form(s, key, groebner._lead_index(zip(leads, basis), key)))
         if r:
             basis.append(r)
             leads.append(groebner._leading(r))

@@ -4,12 +4,15 @@ from math import gcd
 
 import pytest
 
+from ndsys.groebner import Submodule
 from ndsys.intlat import (GaloisSubgroup, IntLattice, IntMatrix,
                           diagonal_lattice, full_lattice, hnf,
                           hnf_with_transform, integer_kernel_rows, join,
                           lattice_from_rows, lattice_to_subgroup, meet,
                           same_coset, smith, subgroup_to_lattice,
                           unimodular_inverse, zero_lattice)
+from ndsys.laurent import parse_vector
+from ndsys.sublattice import contract
 
 
 def _rand_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -246,6 +249,88 @@ def test_integer_inputs_are_not_truncated():
     assert IntMatrix.from_rows([[Fraction(4, 2), 3.0]]).rows == ((2, 3),)
     assert lattice_from_rows(2, [[2.0, 0], [0, Fraction(1)]]) == diagonal_lattice([2, 1])
     assert GaloisSubgroup.make([2.0], [[Fraction(3)]]) == GaloisSubgroup.make([2], [[1]])
+
+
+def test_diagonal_lattice_moduli_go_through_as_int():
+    with pytest.raises(ValueError, match="modulus '2' is not an integer"):
+        diagonal_lattice(["2", 1])
+    assert diagonal_lattice([2.0, 1]) == diagonal_lattice([2, 1])
+
+
+def _coset_reducer_reference(lat, x):
+    """The coset_reducer loop IntLattice had before reduce: each basis row's
+    pivot column found by a scan, then one floor division per row."""
+    for row in lat.basis.rows:
+        c = next(i for i, val in enumerate(row) if val)
+        q = x[c] // row[c]
+        if q:
+            x = tuple(a - q * b for a, b in zip(x, row))
+    return tuple(x)
+
+
+def test_construction_accepts_exactly_the_hnf_bases():
+    """IntLattice(n, m) is accepted exactly when hnf(m) == m.  On accepted
+    lattices reduce's representative equals the old coset_reducer loop, it
+    lies in [0, pivot) at each pivot column, and the coordinates rebuild
+    the point."""
+    rng = random.Random(41)
+    accepted = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        m = _rand_matrix(rng, rng.randint(0, n + 1), n, -6, 6)
+        for basis in (m, hnf(m)):
+            if hnf(basis) != basis:
+                with pytest.raises(ValueError, match="Hermite normal form"):
+                    IntLattice(n, basis)
+                continue
+            lat = IntLattice(n, basis)
+            accepted += 1
+            assert lat == lattice_from_rows(n, basis.rows)
+            for _ in range(4):
+                x = tuple(rng.randint(-20, 20) for _ in range(n))
+                coords, rep = lat.reduce(x)
+                assert rep == _coset_reducer_reference(lat, x)
+                assert all(0 <= rep[c] < row[c] for c, row in zip(lat.pivots, basis.rows))
+                lattice_part = [sum(c * row[j] for c, row in zip(coords, basis.rows))
+                                for j in range(n)]
+                assert tuple(map(sum, zip(lattice_part, rep))) == x
+    assert accepted > 300
+
+
+def test_non_canonical_bases_raise():
+    """Bases that gave silent wrong answers: Z x 0 written twice (rank 2,
+    index 1, and contract kept both variables), a negative pivot (index -6)
+    and an unreduced entry above a pivot.  lattice_from_rows takes the same
+    rows and gives the right lattice."""
+    for rows in ([(1, 0), (1, 0)], [(2, 0), (0, -3)], [(1, 3), (0, 2)]):
+        with pytest.raises(ValueError, match="Hermite normal form"):
+            IntLattice(2, IntMatrix.from_rows(rows, 2))
+    line = lattice_from_rows(2, [(1, 0), (1, 0)])
+    assert (line.rank, line.index()) == (1, None)
+    q = contract(Submodule(2, 1, [parse_vector("s1 - 1", 2, 1)]), line)
+    assert (q.module.nvars, q.context.moduli) == (1, (1,))
+    assert lattice_from_rows(2, [(2, 0), (0, -3)]).index() == 6
+    assert lattice_from_rows(2, [(1, 3), (0, 2)]).basis.rows == ((1, 1), (0, 2))
+
+
+def test_construction_checks_ambient_and_basis_type():
+    lat = IntLattice(2.0, IntMatrix.identity(2))
+    assert lat == full_lattice(2) and type(lat.ambient) is int
+    with pytest.raises(ValueError, match="ambient dimension '2' is not an integer"):
+        IntLattice("2", IntMatrix.identity(2))
+    with pytest.raises(ValueError, match="ambient dimension -1 is negative"):
+        IntLattice(-1, IntMatrix((), -1))
+    with pytest.raises(ValueError, match="width"):
+        IntLattice(3, IntMatrix.identity(2))
+    with pytest.raises(TypeError, match="IntMatrix"):
+        IntLattice(2, ((1, 0), (0, 1)))
+    # entries with an integer value are stored as ints, so reduce works in ints
+    two = IntLattice(1, IntMatrix(((2.0,),), 1))
+    assert type(two.basis.rows[0][0]) is int and two.reduce((5,)) == ((2,), (1,))
+    for build in (lattice_from_rows, zero_lattice, full_lattice):
+        args = (-1, []) if build is lattice_from_rows else (-1,)
+        with pytest.raises(ValueError, match="negative"):
+            build(*args)
 
 
 def test_galois_subgroup_make_checks_the_moduli_first():

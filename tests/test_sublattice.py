@@ -54,6 +54,23 @@ def test_point_transport_roundtrip():
         ctx.point_to_sub((1, 0))
 
 
+def test_t_point_is_none_exactly_off_the_sublattice():
+    """t_point agrees with lattice membership, at full and lower rank, and
+    point_to_sub is t_point that raises on None."""
+    for rows in ([[2, 2], [1, -3]], [[2, 4]], [[3, 0], [0, 0]]):
+        s = lattice_from_rows(2, rows)
+        ctx = sublattice_context(s)
+        for x in product(range(-6, 7), repeat=2):
+            t = ctx.t_point(x)
+            assert (t is not None) == s.contains(x)
+            if t is None:
+                with pytest.raises(ValueError, match="not in the sublattice"):
+                    ctx.point_to_sub(x)
+            else:
+                assert ctx.point_from_sub(t) == x
+                assert ctx.point_to_sub(x) == t
+
+
 # ---------------------------------------------------------------------------
 # worked contractions
 
