@@ -8,33 +8,35 @@ equality, syzygies, quotients and elimination all run against it.
 
 Internally a vector polynomial is a dict {monomial: int}, a monomial being
 one int that packs its component and exponent under a term order (make_key).
-Every lift enters the engine through linalg.strip_content, which scales it by
-a positive rational to primitive integer coefficients, and S-pairs and
-reduction are fraction-free: they only multiply by positive integers, so each
-result is a positive multiple of the one rational arithmetic gives and strips
-to the same primitive vector.  A reduced basis holds primitive elements with
-a positive leading coefficient; it becomes monic only where it leaves the
-engine as LaurentVecs.
+A vector enters the engine once (_lift, vec_to_vpoly, syzygy_basis's tags),
+through linalg.strip_content, which scales it by a positive rational to
+primitive integer coefficients.  S-pairs and reduction are fraction-free: they
+only multiply by positive integers, so each result is a positive multiple of
+the one rational arithmetic gives, and an int gcd makes it primitive.  A
+reduced basis holds primitive elements with a positive leading coefficient;
+it becomes monic only where it leaves the engine, once, in vpoly_to_vec.
 
 Every Groebner run goes through _cut, which returns a reduced basis: of the
 whole span, or of its part below a bound (an elimination).  So every result,
 syzygies included, depends on the inputs alone and not on the order in which
 Buchberger meets them.  Contraction's chain of prime-index cuts,
-prime_step_cuts, runs here too, so its generators keep this form from one
-step to the next and leave the engine once, after the last step.
+prime_step_cuts, runs here too: it starts from eliminate's packed cut when
+there is one, keeps its generators packed from one step to the next, and
+returns a Submodule that keeps the last cut's packed lifts beside its monic
+generators, so saturation starts from the cut itself.  No vector the engine
+made is packed again.
 
 Packed ints compare like the term order, so a leading monomial is max(f) and
 the reducer's heap holds negated monomials, largest first.  Packing is affine
 in the exponent, so a monomial times x^s is an int sum, and one masked
-subtraction tells whether a leading monomial divides a term.  Vectors are
-packed once on the way in (_lift, vec_to_vpoly) and unpacked once on the way
-out.  Reducers are looked up by the term's component, through a _lead_index
-of the basis that Buchberger keeps up to date and a Submodule keeps beside
-its saturated basis, for member and for leading_exponents, the table
-analysis reads rank and dimension from.  Buchberger drops redundant pairs by
-the Gebauer-Moeller criteria and meets the rest by least sugar degree, the
-normal strategy made robust to non-homogeneous input, with the smallest lcm
-first among equal sugars.
+subtraction tells whether a leading monomial divides a term.  Reducers are
+looked up by the term's component, through a _lead_index of the basis that
+Buchberger keeps up to date and a Submodule keeps beside its saturated basis,
+for member and for leading_exponents, the table analysis reads rank and
+dimension from.  Buchberger drops redundant pairs by the Gebauer-Moeller
+criteria and meets the rest by least sugar degree, the normal strategy made
+robust to non-homogeneous input, with the smallest lcm first among equal
+sugars.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from operator import le, mul, sub
 
-from .intlat import as_int
+from .intlat import as_count, as_int
 from .laurent import Exp, LaurentPoly, LaurentVec
 from .linalg import strip_content
 
@@ -207,20 +209,20 @@ def _pack_entries(v: LaurentVec, key: Packing, low: Exp) -> VPoly:
 
 
 def vec_to_vpoly(v: LaurentVec, key: Packing) -> VPoly:
-    """v packed under key; a ValueError when an exponent is not strictly
-    inside +-key.limit."""
+    """v packed under key, primitive; a ValueError when an exponent is not
+    strictly inside +-key.limit."""
     cols = list(zip(*v.support()))
     if cols and not -key.limit < min(map(min, cols)) <= max(map(max, cols)) < key.limit:
         raise ValueError(f"exponent outside the packed range: not strictly between "
                          f"-2^{FIELD_BITS - 3}/{v.nvars} and 2^{FIELD_BITS - 3}/{v.nvars}")
-    return _pack_entries(v, key, ())
+    return strip_content(_pack_entries(v, key, ()))
 
 
-def _lift(v: LaurentVec, key: Packing) -> tuple[VPoly, Exp]:
+def _lift(v: LaurentVec, key: Packing, raw: bool = False) -> tuple[VPoly, Exp]:
     """Shift a nonzero vector into the polynomial ring so every exponent is
-    >= 0 and each variable touches 0; returns the lift, packed under key, and
-    the subtracted exponent.  A ValueError when a variable's exponents span
-    2*key.limit or more."""
+    >= 0 and each variable touches 0; returns the lift, packed under key and
+    primitive unless raw is set, and the subtracted exponent.  A ValueError
+    when a variable's exponents span 2*key.limit or more."""
     pts = v.support()
     if not pts:
         raise ValueError("zero vector has no polynomial lift")
@@ -229,19 +231,36 @@ def _lift(v: LaurentVec, key: Packing) -> tuple[VPoly, Exp]:
     if cols and max(map(sub, map(max, cols), low)) >= 2 * key.limit:
         raise ValueError(f"exponents outside the packed range: a variable's exponents "
                          f"span 2^{FIELD_BITS - 2}/{v.nvars} or more")
-    return _pack_entries(v, key, low), low
+    lift = _pack_entries(v, key, low)
+    return (lift if raw else strip_content(lift)), low
 
 
-def vpoly_to_vec(f: VPoly, key: Packing, k: int) -> LaurentVec:
+def _lowered(g: VPoly, key: Packing) -> VPoly:
+    """g shifted so that each variable's least exponent is 0: its lift."""
+    low = [min(sign * ((m >> s & _MASK) - _OFF) for m in g) for s, sign in key.reads]
+    shift = sum(map(mul, low, key.weights))
+    return {m - shift: c for m, c in g.items()}
+
+
+def vpoly_to_vec(f: VPoly, key: Packing, k: int, monic: bool = True) -> LaurentVec:
+    """f unpacked over the rationals, divided by its leading coefficient
+    unless monic is False: the one way out of the engine."""
+    lc = f[max(f)] if monic and f else 1
     polys: list[dict[Exp, Fraction]] = [dict() for _ in range(k)]
     for m, c in f.items():
         j, e = key.unpack(m)
-        polys[j][e] = c
-    return LaurentVec([LaurentPoly(key.nvars, t) for t in polys])
+        polys[j][e] = Fraction(c, lc)
+    return LaurentVec([LaurentPoly._of(key.nvars, t) for t in polys])
 
 
 def _repack(fs: list[VPoly], src: Packing, dst: Packing) -> list[VPoly]:
     return [{dst.pack(*src.unpack(m)): c for m, c in f.items()} for f in fs]
+
+
+def _primitive(f: VPoly) -> VPoly:
+    """An int vector over its content, so primitive; zero values must be gone."""
+    content = gcd(*f.values())
+    return f if content <= 1 else {m: c // content for m, c in f.items()}
 
 
 def _leading(f: VPoly):
@@ -374,7 +393,8 @@ def buchberger(gens: list[VPoly], key: Packing) -> list[VPoly]:
     skipped when they reach the top of the queue.  There is no product
     criterion: the coprime-lcm shortcut is unsound for module leading terms.
     The criteria read each element's lead unpacked, kept as it joins, and
-    every element that joins is checked to have all its fields in range.
+    every element that joins is made primitive (inputs must have int
+    coefficients) and checked to have all its fields in range.
 
     Pairs are met by least sugar (Giovini, Mora, Niesi, Robbiano and
     Traverso, "One sugar cube, please", ISSAC 1991), in its simplified form
@@ -431,13 +451,13 @@ def buchberger(gens: list[VPoly], key: Packing) -> list[VPoly]:
 
     for g in gens:
         if g:
-            join(strip_content(g), key.max_degree(g))
+            join(_primitive(g), key.max_degree(g))
     while heap:
         sugar, lcm, _, i, j = heappop(heap)
         if queued[lexps[i][0]].pop((i, j), None) is None:
             continue
         s = _spoly(basis[i], leads[i], basis[j], leads[j], lcm, key)
-        r = strip_content(normal_form(s, key, index))
+        r = _primitive(normal_form(s, key, index))
         if r:
             join(r, sugar)
     return basis
@@ -458,17 +478,11 @@ def reduced_basis(basis: list[VPoly], key: Packing) -> list[VPoly]:
         if others:
             g = normal_form(g, key, _lead_index(others, key))
             key.check(g)
-        g = strip_content(g)
+        g = _primitive(g)
         if g[lm] < 0:
             g = {m: -c for m, c in g.items()}
         kept[i] = ((lm, g[lm]), g)
     return [g for _, g in kept]
-
-
-def _monic(g: VPoly) -> dict:
-    """The monic form of g, in which a reduced basis leaves the engine."""
-    _, lc = _leading(g)
-    return {m: Fraction(c, lc) for m, c in g.items()}
 
 
 def _cut(vpolys: list[VPoly], key: Packing, bound=None) -> list[VPoly]:
@@ -492,13 +506,14 @@ def syzygy_basis(vecs: list[VPoly], k: int, nvars: int) -> list[VPoly]:
 
     Standard tag construction: append unit tags as extra components ranked
     below the original block and cut to the tag-only elements.  The vectors
-    and the relations are packed under the default order's key.
+    and the relations are packed under the default order's key; vecs may be
+    rational, so the tagged vectors enter through strip_content.
     """
     base = make_key(DEFAULT_ORDER, nvars)
     key = make_key(DEFAULT_ORDER, nvars, comp_rank=[1] * k + [0] * len(vecs))
     # the two keys differ in the rank field alone: 1 below k, 0 for the tags
     up = key.base(0) - base.base(0)
-    combined = [{**{m + up: c for m, c in v.items()}, key.base(k + i): 1}
+    combined = [strip_content({**{m + up: c for m, c in v.items()}, key.base(k + i): 1})
                 for i, v in enumerate(vecs)]
     down = base.base(0) - key.base(k)
     return [{m + down: c for m, c in g.items()}
@@ -516,10 +531,8 @@ class Submodule:
     """Finitely generated A-submodule of A^k with cached canonical bases."""
 
     def __init__(self, nvars: int, k: int, generators):
-        nvars = as_int(nvars, "variable count")
+        nvars = as_count(nvars, "variable count")
         k = as_int(k, "ambient rank")
-        if nvars < 0:
-            raise ValueError("variable count must be >= 0")
         if k < 1:
             raise ValueError("ambient rank must be >= 1")
         gens = []
@@ -534,6 +547,8 @@ class Submodule:
         self.k = k
         self.generators: tuple[LaurentVec, ...] = tuple(gens)
         self._gb_cache: dict[TermOrder, tuple[LaurentVec, ...]] = {}
+        # the generators' packed lifts, when the engine made the generators
+        self._lifts: list[VPoly] | None = None
         self._sat_cache: list[VPoly] | None = None
         # _read_index: the default key and the _lead_index of _sat_cache under it
         self._read: tuple | None = None
@@ -548,7 +563,7 @@ class Submodule:
         """Reduced default-order basis of the saturated polynomial lift."""
         if self._sat_cache is None:
             key = make_key(DEFAULT_ORDER, self.nvars)
-            lifts = [_lift(g, key)[0] for g in self.generators]
+            lifts = self._lifts or [_lift(g, key)[0] for g in self.generators]
             self._sat_cache = _saturate(lifts, self.nvars, self.k)
         return self._sat_cache
 
@@ -589,7 +604,7 @@ def groebner_basis(mod: Submodule, order: TermOrder | None = None) -> list[Laure
         key = make_key(order, mod.nvars)
         if order != DEFAULT_ORDER:
             sat = _cut(_repack(sat, make_key(DEFAULT_ORDER, mod.nvars), key), key)
-        cached = tuple(vpoly_to_vec(_monic(g), key, mod.k) for g in sat)
+        cached = tuple(vpoly_to_vec(g, key, mod.k) for g in sat)
         mod._gb_cache[order] = cached
     return list(cached)
 
@@ -601,7 +616,7 @@ def member(v: LaurentVec, mod: Submodule) -> bool:
     if v.is_zero():
         return True
     key, index = _read_index(mod)
-    return not top_reduce(strip_content(_lift(v, key)[0]), key, index)
+    return not top_reduce(_lift(v, key)[0], key, index)
 
 
 def _read_index(mod: Submodule) -> tuple:
@@ -623,28 +638,30 @@ def leading_exponents(mod: Submodule) -> dict[int, list[Exp]]:
     return out
 
 
-def prime_step_cuts(vectors: list[LaurentVec], k: int, steps) -> list[LaurentVec]:
-    """Contract the span of vectors in A^k by a nonempty chain of prime steps.
+def prime_step_cuts(mod: Submodule, steps) -> Submodule:
+    """Contract mod by a nonempty chain of prime steps.
 
     A step (i, p) passes to the subring with t_i^p for t_i, over which A^k
     is free on p blocks of k components, one per residue of e_i mod p.  The
     p shifts g*x_i^o of each generator g are written in those blocks through
     divmod(e_i + o, p), each lifted by its own least exponent, and cut to the
     first block under the default order with the other p*k - k components
-    ranked over it.  Between steps the cut stays a reduced basis in the
-    engine's packed form; only the last one leaves, as monic LaurentVecs ([]
-    once a cut is empty).
+    ranked over it.  The chain starts from mod's packed lifts when the engine
+    made its generators (eliminate's cut), else from its generators packed
+    once, and stays packed from step to step.  It returns a Submodule whose
+    generators are the last cut, monic, and whose lifts, which saturation
+    starts from, are the cut shifted so each variable's least exponent is 0.
 
     No saturation pass between steps: monomial scaling respects the component
     blocks, so the Laurent span of each low cut is unchanged by it, and the
     resulting submodule saturates itself on demand.
     """
-    nvars = vectors[0].nvars if vectors else 0
+    nvars, k = mod.nvars, mod.k
     key = make_key(DEFAULT_ORDER, nvars)
-    gens = [strip_content(vec_to_vpoly(v, key)) for v in vectors if not v.is_zero()]
+    gens = mod._lifts or [vec_to_vpoly(v, key) for v in mod.generators]
     for i, p in steps:
         if not gens:
-            return []
+            break
         step = make_key(DEFAULT_ORDER, nvars, comp_rank=[0] * k + [1] * (p * k - k))
         blocks = []
         for g in gens:
@@ -656,7 +673,10 @@ def prime_step_cuts(vectors: list[LaurentVec], k: int, steps) -> list[LaurentVec
                 blocks.append({step.pack(j, tuple(map(sub, e, low))): c for j, e, c in block})
         key = step
         gens = _cut(blocks, key, key.top_floor(1))
-    return [vpoly_to_vec(_monic(g), key, k) for g in gens]
+    out = Submodule(nvars, k, [vpoly_to_vec(g, key, k) for g in gens])
+    # the cut lies in rank-0 components, which pack as under the default key
+    out._lifts = [_lowered(g, key) for g in gens]
+    return out
 
 
 def submodule_equal(a: Submodule, b: Submodule) -> bool:
@@ -684,11 +704,12 @@ def syzygies(vectors: list[LaurentVec], nvars: int, k: int) -> Submodule:
             raise ValueError("vector shape mismatch")
     key = make_key(DEFAULT_ORDER, nvars)
     zero = tuple(0 for _ in range(nvars))
-    lifts = [({}, zero) if v.is_zero() else _lift(v, key) for v in vectors]
+    # relations among the vectors themselves, so among their unscaled lifts
+    lifts = [({}, zero) if v.is_zero() else _lift(v, key, raw=True) for v in vectors]
     syz = syzygy_basis([f for f, _ in lifts], k, nvars)
     gens = []
     for s in syz:
-        vec = vpoly_to_vec(s, key, c)
+        vec = vpoly_to_vec(s, key, c, monic=False)
         # undo the per-coordinate unit shifts of the lift
         entries = [p.shift(tuple(-x for x in lifts[i][1])) for i, p in enumerate(vec.entries)]
         gens.append(LaurentVec(entries))
@@ -702,12 +723,12 @@ def module_quotient(mod: Submodule, f: LaurentPoly) -> Submodule:
     if f.is_zero():
         raise ValueError("quotient by zero")
     key = make_key(DEFAULT_ORDER, mod.nvars)
-    fv = strip_content(_lift(LaurentVec.wrap(f), key)[0])
+    fv = _lift(LaurentVec.wrap(f), key)[0]
     sat = mod.saturated_vpolys()
     if not sat:
         return Submodule(mod.nvars, mod.k, [])
     quo = _quotient_vpolys(sat, fv, mod.nvars, mod.k)
-    return Submodule(mod.nvars, mod.k, [vpoly_to_vec(g, key, mod.k) for g in quo])
+    return Submodule(mod.nvars, mod.k, [vpoly_to_vec(g, key, mod.k, monic=False) for g in quo])
 
 
 def eliminate(mod: Submodule, drop) -> Submodule:
@@ -736,8 +757,9 @@ def eliminate(mod: Submodule, drop) -> Submodule:
     for g in gb:
         terms = ((key.unpack(m), c) for m, c in g.items())
         sat.append({out_key.pack(comp, tuple(e[i] for i in keep)): c for (comp, e), c in terms})
-    out = Submodule(len(keep), mod.k, [vpoly_to_vec(_monic(g), out_key, mod.k) for g in sat])
-    out._sat_cache = sat
+    out = Submodule(len(keep), mod.k, [vpoly_to_vec(g, out_key, mod.k) for g in sat])
+    # each element of a saturated basis is a lift: no variable divides it
+    out._lifts = out._sat_cache = sat
     out._gb_cache[DEFAULT_ORDER] = out.generators
     return out
 
@@ -746,7 +768,7 @@ def is_groebner_basis(vecs: list[LaurentVec], nvars: int, order: TermOrder | Non
     """Buchberger criterion: every S-pair reduces to zero (test hook)."""
     order = order or DEFAULT_ORDER
     key = make_key(order, nvars)
-    vps = [strip_content(vec_to_vpoly(v, key)) for v in vecs if not v.is_zero()]
+    vps = [vec_to_vpoly(v, key) for v in vecs if not v.is_zero()]
     leads = [_leading(g) for g in vps]
     index = _lead_index(zip(leads, vps), key)
     lexps = [key.unpack(lead) for lead, _ in leads]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from math import lcm, prod
 
 
@@ -27,19 +28,25 @@ def as_int(v, what: str) -> int:
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix; rows is a tuple of equal-length tuples."""
+    """Immutable integer matrix; rows is a tuple of equal-length int tuples
+    (given otherwise, integral values become ints and others raise)."""
 
     rows: tuple[tuple[int, ...], ...]
     ncols: int
 
     def __post_init__(self):
+        rows = self.rows  # a type test first, so int tuples skip as_int
+        if type(rows) is not tuple or not {tuple}.issuperset(map(type, rows)) \
+                or not {int}.issuperset(map(type, chain.from_iterable(rows))):
+            rows = tuple(tuple(as_int(v, "matrix entry") for v in r) for r in rows)
+            object.__setattr__(self, "rows", rows)
         for r in self.rows:
             if len(r) != self.ncols:
                 raise ValueError("ragged rows")
 
     @staticmethod
     def from_rows(rows, ncols: int | None = None) -> "IntMatrix":
-        rows = tuple(tuple(as_int(v, "matrix entry") for v in r) for r in rows)
+        rows = tuple(map(tuple, rows))
         if ncols is None:
             if not rows:
                 raise ValueError("ncols required for empty matrix")
@@ -188,11 +195,11 @@ def integer_kernel_rows(m: IntMatrix) -> list[tuple[int, ...]]:
 # Lattices
 
 
-def _dimension(v) -> int:
-    """An ambient dimension: a nonnegative integer."""
-    n = as_int(v, "ambient dimension")
+def as_count(v, what: str) -> int:
+    """v as a nonnegative int; a ValueError, naming what v is, otherwise."""
+    n = v if type(v) is int else as_int(v, what)
     if n < 0:
-        raise ValueError(f"ambient dimension {n} is negative")
+        raise ValueError(f"{what} {n} is negative")
     return n
 
 
@@ -208,7 +215,7 @@ class IntLattice:
     def __post_init__(self):
         if not isinstance(self.basis, IntMatrix):
             raise TypeError(f"basis must be an IntMatrix, got {type(self.basis).__name__}")
-        object.__setattr__(self, "ambient", _dimension(self.ambient))
+        object.__setattr__(self, "ambient", as_count(self.ambient, "ambient dimension"))
         if self.basis.ncols != self.ambient:
             raise ValueError("basis width differs from ambient dimension")
         h = hnf(self.basis)  # ints, even where the basis holds integral floats
@@ -266,17 +273,17 @@ class IntLattice:
 
 def lattice_from_rows(ambient: int, rows) -> IntLattice:
     """The lattice spanned by any integer rows of length ambient."""
-    ambient = _dimension(ambient)
+    ambient = as_count(ambient, "ambient dimension")
     return IntLattice._of(ambient, hnf(IntMatrix.from_rows(rows, ambient)))
 
 
 def zero_lattice(ambient: int) -> IntLattice:
-    ambient = _dimension(ambient)
+    ambient = as_count(ambient, "ambient dimension")
     return IntLattice._of(ambient, IntMatrix((), ambient))
 
 
 def full_lattice(ambient: int) -> IntLattice:
-    ambient = _dimension(ambient)
+    ambient = as_count(ambient, "ambient dimension")
     return IntLattice._of(ambient, IntMatrix.identity(ambient))
 
 

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from operator import add, sub
 
-from .intlat import IntMatrix
+from .intlat import IntMatrix, as_count, as_int
 
 Exp = tuple[int, ...]
 
@@ -30,13 +31,16 @@ class LaurentPoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: dict[Exp, Fraction] | None = None):
-        self.nvars = nvars
+        self.nvars = nvars = as_count(nvars, "variable count")
         self.terms: dict[Exp, Fraction] = {}
         if terms:
+            if not {int}.issuperset(map(type, chain.from_iterable(terms))):
+                terms = {tuple(as_int(x, "exponent") for x in e): c for e, c in terms.items()}
             for e, c in terms.items():
                 if len(e) != nvars:
                     raise ValueError("exponent length mismatch")
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     self.terms[tuple(e)] = c
 
@@ -125,6 +129,8 @@ class LaurentPoly:
         """Multiply by the monomial with the given exponent."""
         if len(exp) != self.nvars:
             raise ValueError("exponent length mismatch")
+        if not {int}.issuperset(map(type, exp)):
+            exp = tuple(as_int(x, "exponent") for x in exp)
         return LaurentPoly._of(self.nvars, {exp_add(e, exp): c for e, c in self.terms.items()})
 
     def support(self) -> set[Exp]:

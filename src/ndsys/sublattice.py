@@ -143,7 +143,7 @@ def contract(p: Submodule, s: IntLattice) -> ContractedModule:
     q = eliminate(moved, range(r, n))
     steps = _prime_steps(ctx.moduli)
     if steps:
-        q = Submodule(r, k, prime_step_cuts(list(q.generators), k, steps))
+        q = prime_step_cuts(q, steps)
     return ContractedModule(ctx, q)
 
 

@@ -18,7 +18,7 @@ from ndsys.laurent import LaurentPoly, LaurentVec, parse_poly, parse_vector
 from ndsys.groebner import (DEFAULT_ORDER, Submodule, TermOrder, _lift, buchberger,
                             eliminate, groebner_basis, is_groebner_basis, make_key,
                             member, module_quotient, submodule_contains,
-                            submodule_equal, syzygies, vec_to_vpoly)
+                            submodule_equal, syzygies)
 from ndsys.linalg import nullspace_basis, strip_content
 from ndsys.sublattice import contract
 from ndsys.trajectories import WindowSpan, box_window
@@ -88,7 +88,8 @@ def test_engine_coefficients_are_primitive_ints():
 def test_groebner_basis_is_monic_fractions():
     key = make_key(DEFAULT_ORDER, 2)
     for v in groebner_basis(Submodule(2, 2, _rational_gens())):
-        f = vec_to_vpoly(v, key)
+        # v's own coefficients: vec_to_vpoly would make them primitive ints
+        f = groebner._pack_entries(v, key, ())
         assert all(type(c) is Fraction for c in f.values())
         assert f[max(f)] == 1
 

@@ -416,3 +416,21 @@ def test_galois_order_times_index():
 def test_lattice_to_subgroup_rejects_nonpositive_moduli(moduli):
     with pytest.raises(ValueError):
         lattice_to_subgroup(full_lattice(2), moduli)
+
+
+def test_matrix_entries_are_checked_and_rows_normalized():
+    """IntMatrix built directly checks its entries like from_rows: a
+    non-integer raises, integral floats become ints and list rows become
+    tuples, so det is exact and canonical values make a lattice."""
+    with pytest.raises(ValueError, match="matrix entry 2.5 is not an integer"):
+        IntMatrix(((2.5, 0), (0, 1)), 2)
+    with pytest.raises(ValueError, match="matrix entry '1' is not an integer"):
+        IntMatrix((("1", 0),), 2)
+    m = IntMatrix(((2.0, 0), (0, 1)), 2)
+    assert m.rows == ((2, 0), (0, 1)) and type(m.rows[0][0]) is int
+    assert m.det() == 2 and type(m.det()) is int
+    listed = IntMatrix([[1, 0], [0, 1]], 2)
+    assert listed.rows == ((1, 0), (0, 1)) and listed == IntMatrix.identity(2)
+    assert IntLattice(2, listed) == full_lattice(2)
+    with pytest.raises(ValueError, match="ragged"):
+        IntMatrix([[1, 0], [1]], 2)

@@ -209,3 +209,34 @@ def test_arithmetic_results_hold_valid_terms():
                 assert type(c) is Fraction and c != 0
     with pytest.raises(ValueError):
         LaurentPoly(2, {(1, 0): 1}).shift((1,))
+
+
+
+def _engine_input_with_float_exponent():
+    from ndsys.groebner import Submodule
+    return Submodule(2, 1, [LaurentVec([LaurentPoly(2, {(1.5, 0): 1, (0, 0): 1})])])
+
+
+@pytest.mark.parametrize("build,message", [
+    (_engine_input_with_float_exponent, "exponent 1.5 is not an integer"),
+    (lambda: LaurentPoly(2, {("1", 0): 1}), "exponent '1' is not an integer"),
+    (lambda: LaurentPoly(-1), "variable count -1 is negative"),
+    (lambda: LaurentPoly(1.5), "variable count 1.5 is not an integer"),
+    (lambda: LaurentPoly.monomial(1, (0.5,)), "exponent 0.5 is not an integer"),
+    (lambda: LaurentPoly.monomial(1, (1,)).shift((0.5,)), "exponent 0.5 is not an integer"),
+], ids=["submodule-float-exponent", "string-exponent", "negative-nvars", "float-nvars",
+        "monomial-float-exponent", "shift-float-exponent"])
+def test_bad_exponents_and_variable_counts_raise_at_construction(build, message):
+    """Raised where the polynomial is built, not later inside the engine
+    (a TypeError from >>) or the printer."""
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_integral_float_exponents_become_ints():
+    p = LaurentPoly(2.0, {(2.0, 1): 3})
+    assert p == parse_poly("3*s1^2*s2", 2) and type(p.nvars) is int
+    assert all(type(x) is int for e in p.terms for x in e)
+    assert str(p) == "3*s1^2*s2"
+    q = LaurentPoly.monomial(1, (1,)).shift((2.0,))
+    assert q == parse_poly("s1^3", 1) and all(type(x) is int for x in next(iter(q.terms)))

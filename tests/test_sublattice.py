@@ -8,7 +8,7 @@ from ndsys import groebner
 from ndsys.intlat import diagonal_lattice, full_lattice, lattice_from_rows
 from ndsys.laurent import (LaurentPoly, LaurentVec, apply_monomial_map,
                            parse_vector, vector_to_str)
-from ndsys.groebner import (DEFAULT_ORDER, Submodule, _cut, _lift, _monic,
+from ndsys.groebner import (DEFAULT_ORDER, Submodule, _cut, _lift,
                             eliminate, groebner_basis, make_key, member,
                             submodule_contains, submodule_equal, vpoly_to_vec)
 from ndsys.sublattice import (_prime_steps, contract, contract_extend_roundtrips,
@@ -219,7 +219,7 @@ def _component_cut(vectors: list[LaurentVec], k: int) -> list[LaurentVec]:
     key = make_key(DEFAULT_ORDER, nvars, comp_rank=[0] * k + [1] * (big_k - k))
     lifts = [_lift(v, key)[0] for v in vectors if not v.is_zero()]
     # the first k components are those of rank 0, the least top field
-    return [vpoly_to_vec(_monic(g), key, k) for g in _cut(lifts, key, key.top_floor(1))]
+    return [vpoly_to_vec(g, key, k) for g in _cut(lifts, key, key.top_floor(1))]
 
 
 def _laurent_chain_contract(p: Submodule, s) -> Submodule:
@@ -249,11 +249,11 @@ def _chain_then_eliminate(p: Submodule, s) -> Submodule:
     ones."""
     ctx = sublattice_context(s)
     n, k, r = p.nvars, p.k, ctx.rank
-    gens = [apply_monomial_map(ctx.transport, g) for g in p.generators]
+    q = Submodule(n, k, [apply_monomial_map(ctx.transport, g) for g in p.generators])
     steps = _prime_steps(ctx.moduli)
     if steps:
-        gens = groebner.prime_step_cuts(gens, k, steps)
-    return eliminate(Submodule(n, k, gens), range(r, n))
+        q = groebner.prime_step_cuts(q, steps)
+    return eliminate(q, range(r, n))
 
 
 def _direct_contract(p: Submodule, s) -> Submodule:
@@ -450,9 +450,9 @@ def test_chain_leaves_the_engine_once(monkeypatch):
     calls = []
     plain = groebner.vpoly_to_vec
 
-    def counting(f, nvars, k):
+    def counting(f, *args):
         calls.append(f)
-        return plain(f, nvars, k)
+        return plain(f, *args)
 
     monkeypatch.setattr(groebner, "vpoly_to_vec", counting)
     q = contract(ideal1("s1^2 - s1 - 1"), lattice_from_rows(1, [[1024]]))
@@ -555,3 +555,74 @@ def test_user_supplied_contracted_module():
     ext = extend(q)
     assert submodule_equal(ext, ideal1("s1^4 + s1^2 - 1"))
     assert submodule_equal(contract(ext, s).module, q.module)
+
+
+# ---------------------------------------------------------------------------
+# the contracted module keeps the chain's packed lifts
+
+
+# contractions whose last cut holds elements with a monomial factor
+MONOMIAL_FACTOR_CUTS = (
+    (1, 2, ["[0, 3 - s1^-2]", "[2*s1 - 2, 2*s1 - 3 - 3*s1^-1]"], [[2]]),
+    (1, 2, ["[s1^2, 0]", "[-2*s1^-2, -1]"], [[2]]),
+    (2, 2, ["[s2^-1 + s1^-2*s2, 2*s2^2]", "[-s2 + 2, -s1]"], [[1, 0], [0, 3]]),
+    (2, 1, ["-2*s1^2*s2 - 3*s1*s2^-2 - 2*s1^-1", "2*s2^2 + 3*s1"], [[3, 0], [0, 1]]),
+)
+
+
+def _contraction_cases():
+    """Fixed-seed (module, lattice) pairs: n 1-3, k 1-2, full-rank lattices
+    and the rank-deficient ones of RANK_DEFICIENT_3, after MONOMIAL_FACTOR_CUTS."""
+    for n, k, gens, rows in MONOMIAL_FACTOR_CUTS:
+        yield Submodule(n, k, [pv(g, n, k) for g in gens]), lattice_from_rows(n, rows)
+    rng = random.Random(23)
+    for _ in range(16):
+        n, k = rng.randint(1, 2), rng.randint(1, 2)
+        yield _rand_module(rng, n, k), _rand_full_rank_lattice(rng, n)
+    for rows in ([[2, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 0], [0, 2, 0], [0, 0, 1]],
+                 [[2, 0, 0], [0, 2, 0], [0, 0, 1]], [[1, 0, 1], [0, 1, 0], [0, 0, 3]]):
+        for k in (1, 2):
+            yield _small_module(rng, 3, k), lattice_from_rows(3, rows)
+    for rows in RANK_DEFICIENT_3 * 2:
+        yield _n3_module(rng), lattice_from_rows(3, rows)
+
+
+def test_contracted_lifts_give_the_canonical_basis_of_the_generators():
+    """The canonical basis a contracted module saturates from its handed-over
+    lifts equals the one taken from its LaurentVec generators, and each
+    handed-over lift is one: every variable's least exponent in it is 0."""
+    shifted = 0
+    for i, (p, s) in enumerate(_contraction_cases()):
+        q = contract(p, s).module
+        key = make_key(DEFAULT_ORDER, q.nvars)
+        for f, g in zip(q._lifts or (), q.generators):
+            assert all(min(col) == 0 for col in zip(*(key.unpack(m)[1] for m in f))), i
+            shifted += f != groebner.vec_to_vpoly(g, key)
+        assert groebner_basis(q) == groebner_basis(Submodule(q.nvars, q.k, q.generators)), i
+    # the hand-over divided out the monomial factor of some cut element
+    assert shifted >= len(MONOMIAL_FACTOR_CUTS)
+
+
+@pytest.mark.parametrize("gens,n,k,rows", [
+    (["1 + s1*s2 + s2^2"], 2, 1, [[2, 0], [0, 3]]),
+    (["[s1 - 1, s2 + 1]", "[s2^2 - s1, s1*s2 - 3]"], 2, 2, [[2, 0], [0, 2]]),
+    (["s1 - s3", "s2 - s3^2"], 3, 1, [[2, 0, 0], [0, 2, 0]]),
+], ids=["hex-index-6", "k2-index-4", "rank-deficient"])
+def test_canonical_basis_of_a_contraction_packs_nothing(monkeypatch, gens, n, k, rows):
+    """Vectors are packed once on the way in: the chain packs each transported
+    generator once, or, below full rank, starts from eliminate's packed cut.
+    Once contract has returned, groebner_basis of its module neither lifts
+    nor packs a LaurentVec: it saturates from the chain's packed cut."""
+    calls = []
+    for name in ("_lift", "vec_to_vpoly"):
+        def spy(*args, _plain=getattr(groebner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _plain(*args, **kwargs)
+        monkeypatch.setattr(groebner, name, spy)
+    q = contract(Submodule(n, k, [pv(g, n, k) for g in gens]), lattice_from_rows(n, rows)).module
+    assert calls.count("vec_to_vpoly") == (len(gens) if len(rows) == n else 0)
+    del calls[:]
+    basis = groebner_basis(q)
+    monkeypatch.undo()
+    assert calls == [] and basis
+    assert basis == groebner_basis(Submodule(q.nvars, q.k, q.generators))
