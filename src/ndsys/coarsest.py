@@ -10,8 +10,8 @@ canonical basis down in closed form from a functional a on the candidate's
 basis, with no HNF run.  It splits the reduced generators into coset parts
 by coordinate buckets: each term's coordinates c on the candidate's basis
 are found once per coarsest_lattice call, and a.c mod p names the term's
-coset.  Each distinct part is tested for membership once per call, and the
-brute-force oracle likewise certifies each distinct part once.
+coset.  Each generator's part, a set of its terms, is tested for membership
+once per call, and the brute-force oracle certifies each distinct part once.
 """
 
 from __future__ import annotations
@@ -157,15 +157,14 @@ def coarsest_lattice(p: Submodule, audit_primes=(2, 3, 5, 7),
     the candidate's basis, relative to its generator's first term, are
     found once per call, and the parts for the entry of functional a
     are the terms grouped by a.c mod p.  Each part's membership is asked
-    once for the whole audit.  A repeated audit modulus would repeat its
-    entries and raises ValueError.
+    once for the whole audit, keyed by its generator and term indices.  A
+    repeated audit modulus would repeat its entries and raises ValueError.
     """
     audit_primes = tuple(as_int(q, "audit modulus") for q in audit_primes)
     if len(set(audit_primes)) != len(audit_primes):
         raise ValueError(f"audit modulus repeated in {audit_primes}")
     lat = support_difference_lattice(p)
     gens = _coordinate_terms(groebner_basis(p), lat)
-    known: dict = {}
     # (generator, indices of the terms in one part) -> part is a member
     held: dict = {}
 
@@ -177,11 +176,8 @@ def coarsest_lattice(p: Submodule, audit_primes=(2, 3, 5, 7),
             for i in idx:
                 j, e, c = terms[i]
                 slot[j][e] = c
-            part = LaurentVec([LaurentPoly._of(p.nvars, t) for t in slot])
-            verdict = known.get(part)
-            if verdict is None:
-                verdict = known[part] = member(part, p)
-            held[gi, idx] = verdict
+            verdict = held[gi, idx] = member(
+                LaurentVec([LaurentPoly._of(p.nvars, t) for t in slot]), p)
         return verdict
 
     audit: list[tuple[IntLattice, bool]] = []

@@ -8,23 +8,26 @@ equality, syzygies, quotients and elimination all run against it.
 
 Internally a vector polynomial is a dict {monomial: int}, a monomial being
 one int that packs its component and exponent under a term order (make_key).
-A vector enters the engine once (_lift, vec_to_vpoly, syzygy_basis's tags),
-through linalg.strip_content, which scales it by a positive rational to
-primitive integer coefficients.  S-pairs and reduction are fraction-free: they
-only multiply by positive integers, so each result is a positive multiple of
-the one rational arithmetic gives, and an int gcd makes it primitive.  A
-reduced basis holds primitive elements with a positive leading coefficient;
-it becomes monic only where it leaves the engine, once, in vpoly_to_vec.
+A vector enters the engine once (_lift, and syzygy_basis's tags), through
+linalg.strip_content, which scales it by a positive rational to primitive
+integer coefficients.  A LaurentVec enters as its lift, shifted so that each
+variable's least exponent is 0, which gives the package one exponent bound:
+a variable's exponents in a vector span less than 2*Packing.limit.  S-pairs
+and reduction are fraction-free: they only multiply by positive integers, so
+each result is a positive multiple of the one rational arithmetic gives, and
+an int gcd makes it primitive.  A reduced basis holds primitive elements with
+a positive leading coefficient; it becomes monic only where it leaves the
+engine, once, in vpoly_to_vec.
 
 Every Groebner run goes through _cut, which returns a reduced basis: of the
 whole span, or of its part below a bound (an elimination).  So every result,
 syzygies included, depends on the inputs alone and not on the order in which
 Buchberger meets them.  Contraction's chain of prime-index cuts,
 prime_step_cuts, runs here too: it starts from eliminate's packed cut when
-there is one, keeps its generators packed from one step to the next, and
-returns a Submodule that keeps the last cut's packed lifts beside its monic
-generators, so saturation starts from the cut itself.  No vector the engine
-made is packed again.
+there is one, else from the generators' lifts, keeps its generators packed
+from one step to the next, and returns a Submodule that keeps the last cut's
+packed lifts beside its monic generators, so saturation starts from the cut
+itself.  No vector the engine made is packed again.
 
 Packed ints compare like the term order, so a leading monomial is max(f) and
 the reducer's heap holds negated monomials, largest first.  Packing is affine
@@ -133,8 +136,8 @@ class Packing:
         # negated exponents must not grow from a to b, the others not shrink
         self.bias = self.guard - falling
         self.divided = self.guard - falling * _TOP
-        # exponents inside +-limit keep every field, sums included, in range,
-        # and so do lifted exponents, when each variable's span is below 2*limit
+        # lifted exponents, each variable's span below 2*limit, keep every
+        # field, sums included, in range
         self.limit = _OFF // (2 * max(nvars, 1))
 
     def base(self, comp: int) -> int:
@@ -206,16 +209,6 @@ def _pack_entries(v: LaurentVec, key: Packing, low: Exp) -> VPoly:
         for e, c in p.terms.items():
             out[b + sum(map(mul, e, weights))] = c
     return out
-
-
-def vec_to_vpoly(v: LaurentVec, key: Packing) -> VPoly:
-    """v packed under key, primitive; a ValueError when an exponent is not
-    strictly inside +-key.limit."""
-    cols = list(zip(*v.support()))
-    if cols and not -key.limit < min(map(min, cols)) <= max(map(max, cols)) < key.limit:
-        raise ValueError(f"exponent outside the packed range: not strictly between "
-                         f"-2^{FIELD_BITS - 3}/{v.nvars} and 2^{FIELD_BITS - 3}/{v.nvars}")
-    return strip_content(_pack_entries(v, key, ()))
 
 
 def _lift(v: LaurentVec, key: Packing, raw: bool = False) -> tuple[VPoly, Exp]:
@@ -647,8 +640,10 @@ def prime_step_cuts(mod: Submodule, steps) -> Submodule:
     divmod(e_i + o, p), each lifted by its own least exponent, and cut to the
     first block under the default order with the other p*k - k components
     ranked over it.  The chain starts from mod's packed lifts when the engine
-    made its generators (eliminate's cut), else from its generators packed
-    once, and stays packed from step to step.  It returns a Submodule whose
+    made its generators (eliminate's cut), else from its generators' lifts,
+    and stays packed from step to step.  Each block is lowered by its own
+    least exponent, so the blocks of x^a*g are those of g in another order,
+    and lifting a generator changes no cut.  It returns a Submodule whose
     generators are the last cut, monic, and whose lifts, which saturation
     starts from, are the cut shifted so each variable's least exponent is 0.
 
@@ -658,7 +653,7 @@ def prime_step_cuts(mod: Submodule, steps) -> Submodule:
     """
     nvars, k = mod.nvars, mod.k
     key = make_key(DEFAULT_ORDER, nvars)
-    gens = mod._lifts or [vec_to_vpoly(v, key) for v in mod.generators]
+    gens = mod._lifts or [_lift(v, key)[0] for v in mod.generators]
     for i, p in steps:
         if not gens:
             break
@@ -768,7 +763,8 @@ def is_groebner_basis(vecs: list[LaurentVec], nvars: int, order: TermOrder | Non
     """Buchberger criterion: every S-pair reduces to zero (test hook)."""
     order = order or DEFAULT_ORDER
     key = make_key(order, nvars)
-    vps = [vec_to_vpoly(v, key) for v in vecs if not v.is_zero()]
+    # packed as given: a raw Buchberger output need not be a lift
+    vps = [strip_content(_pack_entries(v, key, ())) for v in vecs if not v.is_zero()]
     leads = [_leading(g) for g in vps]
     index = _lead_index(zip(leads, vps), key)
     lexps = [key.unpack(lead) for lead, _ in leads]

@@ -250,6 +250,8 @@ class IntLattice:
         """(c, r) with x = sum_i c_i * basis_i + r, r the canonical
         representative of x + L (in [0, pivot) at each pivot column): r is
         zero exactly when x is on L, and c is then x's basis coordinates."""
+        if len(x) != self.ambient:
+            raise ValueError("point dimension mismatch")
         coords = []
         for c, row in zip(self.pivots, self.basis.rows):
             q = x[c] // row[c]
@@ -260,8 +262,6 @@ class IntLattice:
 
     def coset_rep(self, x: tuple[int, ...]) -> tuple[int, ...]:
         """Canonical representative of x + L."""
-        if len(x) != self.ambient:
-            raise ValueError("point dimension mismatch")
         return self.reduce(x)[1]
 
     def contains(self, x: tuple[int, ...]) -> bool:
@@ -496,7 +496,10 @@ class GaloisSubgroup:
         return subgroup_to_lattice(self).index()
 
     def same_subgroup(self, other: "GaloisSubgroup") -> bool:
-        return self.moduli == other.moduli and self.elements() == other.elements()
+        """Equal moduli and elements, without enumeration: by duality a
+        subgroup is determined by the lattice it fixes."""
+        return self.moduli == other.moduli \
+            and subgroup_to_lattice(self) == subgroup_to_lattice(other)
 
 
 def _congruence_solution_lattice(constraint_rows: list[tuple[int, ...]], n: int, modulus: int) -> IntLattice:

@@ -191,10 +191,10 @@ class LaurentVec:
         return hash(self.entries)
 
     def __add__(self, other: "LaurentVec") -> "LaurentVec":
-        return LaurentVec([a + b for a, b in zip(self.entries, other.entries)])
+        return LaurentVec([a + b for a, b in zip(self.entries, other.entries, strict=True)])
 
     def __sub__(self, other: "LaurentVec") -> "LaurentVec":
-        return LaurentVec([a - b for a, b in zip(self.entries, other.entries)])
+        return LaurentVec([a - b for a, b in zip(self.entries, other.entries, strict=True)])
 
     def __neg__(self) -> "LaurentVec":
         return LaurentVec([-a for a in self.entries])
@@ -217,7 +217,7 @@ class LaurentVec:
 
     def dot(self, other: "LaurentVec") -> LaurentPoly:
         out = LaurentPoly(self.nvars)
-        for a, b in zip(self.entries, other.entries):
+        for a, b in zip(self.entries, other.entries, strict=True):
             out = out + a * b
         return out
 

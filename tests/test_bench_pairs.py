@@ -109,6 +109,23 @@ def test_pairs_alternate_and_count_wins(tmp_path, monkeypatch):
         assert traced[side]["span_counts"] == {"coarsest.coarsest_lattice": 126}
 
 
+def test_record_counts_source_lines_on_each_side(tmp_path, monkeypatch):
+    """src_lines counts the lines of src/ndsys/*.py on each side, as wc -l
+    does: a last line without a newline is not counted."""
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+    for checkout, files in ((parent, {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"}),
+                            (change, {"a.py": "x = 1\ny = 2", "notes.txt": "\n" * 9})):
+        (checkout / "src" / "ndsys").mkdir(parents=True)
+        for name, text in files.items():
+            (checkout / "src" / "ndsys" / name).write_text(text)
+    monkeypatch.setattr(bench_pairs, "run_bench", _failing_run(set()))
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
+                             "--pairs", "query-mix=1"]) == 0
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["src_lines"] == {"parent": 3, "change": 1}
+
+
 def test_traced_passes_alternate_by_workload(tmp_path, monkeypatch):
     parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
     traced = []

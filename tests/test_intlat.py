@@ -355,6 +355,16 @@ def test_coset_rep_is_canonical():
             assert lat.coset_rep(y) == rep
 
 
+def test_points_of_the_wrong_dimension_raise():
+    """reduce checks the length itself, so no coordinate is silently dropped
+    or left out, and coset_rep and contains inherit the check."""
+    lat = lattice_from_rows(2, [[2, 0], [0, 2]])
+    for x in ((3, 5, 7), (3,), ()):
+        for op in (lat.reduce, lat.coset_rep, lat.contains):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                op(x)
+
+
 def test_coset_count_matches_index():
     lat = lattice_from_rows(2, [[1, 1], [0, 2]])
     reps = {lat.coset_rep((x, y)) for x in range(-4, 5) for y in range(-4, 5)}
@@ -391,6 +401,22 @@ def test_galois_roundtrip_both_ways():
         back = lattice_to_subgroup(lat, d)
         assert back.same_subgroup(h)
         assert subgroup_to_lattice(back) == lat
+
+
+def test_same_subgroup_does_not_enumerate(monkeypatch):
+    """Subgroups of a group of order about 10^6 compare through the
+    lattices they fix, without listing their elements."""
+    def unreached(self):
+        raise AssertionError("elements enumerated")
+
+    monkeypatch.setattr(GaloisSubgroup, "elements", unreached)
+    d = (1009, 1013)
+    whole = GaloisSubgroup.make(d, [(1, 0), (0, 1)])
+    assert whole.same_subgroup(GaloisSubgroup.make(d, [(1, 1)]))
+    assert whole.same_subgroup(GaloisSubgroup.make(d, [(5, 7), (0, 3)]))
+    assert not whole.same_subgroup(GaloisSubgroup.make(d, [(1, 0)]))
+    assert not GaloisSubgroup.make(d, [(0, 1)]).same_subgroup(GaloisSubgroup.make(d, [(1, 0)]))
+    assert not whole.same_subgroup(GaloisSubgroup.make((1013, 1009), [(1, 0), (0, 1)]))
 
 
 def test_galois_inclusion_reversing():

@@ -32,6 +32,17 @@ def test_ring_axioms_random():
         assert a - a == LaurentPoly(n)
 
 
+def test_vector_arithmetic_checks_the_length():
+    """Sums, differences and dot products of vectors of different k raise
+    instead of dropping the longer vector's last entries."""
+    short, long = parse_vector("[s1, 1]", 1, 2), parse_vector("[1, s1, s1^2]", 1, 3)
+    for op in (LaurentVec.__add__, LaurentVec.__sub__, LaurentVec.dot):
+        for a, b in ((short, long), (long, short)):
+            with pytest.raises(ValueError):
+                op(a, b)
+    assert short + short == short.scale(2)
+
+
 def test_zero_coefficients_dropped():
     p = LaurentPoly(1, {(0,): Fraction(1), (1,): Fraction(0)})
     assert (1,) not in p.terms

@@ -590,14 +590,15 @@ def _contraction_cases():
 def test_contracted_lifts_give_the_canonical_basis_of_the_generators():
     """The canonical basis a contracted module saturates from its handed-over
     lifts equals the one taken from its LaurentVec generators, and each
-    handed-over lift is one: every variable's least exponent in it is 0."""
+    handed-over lift is _lift of its generator."""
     shifted = 0
     for i, (p, s) in enumerate(_contraction_cases()):
         q = contract(p, s).module
         key = make_key(DEFAULT_ORDER, q.nvars)
         for f, g in zip(q._lifts or (), q.generators):
-            assert all(min(col) == 0 for col in zip(*(key.unpack(m)[1] for m in f))), i
-            shifted += f != groebner.vec_to_vpoly(g, key)
+            lift, low = _lift(g, key)
+            assert f == lift, i
+            shifted += any(low)
         assert groebner_basis(q) == groebner_basis(Submodule(q.nvars, q.k, q.generators)), i
     # the hand-over divided out the monomial factor of some cut element
     assert shifted >= len(MONOMIAL_FACTOR_CUTS)
@@ -609,20 +610,48 @@ def test_contracted_lifts_give_the_canonical_basis_of_the_generators():
     (["s1 - s3", "s2 - s3^2"], 3, 1, [[2, 0, 0], [0, 2, 0]]),
 ], ids=["hex-index-6", "k2-index-4", "rank-deficient"])
 def test_canonical_basis_of_a_contraction_packs_nothing(monkeypatch, gens, n, k, rows):
-    """Vectors are packed once on the way in: the chain packs each transported
-    generator once, or, below full rank, starts from eliminate's packed cut.
-    Once contract has returned, groebner_basis of its module neither lifts
-    nor packs a LaurentVec: it saturates from the chain's packed cut."""
+    """Vectors are packed once on the way in: at every rank each transported
+    generator is lifted once, by the chain at full rank and by eliminate's
+    saturation below it.  Once contract has returned, groebner_basis of its
+    module lifts no LaurentVec: it saturates from the chain's packed cut."""
     calls = []
-    for name in ("_lift", "vec_to_vpoly"):
-        def spy(*args, _plain=getattr(groebner, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _plain(*args, **kwargs)
-        monkeypatch.setattr(groebner, name, spy)
-    q = contract(Submodule(n, k, [pv(g, n, k) for g in gens]), lattice_from_rows(n, rows)).module
-    assert calls.count("vec_to_vpoly") == (len(gens) if len(rows) == n else 0)
+    plain = groebner._lift
+
+    def spy(v, *args, **kwargs):
+        calls.append(v)
+        return plain(v, *args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_lift", spy)
+    p, s = Submodule(n, k, [pv(g, n, k) for g in gens]), lattice_from_rows(n, rows)
+    q = contract(p, s).module
+    transport = sublattice_context(s).transport
+    moved = [apply_monomial_map(transport, g) for g in p.generators]
+    assert sorted(map(str, calls)) == sorted(map(str, moved))
     del calls[:]
     basis = groebner_basis(q)
     monkeypatch.undo()
     assert calls == [] and basis
     assert basis == groebner_basis(Submodule(q.nvars, q.k, q.generators))
+
+
+@pytest.mark.parametrize("gens,k,on_line", [
+    (["1 + s1*s2 + s2^2"], 1, False),
+    (["[s1 - 1, s2 + 1]", "[s2^2 - s1, s1*s2 - 3]"], 2, False),
+    (["s1 - s2^2", "s2^3 - 2"], 1, True),
+], ids=["hex", "k2", "zero-dimensional"])
+def test_monomial_factors_leave_the_contraction_unchanged(gens, k, on_line):
+    """A Laurent module is the same when each generator is multiplied by a
+    monomial, and so is its contraction's raw generators: at full rank and
+    at rank 1, for shifts far past the +-limit of a packed field.  Only a
+    module with a zero-dimensional quotient meets a rank-1 subring."""
+    limit = make_key(DEFAULT_ORDER, 2).limit
+    shifts = [(limit + 5, 0), (3 * limit, -5 * limit), (-limit, limit), (1, -2), (0, 3)]
+    rng = random.Random(26)
+    p = Submodule(2, k, [pv(g, 2, k) for g in gens])
+    for rows in ([[2, 0], [0, 2]], [[1, 1], [0, 2]], [[2, 1], [0, 3]], [[1, 1]], [[2, 0]]):
+        s = lattice_from_rows(2, rows)
+        raw = contract(p, s).module.generators
+        assert bool(raw) == (on_line or s.rank == 2)
+        for _ in range(3):
+            moved = Submodule(2, k, [g.shift(rng.choice(shifts)) for g in p.generators])
+            assert contract(moved, s).module.generators == raw, (rows, moved)

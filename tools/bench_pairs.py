@@ -12,7 +12,8 @@ runs one ``--trace 1`` pass of every named workload on seed 1 in each
 checkout, alternating the same way by workload index (the parent first on even
 ones), so a host that drifts during the traced passes does not always weigh on
 the same side.  The record is written to ``BENCH_<label>.json`` in the current
-directory.
+directory, with each side's commit and its ``src_lines``, the line count of
+``src/ndsys/*.py`` as ``wc -l`` gives it.
 
 It gives, for each end-to-end metric, the median and quartiles of each side
 (``statistics.quantiles``, inclusive method), every run's value in pair
@@ -69,6 +70,12 @@ def _commit(checkout: Path) -> str:
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+
+def _src_lines(checkout: Path) -> int:
+    """Newlines in the checkout's src/ndsys/*.py, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "ndsys").glob("*.py"))
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -188,6 +195,7 @@ def main(argv=None) -> int:
     record = {
         "label": args.label, "change": args.describe,
         "parent_commit": _commit(parent), "change_commit": _commit(change),
+        "src_lines": {"parent": _src_lines(parent), "change": _src_lines(change)},
         "python": f"{platform.python_implementation()} {platform.python_version()}",
         "nproc": os.cpu_count(),
         "untraced": {
