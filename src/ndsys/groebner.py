@@ -26,8 +26,10 @@ Buchberger meets them.  Contraction's chain of prime-index cuts,
 prime_step_cuts, runs here too: it starts from eliminate's packed cut when
 there is one, else from the generators' lifts, keeps its generators packed
 from one step to the next, and returns a Submodule that keeps the last cut's
-packed lifts beside its monic generators, so saturation starts from the cut
-itself.  No vector the engine made is packed again.
+packed lifts beside its monic generators.  A last cut with no monomial factor
+in any element is the reduced basis of its span: saturation starts from it
+with no first Buchberger run, and when saturation keeps it, the generators
+are the canonical basis.  No vector the engine made is packed or unpacked again.
 
 Packed ints compare like the term order, so a leading monomial is max(f) and
 the reducer's heap holds negated monomials, largest first.  Packing is affine
@@ -542,6 +544,8 @@ class Submodule:
         self._gb_cache: dict[TermOrder, tuple[LaurentVec, ...]] = {}
         # the generators' packed lifts, when the engine made the generators
         self._lifts: list[VPoly] | None = None
+        # set when those lifts are their span's reduced basis, in generator order
+        self._reduced = False
         self._sat_cache: list[VPoly] | None = None
         # _read_index: the default key and the _lead_index of _sat_cache under it
         self._read: tuple | None = None
@@ -557,13 +561,14 @@ class Submodule:
         if self._sat_cache is None:
             key = make_key(DEFAULT_ORDER, self.nvars)
             lifts = self._lifts or [_lift(g, key)[0] for g in self.generators]
-            self._sat_cache = _saturate(lifts, self.nvars, self.k)
+            self._sat_cache = _saturate(lifts if self._reduced else _cut(lifts, key),
+                                        self.nvars, self.k)
         return self._sat_cache
 
 
-def _saturate(lifts: list[VPoly], nvars: int, k: int) -> list[VPoly]:
+def _saturate(basis: list[VPoly], nvars: int, k: int) -> list[VPoly]:
+    """Saturate a reduced default-order basis; basis itself if nothing changes."""
     key = make_key(DEFAULT_ORDER, nvars)
-    basis = _cut(lifts, key)
     if nvars == 0 or len(basis) <= 1:
         # a single lifted generator has no monomial content left to divide out
         return basis
@@ -597,7 +602,9 @@ def groebner_basis(mod: Submodule, order: TermOrder | None = None) -> list[Laure
         key = make_key(order, mod.nvars)
         if order != DEFAULT_ORDER:
             sat = _cut(_repack(sat, make_key(DEFAULT_ORDER, mod.nvars), key), key)
-        cached = tuple(vpoly_to_vec(g, key, mod.k) for g in sat)
+        # lifts that saturation kept are the generators, already unpacked
+        cached = mod.generators if sat is mod._lifts else tuple(
+            vpoly_to_vec(g, key, mod.k) for g in sat)
         mod._gb_cache[order] = cached
     return list(cached)
 
@@ -646,6 +653,9 @@ def prime_step_cuts(mod: Submodule, steps) -> Submodule:
     and lifting a generator changes no cut.  It returns a Submodule whose
     generators are the last cut, monic, and whose lifts, which saturation
     starts from, are the cut shifted so each variable's least exponent is 0.
+    When that shift moves no element, the lifts are the cut, the reduced
+    basis of their span under the default key too: saturation runs no first
+    cut, and groebner_basis returns the generators if saturation keeps them.
 
     No saturation pass between steps: monomial scaling respects the component
     blocks, so the Laurent span of each low cut is unchanged by it, and the
@@ -671,6 +681,7 @@ def prime_step_cuts(mod: Submodule, steps) -> Submodule:
     out = Submodule(nvars, k, [vpoly_to_vec(g, key, k) for g in gens])
     # the cut lies in rank-0 components, which pack as under the default key
     out._lifts = [_lowered(g, key) for g in gens]
+    out._reduced = out._lifts == gens
     return out
 
 
@@ -755,7 +766,6 @@ def eliminate(mod: Submodule, drop) -> Submodule:
     out = Submodule(len(keep), mod.k, [vpoly_to_vec(g, out_key, mod.k) for g in sat])
     # each element of a saturated basis is a lift: no variable divides it
     out._lifts = out._sat_cache = sat
-    out._gb_cache[DEFAULT_ORDER] = out.generators
     return out
 
 

@@ -9,7 +9,7 @@ as data; lattice_from_rows takes any generating rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from math import lcm, prod
@@ -342,11 +342,13 @@ def same_coset(lat: IntLattice, x: tuple[int, ...], y: tuple[int, ...]) -> bool:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """S = U @ D @ V with U, V unimodular and D diagonal, d1 | d2 | ..."""
+    """S = U @ D @ V with U, V unimodular and D diagonal, d1 | d2 | ...; U_inverse
+    is U's inverse when smith made it, and takes no part in equality or repr."""
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+    U_inverse: IntMatrix | None = field(default=None, compare=False, repr=False)
 
     @property
     def diagonal(self) -> tuple[int, ...]:
@@ -363,11 +365,12 @@ def smith(m: IntMatrix) -> SmithDecomposition:
     Returns:
         SmithDecomposition(U, D, V) with U (n x n) and V (c x c) unimodular,
         U @ D @ V == m, D diagonal with nonnegative entries forming a
-        divisibility chain d1 | d2 | ...
+        divisibility chain d1 | d2 | ..., and U_inverse: D's rows carry the
+        identity past column c, so each row operation keeps U^-1 there too.
     """
     n, c = m.nrows, m.ncols
-    d = [list(r) for r in m.rows]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    d = [list(r) + e for r, e in zip(m.rows, u)]
     v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     # maintaining the invariant  U @ D @ V == m:
@@ -434,10 +437,8 @@ def smith(m: IntMatrix) -> SmithDecomposition:
             row_neg(t)
         t += 1
 
-    dm = IntMatrix.from_rows(d, c)
-    um = IntMatrix.from_rows(u, n)
-    vm = IntMatrix.from_rows(v, c)
-    return SmithDecomposition(um, dm, vm)
+    return SmithDecomposition(IntMatrix.from_rows(u, n), IntMatrix.from_rows([r[:c] for r in d], c),
+                              IntMatrix.from_rows(v, c), IntMatrix.from_rows([r[c:] for r in d], n))
 
 
 # ---------------------------------------------------------------------------

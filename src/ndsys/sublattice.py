@@ -31,7 +31,6 @@ from .intlat import (
     IntMatrix,
     SmithDecomposition,
     smith,
-    unimodular_inverse,
 )
 from .laurent import LaurentVec, apply_monomial_map, coset_split
 
@@ -65,6 +64,10 @@ class SublatticeContext:
     def sub_exponent_matrix(self) -> IntMatrix:
         """n x r matrix whose column i is the exponent of the i-th sub-ring
         variable inside Z^n (equals U @ D restricted to the first r columns)."""
+        return self._sub_exponents
+
+    @cached_property
+    def _sub_exponents(self) -> IntMatrix:
         ud = self.decomposition.U @ self.decomposition.D
         return IntMatrix.from_rows([row[: self.rank] for row in ud.rows], self.rank)
 
@@ -90,7 +93,7 @@ class SublatticeContext:
 
 def sublattice_context(s: IntLattice) -> SublatticeContext:
     dec = smith(s.basis.transpose())
-    return SublatticeContext(s, dec, unimodular_inverse(dec.U))
+    return SublatticeContext(s, dec, dec.U_inverse)
 
 
 @dataclass

@@ -101,6 +101,9 @@ def test_pairs_alternate_and_count_wins(tmp_path, monkeypatch):
     wall = record["untraced"]["workloads"]["query-mix"]["wall_s"]
     assert wall["change_better_pairs"] == 3 and wall["pairs"] == 4
     assert wall["parent"]["median"] == 1.0 and wall["change"]["median"] == 0.8
+    # better by more than the parent's spread, but in 3 of 4 pairs only
+    assert wall["median_gap"] == -0.2 and wall["parent_iqr"] == 0.0
+    assert wall["gain_rule_met"] is False
     ok = record["untraced"]["workloads"]["query-mix"]["ok_ratio"]
     assert ok["change_better_pairs"] == 0
     traced = record["traced_seed1"]["workloads"]["query-mix"]
@@ -214,3 +217,50 @@ def test_traced_pairs_list_the_counters_that_differ(tmp_path, monkeypatch):
     for entry in record.values():
         assert entry["counters_differ"] == ["coarsest.audit_candidates", "groebner.basis_peak"]
         assert entry["parent"]["groebner.spairs"] == entry["change"]["groebner.spairs"] == 40
+
+
+def _gain_record(tmp_path, monkeypatch, parent_walls, change_walls) -> dict:
+    """The wall_s and ok_ratio entries of a record whose untraced runs give
+    the listed wall_s values, seed by seed, and ok_ratio the same values."""
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        wall = (parent_walls if checkout == parent else change_walls)[seed - 1]
+        return {"correct": True, "exit": 0,
+                "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                            "ok_ratio": {"value": wall, "unit": "ratio"}}}
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    monkeypatch.chdir(tmp_path)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "t",
+                             "--pairs", f"query-mix=1-{len(parent_walls)}"]) == 0
+    return json.loads((tmp_path / "BENCH_t.json").read_text())["untraced"]["workloads"][
+        "query-mix"]
+
+
+def test_gain_rule_needs_nine_of_ten_pairs_and_a_gap_past_the_parent_iqr(tmp_path,
+                                                                         monkeypatch):
+    """median_gap is change less parent, parent_iqr the parent's q3 less q1,
+    and gain_rule_met holds when the change is better in 9 of 10 pairs and
+    its median is better by more than parent_iqr, in the metric's direction."""
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]
+    # q1 1.1, median 1.2, q3 1.3: the gap must pass 0.2
+    change = [0.8, 0.9, 0.95, 1.0, 1.0, 0.85, 0.9, 0.95, 1.0, 1.5]
+    record = _gain_record(tmp_path, monkeypatch, parent, change)
+    wall = record["wall_s"]
+    assert wall["change_better_pairs"] == 9 and wall["pairs"] == 10
+    assert wall["parent_iqr"] == 0.2 and wall["median_gap"] == -0.25
+    assert wall["gain_rule_met"] is True
+    # the same runs read as a higher-is-better metric: worse, not a gain
+    ok = record["ok_ratio"]
+    assert ok["change_better_pairs"] == 1 and ok["median_gap"] == -0.25
+    assert ok["gain_rule_met"] is False
+
+
+def test_gain_rule_fails_on_a_gap_inside_the_parent_iqr(tmp_path, monkeypatch):
+    parent = [1.0, 1.1, 1.2, 1.3, 1.4, 1.0, 1.1, 1.2, 1.3, 1.4]
+    change = [p - 0.1 for p in parent]
+    wall = _gain_record(tmp_path, monkeypatch, parent, change)["wall_s"]
+    assert wall["change_better_pairs"] == 10
+    assert wall["median_gap"] == -0.1 and wall["parent_iqr"] == 0.2
+    assert wall["gain_rule_met"] is False

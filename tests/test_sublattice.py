@@ -1,11 +1,14 @@
 import random
+import runpy
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from ndsys import groebner
-from ndsys.intlat import diagonal_lattice, full_lattice, lattice_from_rows
+from ndsys.intlat import (IntMatrix, SmithDecomposition, diagonal_lattice, full_lattice,
+                          lattice_from_rows, smith, unimodular_inverse)
 from ndsys.laurent import (LaurentPoly, LaurentVec, apply_monomial_map,
                            parse_vector, vector_to_str)
 from ndsys.groebner import (DEFAULT_ORDER, Submodule, _cut, _lift,
@@ -17,6 +20,7 @@ from ndsys.sublattice import (_prime_steps, contract, contract_extend_roundtrips
                               roundtrip_from_sublattice, sublattice_context)
 
 pv = parse_vector
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def ideal1(text):
@@ -655,3 +659,105 @@ def test_monomial_factors_leave_the_contraction_unchanged(gens, k, on_line):
         for _ in range(3):
             moved = Submodule(2, k, [g.shift(rng.choice(shifts)) for g in p.generators])
             assert contract(moved, s).module.generators == raw, (rows, moved)
+
+
+# ---------------------------------------------------------------------------
+# the contraction hands over its canonical basis
+
+
+def _engine_calls(monkeypatch) -> list[str]:
+    """Record each Buchberger run as "b", each round of saturation's quotient
+    loop as "q" and each vector unpacked as "u", in call order."""
+    events: list[str] = []
+    for name, tag in (("buchberger", "b"), ("_quotient_vpolys", "q"), ("vpoly_to_vec", "u")):
+        def spy(*args, _plain=getattr(groebner, name), _tag=tag, **kwargs):
+            events.append(_tag)
+            return _plain(*args, **kwargs)
+        monkeypatch.setattr(groebner, name, spy)
+    return events
+
+
+@pytest.mark.parametrize("gens,n,rows", [
+    (["1 + s1*s2 + s2^2"], 2, [[2, 0], [0, 2]]),
+    (["s1^2 - s1 - 1"], 1, [[8]]),
+], ids=["hex-2Zx2Z", "fib-8Z"])
+def test_a_single_generator_cut_is_the_canonical_basis(monkeypatch, gens, n, rows):
+    """A last cut with no monomial factor is the reduced basis of its span:
+    groebner_basis of the contraction runs no Buchberger and unpacks nothing,
+    and returns the contracted generators."""
+    q = contract(Submodule(n, 1, [pv(g, n, 1) for g in gens]), lattice_from_rows(n, rows)).module
+    events = _engine_calls(monkeypatch)
+    basis = groebner_basis(q)
+    assert events == []
+    assert basis == list(q.generators) and basis
+
+
+def test_the_k2_contraction_runs_only_the_quotient_loop(monkeypatch):
+    """Saturation starts from the handed-over cut: every Buchberger run left
+    belongs to a round of the quotient loop (its syzygies and its cut)."""
+    gens = ["[s1 - 1, s2 + 1]", "[s2^2 - s1, s1*s2 - 3]"]
+    p = Submodule(2, 2, [pv(g, 2, 2) for g in gens])
+    q = contract(p, lattice_from_rows(2, [[2, 0], [0, 2]])).module
+    events = _engine_calls(monkeypatch)
+    basis = groebner_basis(q)
+    assert events[:1] == ["q"] and events.count("b") == 2 * events.count("q")
+    # saturation kept the cut, so nothing was unpacked again
+    assert "u" not in events and basis == list(q.generators)
+    monkeypatch.undo()
+    assert basis == groebner_basis(Submodule(2, 2, q.generators))
+
+
+@pytest.mark.parametrize("n,k,gens,rows", MONOMIAL_FACTOR_CUTS)
+def test_a_cut_with_a_monomial_factor_is_cut_again(monkeypatch, n, k, gens, rows):
+    """A last cut holding an element with a monomial factor hands over its
+    lowered lifts, whose span saturation cuts first."""
+    q = contract(Submodule(n, k, [pv(g, n, k) for g in gens]), lattice_from_rows(n, rows)).module
+    events = _engine_calls(monkeypatch)
+    basis = groebner_basis(q)
+    assert events[:1] == ["b"]
+    monkeypatch.undo()
+    assert basis == groebner_basis(Submodule(n, k, q.generators))
+
+
+def test_extend_output_is_unchanged_by_the_kept_frame():
+    """extend substitutes U @ D, cut to the rank, into the canonical basis;
+    the context computes that matrix once."""
+    for p, s in _contraction_cases():
+        q = contract(p, s)
+        ctx = q.context
+        ud = ctx.decomposition.U @ ctx.decomposition.D
+        frame = IntMatrix.from_rows([row[:ctx.rank] for row in ud.rows], ctx.rank)
+        want = [apply_monomial_map(frame, g) for g in groebner_basis(q.module)]
+        assert extend(q).generators == tuple(g for g in want if not g.is_zero())
+        assert ctx.sub_exponent_matrix() is ctx.sub_exponent_matrix() == frame
+
+
+def _ladder_and_skew_lattices():
+    ladder = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["LADDER"]
+    n = {"hex": 2, "k2": 2, "fib": 1}
+    yield from (lattice_from_rows(n[system], rows) for _, system, rows in ladder)
+    yield lattice_from_rows(2, [[2, 1], [2, -3]])  # tests/golden/skew.system
+
+
+def test_smith_keeps_the_transport():
+    """smith's running U^-1 is the transport: the HNF inverse of U, on fixed-
+    seed integer matrices (zero and rank-deficient ones included) and on the
+    lattices they generate, the contract-ladder lattices and the skew one."""
+    rng = random.Random(27)
+    lattices = list(_ladder_and_skew_lattices())
+    for _ in range(120):
+        n, c = rng.randint(1, 4), rng.randint(0, 4)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -3, 6)) for _ in range(n)] for _ in range(c)]
+        if c > 1 and rng.random() < 0.3:
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[-2])]
+        m = IntMatrix.from_rows(rows, n).transpose()
+        dec = smith(m)
+        assert dec.U_inverse == unimodular_inverse(dec.U), rows
+        assert dec == SmithDecomposition(dec.U, dec.D, dec.V)
+        assert repr(dec) == repr(SmithDecomposition(dec.U, dec.D, dec.V))
+        lattices.append(lattice_from_rows(n, rows))
+    assert any(s.rank == 0 for s in lattices) and any(0 < s.rank < s.ambient for s in lattices)
+    for s in lattices:
+        ctx = sublattice_context(s)
+        assert ctx.transport == unimodular_inverse(ctx.decomposition.U), s
+        assert ctx.decomposition.U @ ctx.transport == IntMatrix.identity(s.ambient)

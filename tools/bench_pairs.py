@@ -18,14 +18,18 @@ directory, with each side's commit and its ``src_lines``, the line count of
 It gives, for each end-to-end metric, the median and quartiles of each side
 (``statistics.quantiles``, inclusive method), every run's value in pair
 order, and ``change_better_pairs``: the pairs in which the change is strictly
-better, in the direction ``BENCHMARK.json`` declares.  A pair is one seed's
-two runs; a seed whose run lacks the metric on either side (a failed run) is
-left out of that metric's pairs, values and summaries.  Traced runs keep their
-exit code, ``correct``, every per-layer metric and the span counts ``run.py``
-wrote to its results file, ``first`` names the side traced first, and
-``counters_differ`` lists the metrics in unit ``count`` whose values differ
-between the two sides (a metric one side lacks counts as differing), so a
-record shows at once whether a change kept its work counters.
+better, in the direction ``BENCHMARK.json`` declares.  ``median_gap`` is the
+change's median less the parent's, ``parent_iqr`` the parent's q3 less its q1,
+and ``gain_rule_met`` says whether the change is better in at least 9 of 10
+pairs and its median better by more than ``parent_iqr``: the rule a claimed
+gain must meet.  A pair is one seed's two runs; a seed whose run lacks the
+metric on either side (a failed run) is left out of that metric's pairs,
+values and summaries.  Traced runs keep their exit code, ``correct``, every
+per-layer metric and the span counts ``run.py`` wrote to its results file,
+``first`` names the side traced first, and ``counters_differ`` lists the
+metrics in unit ``count`` whose values differ between the two sides (a metric
+one side lacks counts as differing), so a record shows at once whether a
+change kept its work counters.
 Standard library only.
 """
 
@@ -135,9 +139,14 @@ def untraced_pairs(parent: Path, change: Path, workload: str, seeds: list[int],
         pairs = list(zip(got["parent"], got["change"]))
         wins = sum(c < p if direction == "lower" else c > p for p, c in pairs)
         unit = have[0]["parent"]["metrics"][name]["unit"]
-        out[name] = {"unit": unit,
-                     "parent": _summary(got["parent"]), "change": _summary(got["change"]),
+        summary = {side: _summary(vals) for side, vals in got.items()}
+        gap = round(summary["change"]["median"] - summary["parent"]["median"], 6)
+        iqr = round(summary["parent"]["q3"] - summary["parent"]["q1"], 6)
+        out[name] = {"unit": unit, **summary,
                      "change_better_pairs": wins, "pairs": len(pairs),
+                     "median_gap": gap, "parent_iqr": iqr,
+                     "gain_rule_met": 10 * wins >= 9 * len(pairs)
+                     and (-gap if direction == "lower" else gap) > iqr,
                      "values": {side: [round(v, 6) for v in vals] for side, vals in got.items()}}
     out["correct"] = {side: all(pair[side].get("correct") and pair[side]["exit"] == 0
                                 for pair in runs)
