@@ -2,11 +2,14 @@
 
 Controllability and autonomy of the behavior Ker(P) are properties of the
 quotient A^k/P: torsion-free means controllable, torsion means autonomous.
-The torsion closure P0 (all vectors with a nonzero multiple inside P) is
-computed by one double relation pass, whose column relations are also the
-image representation of a controllable system; a further relation pass
-presents the obstruction P0/P.  Rank over the fraction field, autonomy and
-its degree are read off the canonical basis's leading exponents by component.
+Rank over the fraction field, autonomy and its degree are read off the
+canonical basis's leading exponents by component.  The torsion closure P0
+(all vectors with a nonzero multiple inside P) is computed by one double
+relation pass, whose column relations are also the image representation of a
+controllable system; a further relation pass presents P0/P as A^m/T.  analyze
+reads the rank first and skips the passes whose answers are closed forms
+(Oberst, Acta Appl. Math. 20, 1990): rank k leaves no column relations, so P0
+is A^k on its unit vectors and T = P; P = P0 makes T all of A^m.
 """
 
 from __future__ import annotations
@@ -42,20 +45,22 @@ def _kernel_of_rows(rows: list[LaurentVec], nvars: int, k: int) -> Submodule:
     return syzygies(_columns(rows, k), nvars, len(rows))
 
 
-def _closure(p: Submodule) -> tuple[list[LaurentVec], Submodule]:
+def _closure(p: Submodule, rank: int | None = None) -> tuple[list[LaurentVec], Submodule]:
     """Column relations R of P (P . R = 0) and the torsion closure P0.
 
     Relations among the generator-matrix columns cut out exactly the
     rational-span constraints, so the kernel of R's rows is P0; when P = P0
-    the columns of R are an image representation.
+    the columns of R are an image representation.  Given a rank of k, the
+    columns are independent: R is a zero column and P0 is A^k, with no pass.
     """
     n, k = p.nvars, p.k
     if not p.generators:
         return [LaurentVec.unit(n, k, j) for j in range(k)], Submodule(n, k, [])
+    zero = LaurentVec([LaurentPoly(n) for _ in range(k)])
+    if rank == k:
+        return [zero], _kernel_of_rows([], n, k)
     gens = list(p.generators)
-    cols = list(syzygies(_columns(gens, k), n, len(gens)).generators)
-    if not cols:
-        cols = [LaurentVec([LaurentPoly(n) for _ in range(k)])]
+    cols = list(syzygies(_columns(gens, k), n, len(gens)).generators) or [zero]
     if any(not g.dot(c).is_zero() for g in gens for c in cols):
         raise InvariantError("column relations fail P . R = 0")
     return cols, _kernel_of_rows(cols, n, k)
@@ -86,20 +91,26 @@ def image_representation(p: Submodule) -> list[LaurentVec]:
     return cols
 
 
-def _presentation(p: Submodule, p0: Submodule) -> tuple[Submodule, Submodule]:
-    q_gens = list(p0.generators)
+def _presentation(p: Submodule, p0: Submodule, ctl: bool, rank: int) -> tuple:
+    """(P0, T) with P0/P = A^m / T: A^m on its unit vectors when P = P0 (the
+    zero submodule of A^1 when m = 0), P itself at rank k, where P0 is A^k on
+    its unit vectors, else by one relation pass with an exactness check."""
+    n, q_gens = p.nvars, list(p0.generators)
     m = len(q_gens)
     if m == 0:
-        return p0, Submodule(p.nvars, 1, [])
+        return p0, Submodule(n, 1, [])
+    if ctl:
+        return p0, Submodule(n, m, [LaurentVec.unit(n, m, j) for j in range(m)])
+    if rank == p.k:
+        return p0, p
     if not submodule_contains(p0, p):
         raise InvariantError("torsion closure does not contain the module")
     combined = q_gens + list(p.generators)
-    rel = syzygies(combined, p.nvars, p.k)
-    t_gens = [LaurentVec(v.entries[:m]) for v in rel.generators]
-    t = Submodule(p.nvars, m, t_gens)
+    rel = syzygies(combined, n, p.k)
+    t = Submodule(n, m, [LaurentVec(v.entries[:m]) for v in rel.generators])
     # exactness spot check: every relation row really lands inside P
     for h in t.generators:
-        acc = LaurentVec([LaurentPoly(p.nvars) for _ in range(p.k)])
+        acc = LaurentVec([LaurentPoly(n) for _ in range(p.k)])
         for hi, qi in zip(h.entries, q_gens):
             acc = acc + qi.scale_poly(hi)
         if not member(acc, p):
@@ -107,14 +118,25 @@ def _presentation(p: Submodule, p0: Submodule) -> tuple[Submodule, Submodule]:
     return p0, t
 
 
+def _classify(p: Submodule) -> tuple[int, list[LaurentVec], Submodule, bool]:
+    """Rank, column relations, P0 and whether P = P0, which at rank k, where
+    P0 = A^k, holds when every component leads with the monomial 1."""
+    rank = rank_over_fractions(p)
+    cols, p0 = _closure(p, rank)
+    ctl = submodule_equal(p, p0) if rank < p.k else all(
+        (0,) * p.nvars in exps for exps in leading_exponents(p).values())
+    return rank, cols, p0, ctl
+
+
 def decomposition(p: Submodule) -> tuple[Submodule, Submodule]:
     """Torsion closure P0 plus a presentation of the obstruction P0/P.
 
     The second component T lives in A^m (m = number of P0 generators) and
     collects the coefficient rows h with sum h_i q_i inside P, so
-    P0/P = A^m / T.
+    P0/P = A^m / T; see _presentation for its closed forms.
     """
-    return _presentation(p, torsion_closure(p))
+    rank, _, p0, ctl = _classify(p)
+    return _presentation(p, p0, ctl, rank)
 
 
 def degree_of_autonomy(p: Submodule) -> int:
@@ -190,9 +212,7 @@ class AnalysisReport:
 
 
 def analyze(p: Submodule) -> AnalysisReport:
-    cols, p0 = _closure(p)
-    ctl = submodule_equal(p, p0)
-    rank = rank_over_fractions(p)
+    rank, cols, p0, ctl = _classify(p)
     return AnalysisReport(
         rank_over_fractions=rank,
         is_controllable=ctl,
@@ -200,5 +220,5 @@ def analyze(p: Submodule) -> AnalysisReport:
         torsion_closure=p0,
         image_rep=cols if ctl else None,
         degree_of_autonomy=degree_of_autonomy(p),
-        decomposition=_presentation(p, p0),
+        decomposition=_presentation(p, p0, ctl, rank),
     )

@@ -569,8 +569,10 @@ class Submodule:
 def _saturate(basis: list[VPoly], nvars: int, k: int) -> list[VPoly]:
     """Saturate a reduced default-order basis; basis itself if nothing changes."""
     key = make_key(DEFAULT_ORDER, nvars)
-    if nvars == 0 or len(basis) <= 1:
-        # a single lifted generator has no monomial content left to divide out
+    # a single lifted generator has no monomial content left to divide out,
+    # and unit vectors span a sum of whole components
+    if nvars == 0 or len(basis) <= 1 or all(
+            len(g) == 1 and min(g) == key.base(key.comp(min(g))) for g in basis):
         return basis
     f: VPoly = {key.pack(0, (1,) * nvars): 1}
     while True:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,7 +10,7 @@ from ndsys import groebner
 from ndsys.intlat import diagonal_lattice, lattice_from_rows
 from ndsys.laurent import LaurentPoly, LaurentVec, parse_vector
 from ndsys.groebner import (InvariantError, Submodule, eliminate, groebner_basis, member,
-                            submodule_contains, submodule_equal)
+                            submodule_contains, submodule_equal, syzygies)
 from ndsys.sublattice import contract, extend
 from ndsys.analysis import (analyze, decomposition, degree_of_autonomy,
                             image_representation, is_autonomous,
@@ -306,9 +307,9 @@ def test_analyze_bundles_everything():
 
 
 def test_analyze_makes_one_relation_pass(monkeypatch):
-    """Column relations, their row kernel and the P0/P presentation: three
-    syzygy computations for a controllable system, the closure shared by
-    every answer."""
+    """Column relations and their row kernel: two syzygy computations for a
+    controllable system of rank 1 < k, the closure shared by every answer and
+    the presentation of P0/P = 0 taken in closed form."""
     calls = []
     real = ndsys.analysis.syzygies
 
@@ -319,9 +320,123 @@ def test_analyze_makes_one_relation_pass(monkeypatch):
     monkeypatch.setattr(ndsys.analysis, "syzygies", counting)
     p = Submodule(2, 2, [pv("[s1, s2]", 2, 2)])
     rep = analyze(p)
-    assert len(calls) == 3
+    assert len(calls) == 2
     assert rep.is_controllable
     assert rep.image_rep == image_representation(p)
+
+
+def test_full_rank_analyze_runs_no_relation_pass(monkeypatch):
+    """Rank k gives P0 = A^k and T = P in closed form, so analyze runs no
+    relation pass beyond what P's own canonical basis needs: none for one
+    generator or a unimodular P, whose bases are saturated at once."""
+    calls = []
+    real_syz, real_basis = ndsys.analysis.syzygies, groebner.syzygy_basis
+
+    def spy(real):
+        return lambda *args: calls.append(real) or real(*args)
+
+    ideal = Submodule(1, 1, [pv("s1 - 1", 1, 1)])
+    unimodular = Submodule(2, 2, [pv("[1, s1]", 2, 2), pv("[s2, 1 + s1*s2]", 2, 2)])
+    torsion = Submodule(1, 2, [pv("[s1 - 1, 0]", 1, 2), pv("[0, s1 + 1]", 1, 2)])
+    groebner_basis(torsion)
+    monkeypatch.setattr(ndsys.analysis, "syzygies", spy(real_syz))
+    monkeypatch.setattr(groebner, "syzygy_basis", spy(real_basis))
+    reps = [analyze(p) for p in (ideal, unimodular, torsion)]
+    assert not calls
+    assert [(r.rank_over_fractions, r.is_controllable, r.is_autonomous) for r in reps] == \
+        [(1, False, True), (2, True, True), (2, False, True)]
+    assert reps[2].decomposition[1] is torsion
+
+
+def test_standalone_torsion_closure_leaves_the_module_unsaturated(monkeypatch):
+    """torsion_closure keeps the relation route, which reads no rank: on an
+    n=3 ideal whose saturation takes about 30 s it returns at once, and P's
+    canonical basis is never asked for."""
+    p = Submodule(3, 1, [pv("2*s2^2*s3^-2 + 2*s2*s3^-1 + s1^-1*s2^-2*s3^-1", 3, 1),
+                         pv("s1^-1*s2 + s1^-2*s2^2*s3^-1 + s1*s2^-1*s3^-2", 3, 1)])
+    asked = []
+    real = Submodule.saturated_vpolys
+
+    def spy(self):
+        asked.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Submodule, "saturated_vpolys", spy)
+    t0 = time.perf_counter()
+    p0 = torsion_closure(p)
+    assert time.perf_counter() - t0 < 1.0
+    assert p0.generators == (pv("1", 3, 1),)
+    assert all(m is not p for m in asked) and p._sat_cache is None
+
+
+def _relation_closure(p: Submodule) -> tuple[list[LaurentVec], Submodule]:
+    """The column relations and the torsion closure by the relation route
+    for every P, as analyze took them before it read the rank first; kept
+    here as the reference."""
+    n, k = p.nvars, p.k
+    if not p.generators:
+        return [LaurentVec.unit(n, k, j) for j in range(k)], Submodule(n, k, [])
+    gens = list(p.generators)
+    cols = list(syzygies([LaurentVec([g.entries[j] for g in gens]) for j in range(k)],
+                         n, len(gens)).generators)
+    cols = cols or [LaurentVec([LaurentPoly(n) for _ in range(k)])]
+    rows = [c for c in cols if not c.is_zero()]
+    if not rows:
+        return cols, Submodule(n, k, [LaurentVec.unit(n, k, j) for j in range(k)])
+    return cols, syzygies([LaurentVec([r.entries[j] for r in rows]) for j in range(k)],
+                          n, len(rows))
+
+
+def _relation_presentation(p: Submodule, p0: Submodule) -> Submodule:
+    """T with P0/P = A^m / T by one relation pass over P0's and P's
+    generators, the route every P took before the closed forms."""
+    m = len(p0.generators)
+    if m == 0:
+        return Submodule(p.nvars, 1, [])
+    rel = syzygies(list(p0.generators) + list(p.generators), p.nvars, p.k)
+    return Submodule(p.nvars, m, [LaurentVec(v.entries[:m]) for v in rel.generators])
+
+
+def _analysis_digest(p: Submodule, closure, presentation) -> tuple:
+    """Every answer of analyze, the canonical bases of P0 and T included."""
+    rank = rank_over_fractions(p)
+    cols, p0 = closure(p)
+    ctl = submodule_equal(p, p0)
+    t = presentation(p, p0)
+    return (rank, ctl, rank == p.k, degree_of_autonomy(p), cols if ctl else None,
+            t.k, groebner_basis(p0), groebner_basis(t))
+
+
+def test_closed_forms_match_the_relation_route():
+    """Fixed-seed differential test: analyze, which takes P0 and T in closed
+    form for full-rank and controllable P, gives every answer the relation
+    route gives, over random n 0-2, k 1-3 modules of all three kinds (a
+    generator scaled by s1 - 1 or s1 + 2 brings torsion) and fixtures for the
+    zero module, n = 0 and a k=3 module of rank 2 with torsion."""
+    fixtures = [Submodule(2, 2, []), Submodule(0, 2, [pv("[2, 3]", 0, 2)]),
+                Submodule(1, 3, [pv("[s1 - 1, 0, 0]", 1, 3), pv("[0, s1 - 1, 0]", 1, 3)])]
+    kinds = set()
+    for seed in range(150):
+        rng = random.Random(2800 + seed)
+        n, k = rng.randint(0, 2), rng.randint(1, 3)
+        gens = [LaurentVec([_small_poly(rng, n, 2) for _ in range(k)])
+                for _ in range(rng.randint(0, 3))]
+        if gens and n and rng.random() < 0.5:
+            torsion = {(0,) * n: rng.choice([-1, 2]), (1,) + (0,) * (n - 1): 1}
+            gens[0] = gens[0].scale_poly(LaurentPoly(n, torsion))
+        fixtures.append(Submodule(n, k, gens))
+    for i, p in enumerate(fixtures):
+        rep = analyze(p)
+        p0, t = rep.decomposition
+        got = (rep.rank_over_fractions, rep.is_controllable, rep.is_autonomous,
+               rep.degree_of_autonomy, rep.image_rep, t.k, groebner_basis(p0), groebner_basis(t))
+        fresh = Submodule(p.nvars, p.k, p.generators)
+        assert got == _analysis_digest(fresh, _relation_closure, _relation_presentation), i
+        p0, t = decomposition(Submodule(p.nvars, p.k, p.generators))
+        assert (t.k, groebner_basis(p0), groebner_basis(t)) == got[-3:], i
+        kinds.add((rep.is_controllable, rep.is_autonomous))
+    # controllable, full rank, both (P = A^k) and neither
+    assert kinds == {(True, False), (False, True), (True, True), (False, False)}
 
 
 def test_invariant_failure_raises_typed_error(monkeypatch):

@@ -176,6 +176,21 @@ def test_zero_module():
     assert member(LaurentVec([LaurentPoly(2), LaurentPoly(2)]), z)
 
 
+def test_unit_vectors_saturate_at_once(monkeypatch):
+    """A reduced basis of unit vectors spans a sum of whole components, so
+    saturation runs no quotient round: A^2 and A^3, given on their unit
+    vectors or on generators that reduce to them, need no syzygy_basis."""
+    calls = []
+    real = groebner.syzygy_basis
+    monkeypatch.setattr(groebner, "syzygy_basis", lambda *a: calls.append(a) or real(*a))
+    for k in (2, 3):
+        units = [LaurentVec.unit(2, k, j) for j in range(k)]
+        assert groebner_basis(Submodule(2, k, units)) == units[::-1]
+    shear = Submodule(2, 2, [pv("[s1^2, 0]", 2, 2), pv("[s2, s1^-1]", 2, 2)])
+    assert groebner_basis(shear) == [pv("[0, 1]", 2, 2), pv("[1, 0]", 2, 2)]
+    assert not calls
+
+
 # ---------------------------------------------------------------------------
 # syzygies
 
