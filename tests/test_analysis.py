@@ -430,6 +430,7 @@ def test_closed_forms_match_the_relation_route():
         p0, t = rep.decomposition
         got = (rep.rank_over_fractions, rep.is_controllable, rep.is_autonomous,
                rep.degree_of_autonomy, rep.image_rep, t.k, groebner_basis(p0), groebner_basis(t))
+        # fresh copies, so that neither side reads what analyze cached on p
         fresh = Submodule(p.nvars, p.k, p.generators)
         assert got == _analysis_digest(fresh, _relation_closure, _relation_presentation), i
         p0, t = decomposition(Submodule(p.nvars, p.k, p.generators))
