@@ -22,14 +22,13 @@ engine, once, in vpoly_to_vec.
 Every Groebner run goes through _cut, which returns a reduced basis: of the
 whole span, or of its part below a bound (an elimination).  So every result,
 syzygies included, depends on the inputs alone and not on the order in which
-Buchberger meets them.  Contraction's chain of prime-index cuts,
-prime_step_cuts, runs here too: it starts from eliminate's packed cut when
-there is one, else from the generators' lifts, keeps its generators packed
-from one step to the next, and returns a Submodule that keeps the last cut's
-packed lifts beside its monic generators.  A last cut with no monomial factor
-in any element is the reduced basis of its span: saturation starts from it
-with no first Buchberger run, and when saturation keeps it, the generators
-are the canonical basis.  No vector the engine made is packed or unpacked again.
+Buchberger meets them.  A quotient (M : f) is one syzygy run, projected,
+so a round of saturation is one Buchberger run.  Contraction's chain of
+prime-index cuts, prime_step_cuts, runs here too, packed from step to step.
+A last cut with no monomial factor in any element is the reduced basis of its
+span and becomes the result's _basis: saturation starts from it with no first
+Buchberger run, and when saturation keeps it, the generators are the
+canonical basis.
 
 Packed ints compare like the term order, so a leading monomial is max(f) and
 the reducer's heap holds negated monomials, largest first.  Packing is affine
@@ -230,11 +229,9 @@ def _lift(v: LaurentVec, key: Packing, raw: bool = False) -> tuple[VPoly, Exp]:
     return (lift if raw else strip_content(lift)), low
 
 
-def _lowered(g: VPoly, key: Packing) -> VPoly:
-    """g shifted so that each variable's least exponent is 0: its lift."""
-    low = [min(sign * ((m >> s & _MASK) - _OFF) for m in g) for s, sign in key.reads]
-    shift = sum(map(mul, low, key.weights))
-    return {m - shift: c for m, c in g.items()}
+def _is_lift(g: VPoly, key: Packing) -> bool:
+    """Does no variable divide g: is each variable's least exponent in g 0."""
+    return not any(min(sign * ((m >> s & _MASK) - _OFF) for m in g) for s, sign in key.reads)
 
 
 def vpoly_to_vec(f: VPoly, key: Packing, k: int, monic: bool = True) -> LaurentVec:
@@ -542,10 +539,9 @@ class Submodule:
         self.k = k
         self.generators: tuple[LaurentVec, ...] = tuple(gens)
         self._gb_cache: dict[TermOrder, tuple[LaurentVec, ...]] = {}
-        # the generators' packed lifts, when the engine made the generators
-        self._lifts: list[VPoly] | None = None
-        # set when those lifts are their span's reduced basis, in generator order
-        self._reduced = False
+        # the reduced default-order basis of the generators' lifts, in generator
+        # order; set only where the engine made the generators in that form
+        self._basis: list[VPoly] | None = None
         self._sat_cache: list[VPoly] | None = None
         # _read_index: the default key and the _lead_index of _sat_cache under it
         self._read: tuple | None = None
@@ -554,20 +550,20 @@ class Submodule:
         return f"Submodule(nvars={self.nvars}, k={self.k}, ngens={len(self.generators)})"
 
     def is_zero_module(self) -> bool:
-        return not self.saturated_vpolys()
+        # zero generators are dropped, and a nonzero vector spans a nonzero module
+        return not self.generators
 
     def saturated_vpolys(self) -> list[VPoly]:
         """Reduced default-order basis of the saturated polynomial lift."""
         if self._sat_cache is None:
             key = make_key(DEFAULT_ORDER, self.nvars)
-            lifts = self._lifts or [_lift(g, key)[0] for g in self.generators]
-            self._sat_cache = _saturate(lifts if self._reduced else _cut(lifts, key),
-                                        self.nvars, self.k)
+            basis = self._basis or _cut([_lift(g, key)[0] for g in self.generators], key)
+            self._sat_cache = _saturate(basis, self.nvars, self.k)
         return self._sat_cache
 
 
 def _saturate(basis: list[VPoly], nvars: int, k: int) -> list[VPoly]:
-    """Saturate a reduced default-order basis; basis itself if nothing changes."""
+    """Saturate a reduced default-order basis, one quotient a round; basis if unchanged."""
     key = make_key(DEFAULT_ORDER, nvars)
     # a single lifted generator has no monomial content left to divide out,
     # and unit vectors span a sum of whole components
@@ -575,22 +571,24 @@ def _saturate(basis: list[VPoly], nvars: int, k: int) -> list[VPoly]:
             len(g) == 1 and min(g) == key.base(key.comp(min(g))) for g in basis):
         return basis
     f: VPoly = {key.pack(0, (1,) * nvars): 1}
-    while True:
-        quo = _quotient_vpolys(basis, f, nvars, k)
-        nxt = _cut(quo, key)
-        if nxt == basis:
-            return basis
+    while (nxt := _quotient_vpolys(basis, f, nvars, k)) != basis:
         basis = nxt
+    return basis
 
 
 def _quotient_vpolys(basis: list[VPoly], f: VPoly, nvars: int, k: int) -> list[VPoly]:
-    """Generators of (M : f) for the module M spanned by basis; f a 1-term
-    or general polynomial given at component 0 (interpreted as a scalar)."""
+    """Reduced default-order basis of (M : f), M spanned by basis, f a
+    polynomial at component 0 taken as a scalar: the relations among
+    f*e_1..f*e_k and basis, projected to their first k components (Greuel and
+    Pfister, A Singular Introduction to Commutative Algebra, 2.8).  Those
+    rank first, position over term, so the elements of the relations' reduced
+    basis with a term there lead there and project onto a reduced basis of
+    (M : f), sorted by lead, that needs only making primitive."""
     key = make_key(DEFAULT_ORDER, nvars)
     vecs = [{m + key.base(j) - key.base(0): c for m, c in f.items()} for j in range(k)] + basis
     projs = [{m: c for m, c in s.items() if key.comp(m) < k}
              for s in syzygy_basis(vecs, k, nvars)]
-    return [proj for proj in projs if proj]
+    return [_primitive(proj) for proj in projs if proj]
 
 
 def groebner_basis(mod: Submodule, order: TermOrder | None = None) -> list[LaurentVec]:
@@ -604,8 +602,8 @@ def groebner_basis(mod: Submodule, order: TermOrder | None = None) -> list[Laure
         key = make_key(order, mod.nvars)
         if order != DEFAULT_ORDER:
             sat = _cut(_repack(sat, make_key(DEFAULT_ORDER, mod.nvars), key), key)
-        # lifts that saturation kept are the generators, already unpacked
-        cached = mod.generators if sat is mod._lifts else tuple(
+        # a handed-over basis that saturation kept is the generators, already unpacked
+        cached = mod.generators if sat is mod._basis else tuple(
             vpoly_to_vec(g, key, mod.k) for g in sat)
         mod._gb_cache[order] = cached
     return list(cached)
@@ -648,16 +646,14 @@ def prime_step_cuts(mod: Submodule, steps) -> Submodule:
     p shifts g*x_i^o of each generator g are written in those blocks through
     divmod(e_i + o, p), each lifted by its own least exponent, and cut to the
     first block under the default order with the other p*k - k components
-    ranked over it.  The chain starts from mod's packed lifts when the engine
-    made its generators (eliminate's cut), else from its generators' lifts,
-    and stays packed from step to step.  Each block is lowered by its own
-    least exponent, so the blocks of x^a*g are those of g in another order,
-    and lifting a generator changes no cut.  It returns a Submodule whose
-    generators are the last cut, monic, and whose lifts, which saturation
-    starts from, are the cut shifted so each variable's least exponent is 0.
-    When that shift moves no element, the lifts are the cut, the reduced
-    basis of their span under the default key too: saturation runs no first
-    cut, and groebner_basis returns the generators if saturation keeps them.
+    ranked over it.  The chain starts from mod's _basis when the engine made
+    its generators (eliminate's cut), else from its generators' lifts, and
+    stays packed from step to step.  Each block is lowered by its own least
+    exponent, so the blocks of x^a*g are those of g in another order, and
+    lifting a generator changes no cut.  It returns a Submodule whose
+    generators are the last cut, monic.  Only when no element of that cut
+    has a monomial factor is the cut the reduced default-order basis of the
+    generators' lifts too, and then it becomes the result's _basis.
 
     No saturation pass between steps: monomial scaling respects the component
     blocks, so the Laurent span of each low cut is unchanged by it, and the
@@ -665,7 +661,7 @@ def prime_step_cuts(mod: Submodule, steps) -> Submodule:
     """
     nvars, k = mod.nvars, mod.k
     key = make_key(DEFAULT_ORDER, nvars)
-    gens = mod._lifts or [_lift(v, key)[0] for v in mod.generators]
+    gens = mod._basis or [_lift(v, key)[0] for v in mod.generators]
     for i, p in steps:
         if not gens:
             break
@@ -682,8 +678,8 @@ def prime_step_cuts(mod: Submodule, steps) -> Submodule:
         gens = _cut(blocks, key, key.top_floor(1))
     out = Submodule(nvars, k, [vpoly_to_vec(g, key, k) for g in gens])
     # the cut lies in rank-0 components, which pack as under the default key
-    out._lifts = [_lowered(g, key) for g in gens]
-    out._reduced = out._lifts == gens
+    if all(_is_lift(g, key) for g in gens):
+        out._basis = gens
     return out
 
 
@@ -767,7 +763,7 @@ def eliminate(mod: Submodule, drop) -> Submodule:
         sat.append({out_key.pack(comp, tuple(e[i] for i in keep)): c for (comp, e), c in terms})
     out = Submodule(len(keep), mod.k, [vpoly_to_vec(g, out_key, mod.k) for g in sat])
     # each element of a saturated basis is a lift: no variable divides it
-    out._lifts = out._sat_cache = sat
+    out._basis = out._sat_cache = sat
     return out
 
 

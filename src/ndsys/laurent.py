@@ -174,6 +174,9 @@ class LaurentVec:
 
     @staticmethod
     def unit(nvars: int, k: int, j: int) -> "LaurentVec":
+        j = as_int(j, "component")
+        if not 0 <= j < k:
+            raise ValueError(f"component {j} outside range({k})")
         return LaurentVec([LaurentPoly.constant(nvars, 1) if i == j else LaurentPoly(nvars)
                            for i in range(k)])
 

@@ -13,7 +13,8 @@ import ndsys
 from ndsys import groebner
 from ndsys.analysis import analyze, rank_over_fractions
 from ndsys.cli import main
-from ndsys.intlat import diagonal_lattice
+from ndsys.coarsest import brute_force_coarsest
+from ndsys.intlat import diagonal_lattice, lattice_from_rows
 from ndsys.laurent import LaurentPoly, LaurentVec, parse_poly, parse_vector
 from ndsys.groebner import (DEFAULT_ORDER, Submodule, TermOrder, _lift, buchberger,
                             eliminate, groebner_basis, is_groebner_basis, make_key,
@@ -123,6 +124,42 @@ def test_member_module_example():
     assert not member(pv("[1, 0]", 1, 2), p)
 
 
+def test_member_accepts_what_a_window_span_certifies():
+    """Property test against the window oracle (n, k <= 2, at most 3
+    generators): a combination of window-supported shifts of the generators
+    is certified by WindowSpan and accepted by member, and so is any vector
+    the window span certifies."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n, k = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        point = st.tuples(*[st.integers(-1, 1)] * n)
+        entry = st.dictionaries(point, st.integers(-3, 3).filter(bool), max_size=2)
+
+        def vec():
+            return LaurentVec([LaurentPoly(n, {e: Fraction(c) for e, c in data.draw(entry).items()})
+                               for _ in range(k)])
+
+        gens = [g for g in (vec() for _ in range(data.draw(st.integers(1, 3)))) if not g.is_zero()]
+        hypothesis.assume(gens)
+        mod = Submodule(n, k, gens)
+        # supports in [-1, 1]^n, shifted by at most 1, stay in the window
+        span = WindowSpan(gens, box_window([(-2, 2)] * n), k)
+        comb = LaurentVec([LaurentPoly(n)] * k)
+        for i, e, c in data.draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), point,
+                                                    st.integers(-3, 3)), min_size=1, max_size=3)):
+            comb = comb + gens[i].shift(e).scale(c)
+        assert span.contains(comb) and member(comb, mod)
+        v = vec()
+        if span.contains(v):
+            assert member(v, mod)
+
+    check()
+
+
 def test_reduced_basis_is_canonical():
     """Different generating sets of one module give identical reduced bases."""
     a = Submodule(1, 1, [pv("s1^2 - 1", 1, 1), pv("s1^3 - 1", 1, 1)])
@@ -174,6 +211,19 @@ def test_zero_module():
     assert groebner_basis(z) == []
     assert not member(pv("[1, 0]", 2, 2), z)
     assert member(LaurentVec([LaurentPoly(2), LaurentPoly(2)]), z)
+
+
+def test_zero_module_test_runs_no_groebner(monkeypatch):
+    """is_zero_module reads the generators, which hold no zero vector: it
+    runs no Buchberger for the zero module or for hex, and neither does the
+    Groebner-free brute_force_coarsest of hex."""
+    runs = []
+    real = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", lambda *a: runs.append(a) or real(*a))
+    assert Submodule(2, 2, [pv("[0, 0]", 2, 2)]).is_zero_module()
+    assert not Submodule(2, 1, [pv("1 + s1*s2 + s2^2", 2, 1)]).is_zero_module()
+    hex_lattice = brute_force_coarsest(Submodule(2, 1, [pv("1 + s1*s2 + s2^2", 2, 1)]))
+    assert hex_lattice == lattice_from_rows(2, [[1, 1], [0, 2]]) and not runs
 
 
 def test_unit_vectors_saturate_at_once(monkeypatch):
@@ -259,6 +309,42 @@ def test_module_quotient_example():
     # over Laurents s^2 - s = s(s - 1), so (p : s-1) = <s>= <1>... not quite:
     # s is a unit, hence the quotient is the unit ideal
     assert submodule_equal(q, Submodule(1, 1, [pv("1", 1, 1)]))
+
+
+def _quotient_by_cut(basis, f, nvars, k):
+    """(M : f) by the former route, the reference: the projections of the
+    relations among f*e_1..f*e_k and basis, cut again."""
+    key = make_key(DEFAULT_ORDER, nvars)
+    vecs = [{m + key.base(j) - key.base(0): c for m, c in f.items()} for j in range(k)] + basis
+    projs = [{m: c for m, c in s.items() if key.comp(m) < k}
+             for s in groebner.syzygy_basis(vecs, k, nvars)]
+    return groebner._cut([g for g in projs if g], key)
+
+
+def test_quotient_projection_is_its_reduced_basis():
+    """The projected relations are (M : f)'s reduced basis with no second
+    cut, n and k 1-3: for f = s1*...*sn, as in saturation's first and last
+    rounds, and for a general f over the saturated basis, as in
+    module_quotient, whose canonical basis is the reference route's."""
+    rng = random.Random(29)
+    for i in range(100):
+        n, k = rng.randint(1, 3), rng.randint(1, 3)
+        m = Submodule(n, k, [_rand_vec(rng, n, k, terms=2, deg=1)
+                             for _ in range(rng.randint(1, 3))])
+        fp = LaurentPoly(n, {tuple(rng.randint(-1, 1) for _ in range(n)): Fraction(rng.randint(1, 3))
+                             for _ in range(2)})
+        if m.is_zero_module():
+            continue
+        key = make_key(DEFAULT_ORDER, n)
+        lifts = groebner._cut([_lift(g, key)[0] for g in m.generators], key)
+        sat, prod = m.saturated_vpolys(), {key.pack(0, (1,) * n): 1}
+        f = _lift(LaurentVec.wrap(fp), key)[0]
+        for basis, g in ((lifts, prod), (sat, prod), (sat, f)):
+            ref = _quotient_by_cut(basis, g, n, k)
+            assert groebner._quotient_vpolys(basis, g, n, k) == ref, i
+        # ref is (sat : f), and a quotient of a saturated module is saturated
+        want = [groebner.vpoly_to_vec(g, key, k) for g in ref]
+        assert groebner_basis(module_quotient(m, fp)) == want, i
 
 
 def test_saturation_strips_monomial_factors():

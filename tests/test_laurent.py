@@ -251,3 +251,20 @@ def test_integral_float_exponents_become_ints():
     assert str(p) == "3*s1^2*s2"
     q = LaurentPoly.monomial(1, (1,)).shift((2.0,))
     assert q == parse_poly("s1^3", 1) and all(type(x) is int for x in next(iter(q.terms)))
+
+
+@pytest.mark.parametrize("j,message", [
+    (5, r"component 5 outside range\(3\)"),
+    (-1, r"component -1 outside range\(3\)"),
+    (3, r"component 3 outside range\(3\)"),
+    (1.5, "component 1.5 is not an integer"),
+])
+def test_unit_vector_component_is_checked(j, message):
+    """A component outside range(k) raises instead of giving the zero vector."""
+    with pytest.raises(ValueError, match=message):
+        LaurentVec.unit(2, 3, j)
+
+
+def test_unit_vector_of_an_integral_component():
+    assert LaurentVec.unit(2, 3, 2.0) == LaurentVec.unit(2, 3, 2)
+    assert LaurentVec.unit(1, 2, 0) == parse_vector("[1, 0]", 1, 2)
