@@ -86,15 +86,23 @@ class TermOrder:
 
 
 class Packing:
-    """Module monomials (component, exponent) packed into ints; see make_key.
+    """The packing of module monomials (component, exponent) under order.
 
-    A field is a linear form in the exponent, a list of (variable, sign)
-    pairs, or "rank" or "comp".  Its value v sits in FIELD_BITS bits as
-    v + 2^(FIELD_BITS-2), in [0, 2^(FIELD_BITS-1)), so the top (guard) bit
-    of every field of an in-range monomial is clear.
+    A monomial packs into one int made of the flat sort key's fields, most
+    significant first: the dropped block's term key, the negated component,
+    then the kept block's term key (grevlex: total degree, then the negated
+    exponents from the last variable; lex: the exponents).  A field is a
+    linear form in the exponent, a list of (variable, sign) pairs, or
+    "comp".  Its value v sits in FIELD_BITS bits as v + 2^(FIELD_BITS-2), in
+    [0, 2^(FIELD_BITS-1)), so the top (guard) bit of every field of an
+    in-range monomial is clear, packed ints order like the term order and
+    max is the leading monomial.  Packing is affine in the exponent: a
+    monomial times x^s is m + (pack(c, s) - pack(c, 0)), and a shift by a
+    packed difference is one addition.  A run that wants one block of
+    components ranked over another numbers that block first.
     """
 
-    def __init__(self, order: TermOrder, nvars: int, comp_rank=None):
+    def __init__(self, order: TermOrder, nvars: int):
         drop = tuple(sorted(set(order.drop)))
         if any(i < 0 or i >= nvars for i in drop):
             raise ValueError("drop variable out of range")
@@ -107,12 +115,10 @@ class Packing:
                 return [[(i, 1)] for i in sel]
             return [[(i, 1) for i in sel]] + [[(i, -1)] for i in reversed(sel)]
 
-        forms = block(drop) + ["rank", "comp"] + block(keep)
+        forms = block(drop) + ["comp"] + block(keep)
         shifts = [FIELD_BITS * f for f in range(len(forms) - 1, -1, -1)]
         self.nvars = nvars
-        self.rank = None if comp_rank is None else tuple(comp_rank)
         self.comp_shift = shifts[forms.index("comp")]
-        self.rank_shift = shifts[forms.index("rank")]
         self.top_shift = shifts[0]
         self.offsets = sum(_OFF << s for s in shifts)
         self.guard = sum(_TOP << s for s in shifts)
@@ -142,9 +148,9 @@ class Packing:
         self.limit = _OFF // (2 * max(nvars, 1))
 
     def base(self, comp: int) -> int:
-        """The packed monomial of comp with the zero exponent."""
-        rank = self.rank[comp] if self.rank is not None else 0
-        return self.offsets + (rank << self.rank_shift) - (comp << self.comp_shift)
+        """comp with the zero exponent: the least of comp's monomials with
+        exponents >= 0 and, with no drop block, above all of a later comp's."""
+        return self.offsets - (comp << self.comp_shift)
 
     def pack(self, comp: int, exp: Exp) -> int:
         return self.base(comp) + sum(map(mul, exp, self.weights))
@@ -176,24 +182,8 @@ class Packing:
             raise ValueError(f"exponent outside the packed range ({FIELD_BITS}-bit fields)")
 
 
-def make_key(order: TermOrder, nvars: int, comp_rank=None) -> Packing:
-    """The packing of module monomials (component, exponent) under order.
-
-    A monomial packs into one int made of the flat sort key's fields, most
-    significant first: the dropped block's term key, the component's rank,
-    the negated component, then the kept block's term key (grevlex: total
-    degree, then the negated exponents from the last variable; lex: the
-    exponents).  Each field holds its value offset into [0, 2^(B-1)), B =
-    FIELD_BITS, so packed ints order like the term order and max is the
-    leading monomial.  Packing is affine in the exponent: a monomial times
-    x^s is m + (pack(c, s) - pack(c, 0)), and a shift by a packed
-    difference is one addition.  Packings are shared: one per order, nvars
-    and component ranking.
-    """
-    return _packing(order, nvars, None if comp_rank is None else tuple(comp_rank))
-
-
-_packing = lru_cache(maxsize=256)(Packing)
+# the shared Packing of (order, nvars)
+make_key = lru_cache(maxsize=256)(Packing)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +475,8 @@ def _cut(vpolys: list[VPoly], key: Packing, bound=None) -> list[VPoly]:
     (all of them when bound is None).  When key ranks everything at or above
     the bound over everything below it, those elements are a Groebner basis
     of the span's intersection with the low block, so this is that
-    intersection's unique reduced basis.
+    intersection's unique reduced basis: key.base(c) keeps the components
+    after c, exponents >= 0, and key.top_floor(1) the drop-free part.
     """
     gb = buchberger(vpolys, key)
     if bound is not None:
@@ -496,20 +487,17 @@ def _cut(vpolys: list[VPoly], key: Packing, bound=None) -> list[VPoly]:
 def syzygy_basis(vecs: list[VPoly], k: int, nvars: int) -> list[VPoly]:
     """Reduced basis of {r in A^c : sum r_i vecs_i = 0} for polynomial vecs.
 
-    Standard tag construction: append unit tags as extra components ranked
-    below the original block and cut to the tag-only elements.  The vectors
-    and the relations are packed under the default order's key; vecs may be
+    Standard tag construction: append unit tags as components k, k+1, ...,
+    which position over term ranks below the original block, and cut to the
+    tag-only elements, those below key.base(k - 1).  The vectors and the
+    relations are packed under the default order's key; vecs may be
     rational, so the tagged vectors enter through strip_content.
     """
-    base = make_key(DEFAULT_ORDER, nvars)
-    key = make_key(DEFAULT_ORDER, nvars, comp_rank=[1] * k + [0] * len(vecs))
-    # the two keys differ in the rank field alone: 1 below k, 0 for the tags
-    up = key.base(0) - base.base(0)
-    combined = [strip_content({**{m + up: c for m, c in v.items()}, key.base(k + i): 1})
-                for i, v in enumerate(vecs)]
-    down = base.base(0) - key.base(k)
+    key = make_key(DEFAULT_ORDER, nvars)
+    combined = [strip_content({**v, key.base(k + i): 1}) for i, v in enumerate(vecs)]
+    down = key.base(0) - key.base(k)
     return [{m + down: c for m, c in g.items()}
-            for g in _cut(combined, key, key.top_floor(1))]
+            for g in _cut(combined, key, key.base(k - 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -645,15 +633,17 @@ def prime_step_cuts(mod: Submodule, steps) -> Submodule:
     is free on p blocks of k components, one per residue of e_i mod p.  The
     p shifts g*x_i^o of each generator g are written in those blocks through
     divmod(e_i + o, p), each lifted by its own least exponent, and cut to the
-    first block under the default order with the other p*k - k components
-    ranked over it.  The chain starts from mod's _basis when the engine made
-    its generators (eliminate's cut), else from its generators' lifts, and
-    stays packed from step to step.  Each block is lowered by its own least
-    exponent, so the blocks of x^a*g are those of g in another order, and
-    lifting a generator changes no cut.  It returns a Submodule whose
-    generators are the last cut, monic.  Only when no element of that cut
-    has a monomial factor is the cut the reduced default-order basis of the
-    generators' lifts too, and then it becomes the result's _basis.
+    residue-0 block under the default order.  Residue r goes to block
+    (r - 1) % p, so the residue-0 block comes last, ranked below the other
+    p*k - k components, and the cut below key.base((p - 1) * k - 1) moves
+    back to components 0..k-1.  The chain starts from mod's _basis when the
+    engine made its generators (eliminate's cut), else from its generators'
+    lifts, and stays packed from step to step.  Each block is lowered by its
+    own least exponent, so the blocks of x^a*g are those of g in another
+    order, and lifting a generator changes no cut.  It returns a Submodule
+    whose generators are the last cut, monic.  Only when no element of that
+    cut has a monomial factor is the cut the reduced default-order basis of
+    the generators' lifts too, and then it becomes the result's _basis.
 
     No saturation pass between steps: monomial scaling respects the component
     blocks, so the Laurent span of each low cut is unchanged by it, and the
@@ -665,19 +655,18 @@ def prime_step_cuts(mod: Submodule, steps) -> Submodule:
     for i, p in steps:
         if not gens:
             break
-        step = make_key(DEFAULT_ORDER, nvars, comp_rank=[0] * k + [1] * (p * k - k))
         blocks = []
         for g in gens:
             terms = [(*key.unpack(m), c) for m, c in g.items()]
             for o in range(p):
-                block = [(rem * k + j, e[:i] + (quo,) + e[i + 1:], c)
+                block = [((rem - 1) % p * k + j, e[:i] + (quo,) + e[i + 1:], c)
                          for j, e, c in terms for quo, rem in [divmod(e[i] + o, p)]]
                 low = tuple(map(min, zip(*(e for _, e, _ in block))))
-                blocks.append({step.pack(j, tuple(map(sub, e, low))): c for j, e, c in block})
-        key = step
-        gens = _cut(blocks, key, key.top_floor(1))
+                blocks.append({key.pack(j, tuple(map(sub, e, low))): c for j, e, c in block})
+        down = key.base(0) - key.base((p - 1) * k)
+        gens = [{m + down: c for m, c in g.items()}
+                for g in _cut(blocks, key, key.base((p - 1) * k - 1))]
     out = Submodule(nvars, k, [vpoly_to_vec(g, key, k) for g in gens])
-    # the cut lies in rank-0 components, which pack as under the default key
     if all(_is_lift(g, key) for g in gens):
         out._basis = gens
     return out

@@ -451,31 +451,30 @@ class GaloisSubgroup:
 
     Element (a1..an) stands for the diagonal character sending the i-th shift
     to a primitive di-th root raised to ai; no root-of-unity arithmetic is
-    ever performed.
+    ever performed.  Construction puts the generators in normal form: each
+    reduced modulo the moduli, zeros dropped, sorted and unique.  So equal
+    generating sets compare equal as data.
     """
 
     moduli: tuple[int, ...]
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if any(d < 1 for d in self.moduli):
-            raise ValueError("moduli must be positive")
-        for g in self.generators:
-            if len(g) != len(self.moduli):
-                raise ValueError("generator length mismatch")
-
-    @staticmethod
-    def make(moduli, generators) -> "GaloisSubgroup":
-        moduli = tuple(as_int(d, "modulus") for d in moduli)
+        moduli = tuple(as_int(d, "modulus") for d in self.moduli)
         # before the generators are reduced modulo them
         if any(d < 1 for d in moduli):
             raise ValueError("moduli must be positive")
-        gens = []
-        for g in generators:
+        gens = set()
+        for g in self.generators:
             r = tuple(as_int(a, "generator entry") % d for a, d in zip(g, moduli, strict=True))
             if any(r):
-                gens.append(r)
-        return GaloisSubgroup(moduli, tuple(sorted(set(gens))))
+                gens.add(r)
+        object.__setattr__(self, "moduli", moduli)
+        object.__setattr__(self, "generators", tuple(sorted(gens)))
+
+    @staticmethod
+    def make(moduli, generators) -> "GaloisSubgroup":
+        return GaloisSubgroup(moduli, generators)
 
     def elements(self) -> frozenset[tuple[int, ...]]:
         """All elements, by closure; the cost grows with the group order."""

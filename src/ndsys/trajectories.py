@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import lt
 
 from .linalg import Row, SpanBuilder, nullspace_basis, rank_of_rows, strip_content
 from .laurent import Exp, LaurentVec
@@ -27,18 +28,26 @@ class Window:
     """Finite set of lattice points, optionally a product box.
 
     A box window's points are exactly the box's product in sorted order:
-    equation rows on a box compute their columns from that order.
+    equation rows on a box compute their columns from that order.  Other
+    points must be as explicit_window gives them: a non-empty, strictly
+    increasing tuple of int tuples of one length.
     """
 
     points: tuple[Exp, ...]
     box: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
+        pts = self.points
         if self.box is None:
+            if not (type(pts) is tuple and pts and {tuple} >= set(map(type, pts))
+                    and {int} >= {type(x) for p in pts for x in p}
+                    and len(set(map(len, pts))) == 1 and all(map(lt, pts, pts[1:]))):
+                raise ValueError("window points must be a non-empty, strictly increasing tuple "
+                                 "of int tuples of one length (explicit_window takes any)")
             return
         if any(a > b for a, b in self.box):
             raise ValueError("empty box side")
-        if tuple(self.points) != tuple(product(*(range(a, b + 1) for a, b in self.box))):
+        if tuple(pts) != tuple(product(*(range(a, b + 1) for a, b in self.box))):
             raise ValueError("a box window's points must be its box's points in sorted order")
 
     @property
@@ -100,7 +109,7 @@ def _window_index(window: Window, k: int) -> dict[tuple[Exp, int], int]:
 
 
 def _valid_shifts(support: set[Exp], window: Window) -> list[Exp]:
-    """All y such that support + y lies inside the window, in sorted order."""
+    """All y with support + y inside the window, sorted as the window's points are."""
     if not support:
         return []
     pts = set(window.points)
@@ -110,7 +119,7 @@ def _valid_shifts(support: set[Exp], window: Window) -> list[Exp]:
         y = tuple(a - b for a, b in zip(w, anchor))
         if all(tuple(a + b for a, b in zip(p, y)) in pts for p in support):
             out.append(y)
-    return sorted(set(out))
+    return out
 
 
 @dataclass
@@ -313,13 +322,10 @@ def extension_product_check(q: ContractedModule, w) -> bool:
     if len(cosets) != ctx.index:
         raise ValueError("window misses some cosets")
     shapes = set()
-    translates = []
-    for rep, pts in sorted(cosets.items()):
+    for pts in cosets.values():
         base = min(pts)
-        shape = tuple(sorted(ctx.point_to_sub(tuple(a - b for a, b in zip(x, base)))
-                             for x in pts))
-        shapes.add(shape)
-        translates.append(shape)
+        shapes.add(tuple(sorted(ctx.point_to_sub(tuple(a - b for a, b in zip(x, base)))
+                                for x in pts)))
     if len(shapes) != 1:
         raise ValueError("window is not aligned to sublattice translates")
     sub_window = explicit_window(shapes.pop())

@@ -596,20 +596,18 @@ def _rand_vpoly(rng, nvars, k, terms=4, deg=2):
 def _key_cases():
     for nvars in (2, 3):
         for k in (1, 2):
-            yield nvars, k, TermOrder(), None
-            yield nvars, k, TermOrder(kind="lex"), None
-            yield nvars, k, TermOrder(drop=(0,)), None
-            yield nvars, k, TermOrder(), [1] * (k - 1) + [0]
-            yield nvars, k, TermOrder(drop=(nvars - 1,)), list(range(k))
+            yield nvars, k, TermOrder()
+            yield nvars, k, TermOrder(kind="lex")
+            yield nvars, k, TermOrder(drop=(0,))
 
 
 def test_flat_key_orders_like_the_nested_key():
     rng = random.Random(97)
-    for nvars, k, order, rank in _key_cases():
+    for nvars, k, order in _key_cases():
         mons = list({(rng.randrange(k), tuple(rng.randint(0, 3) for _ in range(nvars)))
                      for _ in range(40)})
-        key = make_key(order, nvars, rank)
-        nested = _nested_key(order, nvars, rank)
+        key = make_key(order, nvars)
+        nested = _nested_key(order, nvars)
         assert sorted(mons, key=lambda m: key.pack(*m)) == sorted(mons, key=nested)
         # the reducer's heap holds negated monomials: largest first
         assert sorted(mons, key=lambda m: -key.pack(*m)) == sorted(mons, key=nested, reverse=True)
@@ -620,13 +618,13 @@ def test_heap_reducer_matches_rescan_reducer():
     whose key is the nested one, on random bases and random vectors; half
     the bases are grevlex Groebner bases (lex runs can take minutes)."""
     rng = random.Random(101)
-    for nvars, k, order, rank in _key_cases():
-        key = make_key(order, nvars, rank)
-        old = _nested_key(order, nvars, rank)
+    for nvars, k, order in _key_cases():
+        key = make_key(order, nvars)
+        old = _nested_key(order, nvars)
         for _ in range(6):
             basis = [_rand_vpoly(rng, nvars, k) for _ in range(rng.randint(1, 4))]
             if rng.random() < 0.5:
-                gb_key = make_key(DEFAULT_ORDER, nvars, rank)
+                gb_key = make_key(DEFAULT_ORDER, nvars)
                 basis = [_unpacked(g, gb_key)
                          for g in buchberger([_packed(g, gb_key) for g in basis], gb_key)]
             packed = [_packed(g, key) for g in basis]
@@ -702,17 +700,14 @@ def test_pair_criteria_match_plain_buchberger(monkeypatch):
     for _ in range(24):
         nvars, k = rng.choice([(2, 1), (2, 2), (3, 1), (3, 2)])
         gens = [_rand_vpoly(rng, nvars, k, terms=3) for _ in range(rng.randint(2, 4))]
-        # the component ranking of a prime_step_cuts step half the time
-        rank = [0, 1] if k == 2 and rng.random() < 0.5 else None
-        key = make_key(DEFAULT_ORDER, nvars, rank)
+        key = make_key(DEFAULT_ORDER, nvars)
         raw = _check_against_plain(calls, [_packed(g, key) for g in gens], key)
-        if rank is None:
-            vecs = [groebner.vpoly_to_vec(g, key, k) for g in raw]
-            assert is_groebner_basis(vecs, nvars)
+        vecs = [groebner.vpoly_to_vec(g, key, k) for g in raw]
+        assert is_groebner_basis(vecs, nvars)
 
 
 def test_pair_criteria_match_plain_buchberger_over_orders(monkeypatch):
-    """The same two checks under lex, elimination blocks and ranked
+    """The same two checks under lex and elimination blocks, with
     components up to k = 3, where sugar and the lcm order part ways."""
     calls = _count_normal_forms(monkeypatch)
     rng = random.Random(107)
@@ -720,13 +715,11 @@ def test_pair_criteria_match_plain_buchberger_over_orders(monkeypatch):
         nvars, k = rng.choice([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
         order = rng.choice([TermOrder(), TermOrder(kind="lex"), TermOrder(drop=(0,)),
                             TermOrder(drop=(nvars - 1,)), TermOrder(kind="lex", drop=(1,))])
-        rank = rng.choice([None, [rng.randint(0, 2) for _ in range(k)]])
         gens = [_rand_vpoly(rng, nvars, k, terms=3) for _ in range(rng.randint(2, 4))]
-        key = make_key(order, nvars, rank)
+        key = make_key(order, nvars)
         raw = _check_against_plain(calls, [_packed(g, key) for g in gens], key)
-        if rank is None:
-            vecs = [groebner.vpoly_to_vec(g, key, k) for g in raw]
-            assert is_groebner_basis(vecs, nvars, order)
+        vecs = [groebner.vpoly_to_vec(g, key, k) for g in raw]
+        assert is_groebner_basis(vecs, nvars, order)
 
 
 # ---------------------------------------------------------------------------
@@ -746,9 +739,9 @@ def test_packing_matches_the_tuple_monomials():
     int order is the nested key's, unpack inverts pack, a shift by a packed
     difference is tuple addition and the guard-bit test is divisibility."""
     rng = random.Random(109)
-    for nvars, k, order, rank in _key_cases():
-        key = make_key(order, nvars, rank)
-        nested = _nested_key(order, nvars, rank)
+    for nvars, k, order in _key_cases():
+        key = make_key(order, nvars)
+        nested = _nested_key(order, nvars)
         mons = list({(rng.randrange(k), _edge_exponent(rng, nvars)) for _ in range(30)})
         mons += [(c, e) for c in range(k) for e in [(0,) * nvars, (1,) * nvars, (-1,) * nvars]]
         assert sorted(mons, key=lambda m: key.pack(*m)) == sorted(mons, key=nested)
@@ -768,25 +761,49 @@ def test_packing_matches_the_tuple_monomials():
                 assert key.divides(key.pack(*a), key.pack(*b)) == want
 
 
+def test_renumbered_components_order_like_the_old_ranking():
+    """Numbering the components in rank order gives the old ranked key's
+    order: syzygy_basis's tags as they are, and a prime step's blocks,
+    numbered rem * k + j before, with the residue-0 block moved last."""
+    rng = random.Random(127)
+    for _ in range(100):
+        nvars, k, c = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        key = make_key(DEFAULT_ORDER, nvars)
+
+        def mons(ncomp):
+            return list({(rng.randrange(ncomp), tuple(rng.randint(0, 3) for _ in range(nvars)))
+                         for _ in range(30)})
+
+        tags = mons(k + c)
+        assert sorted(tags, key=lambda m: key.pack(*m)) == \
+            sorted(tags, key=_nested_key(DEFAULT_ORDER, nvars, [1] * k + [0] * c))
+        p = c + 1
+        blocks = mons(p * k)
+        assert sorted(blocks, key=lambda m: key.pack((m[0] // k - 1) % p * k + m[0] % k, m[1])) \
+            == sorted(blocks, key=_nested_key(DEFAULT_ORDER, nvars, [0] * k + [1] * (p * k - k)))
+
+
 def test_bounds_match_the_low_predicates():
-    """max(g) < key.top_floor(1) is each cut's old low predicate: the tag
-    components of syzygy_basis, the first block of a prime step, and the
-    drop-free part of an elimination (lifted, so exponents >= 0)."""
+    """max(g) below each cut's bound is its low predicate (lifted, so
+    exponents >= 0): key.base(k - 1) for the tag components of syzygy_basis,
+    key.base((p - 1) * k - 1) for the residue-0 block of a prime step,
+    numbered last, and key.top_floor(1) for the drop-free part of an
+    elimination."""
     rng = random.Random(113)
     for _ in range(300):
         nvars, k, c = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
-        cases = [(make_key(DEFAULT_ORDER, nvars, [1] * k + [0] * c), k + c,
-                  lambda m: m[0] >= k),
-                 (make_key(DEFAULT_ORDER, nvars, [0] * k + [1] * (c * k)), k + c * k,
-                  lambda m: m[0] < k)]
+        key = make_key(DEFAULT_ORDER, nvars)
+        cases = [(key, k + c, key.base(k - 1), lambda m: m[0] >= k),
+                 (key, k + c * k, key.base(c * k - 1), lambda m: m[0] >= c * k)]
         drop = tuple(sorted(rng.sample(range(nvars), rng.randint(1, nvars))))
-        cases.append((make_key(TermOrder(drop=drop), nvars), k,
+        drop_key = make_key(TermOrder(drop=drop), nvars)
+        cases.append((drop_key, k, drop_key.top_floor(1),
                       lambda m: all(m[1][i] == 0 for i in drop)))
-        for key, ncomp, low in cases:
+        for key, ncomp, bound, low in cases:
             g = {(rng.randrange(ncomp), tuple(rng.choice([0, 0, 1, 2]) for _ in range(nvars)))
                  for _ in range(rng.randint(1, 4))}
             packed = [key.pack(*m) for m in g]
-            assert (max(packed) < key.top_floor(1)) == all(low(m) for m in g)
+            assert (max(packed) < bound) == all(low(m) for m in g)
 
 
 def test_exponents_outside_the_packed_range_are_rejected(tmp_path, capsys):

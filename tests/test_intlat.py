@@ -340,6 +340,22 @@ def test_galois_subgroup_make_checks_the_moduli_first():
             GaloisSubgroup.make(moduli, gens)
 
 
+def test_galois_subgroup_constructor_normalises_like_make():
+    """The direct constructor reduces, drops zero and duplicate generators,
+    sorts them and checks every entry, as make does."""
+    assert GaloisSubgroup((2,), ((3,),)) == GaloisSubgroup.make((2,), [(1,)])
+    assert GaloisSubgroup((2,), ((3,),)).generators == ((1,),)
+    assert GaloisSubgroup((4,), ((0,), (2,), (2,))).generators == ((2,),)
+    assert GaloisSubgroup([3, 2.0], [[4, 1], [1, 3]]) == GaloisSubgroup((3, 2), ((1, 1),))
+    for moduli in [("3",), (2.5,)]:
+        with pytest.raises(ValueError, match="not an integer"):
+            GaloisSubgroup(moduli, ())
+    with pytest.raises(ValueError, match="moduli must be positive"):
+        GaloisSubgroup((0,), ((1,),))
+    with pytest.raises(ValueError):
+        GaloisSubgroup((2, 2), ((1,),))
+
+
 def test_coset_rep_is_canonical():
     rng = random.Random(37)
     for _ in range(40):

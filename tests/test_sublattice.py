@@ -214,16 +214,18 @@ def test_relation_route_agrees(gens, k, lat):
 def _component_cut(vectors: list[LaurentVec], k: int) -> list[LaurentVec]:
     """Elements of the span of vectors that lie in their first k components:
     the monic reduced basis of the lifted vectors' cut to the first k
-    components, under the default order with components k and above ranked
-    over them; the LaurentVec cut each prime step made before the chain
-    stayed in the engine's int form."""
+    components, under the default order with those moved last, so that
+    components k and above rank over them; the LaurentVec cut each prime
+    step made before the chain stayed in the engine's int form."""
     if all(v.is_zero() for v in vectors):
         return []
     nvars, big_k = vectors[0].nvars, vectors[0].k
-    key = make_key(DEFAULT_ORDER, nvars, comp_rank=[0] * k + [1] * (big_k - k))
-    lifts = [_lift(v, key)[0] for v in vectors if not v.is_zero()]
-    # the first k components are those of rank 0, the least top field
-    return [vpoly_to_vec(g, key, k) for g in _cut(lifts, key, key.top_floor(1))]
+    key = make_key(DEFAULT_ORDER, nvars)
+    lifts = [_lift(LaurentVec(v.entries[k:] + v.entries[:k]), key)[0]
+             for v in vectors if not v.is_zero()]
+    # lifted exponents are >= 0, so the last k components lie below base(big_k - k - 1)
+    return [LaurentVec(vpoly_to_vec(g, key, big_k).entries[big_k - k:])
+            for g in _cut(lifts, key, key.base(big_k - k - 1))]
 
 
 def _laurent_chain_contract(p: Submodule, s) -> Submodule:

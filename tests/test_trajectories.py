@@ -426,6 +426,26 @@ def test_box_window_points_must_be_the_sorted_box():
     assert points == tuple(sorted(points))
 
 
+def test_explicit_window_points_must_be_canonical():
+    """A window without a box takes only what explicit_window gives: a
+    duplicated point once shifted the column index past the solve, so hex
+    read 0 at (5, 5), a point that is free on the canonical window."""
+    hexv = pv("1 + s1*s2 + s2^2", 2, 1)
+    dup = ((0, 0), (0, 0), (1, 1), (0, 2), (5, 5))
+    with pytest.raises(ValueError, match="explicit_window"):
+        window_solutions(Submodule(2, 1, [hexv]), Window(dup, None))
+    sp = window_solutions(Submodule(2, 1, [hexv]), explicit_window(dup))
+    assert any(sp.value(vec, (5, 5), 0) for vec in sp.basis)
+    for pts in [(), ((1,), (0,)), ((0,), (0, 1)), ((0.5, 1),), ((1.0, 2),), ((True,),),
+                [(0,), (1,)], ([0], [1])]:
+        with pytest.raises(ValueError, match="explicit_window"):
+            Window(pts, None)
+    canon = explicit_window([(2, 1), (0, 3), (2, 1)])
+    assert Window(canon.points, None) == canon
+    assert _valid_shifts({(0, 0), (1, 1)}, explicit_window([(0, 0), (1, 1), (2, 2)])) == \
+        [(0, 0), (1, 1)]
+
+
 # The row builder box windows used before their columns were computed by
 # offset, kept as the reference: every term of every shift looks its column
 # up by point in the window's index.
