@@ -7,16 +7,20 @@ of the candidate, so the candidate itself always passes; minimality is
 guarded by an index-p audit and, at small scale, by brute-force enumeration
 against the window oracle.  The audit writes each index-p sublattice's
 canonical basis down in closed form from a functional a on the candidate's
-basis, with no HNF run.  It splits the reduced generators into coset parts
-by coordinate buckets: each term's coordinates c on the candidate's basis
-are found once per coarsest_lattice call, and a.c mod p names the term's
-coset.  Each generator's part, a set of its terms, is tested for membership
-once per call, and the brute-force oracle certifies each distinct part once.
+basis, with no HNF run, and builds that table of (a, sublattice) pairs once
+per (candidate lattice, prime): equal candidates share it through a bounded
+cache.  It splits the reduced generators into coset parts by coordinate
+buckets: each term's coordinates c on the candidate's basis are found once
+per coarsest_lattice call, and a.c mod p names the term's coset.  Each
+generator's part, a set of its terms, is tested for membership once per
+call.  The brute-force oracle writes its candidate lattices in canonical
+form too, and certifies each distinct part once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul
 
@@ -72,22 +76,42 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
-def maximal_sublattices(lat: IntLattice, prime: int) -> list[IntLattice]:
-    """All (p^r - 1)/(p - 1) index-p sublattices of a rank-r lattice.
-
-    Each is the kernel of a normalized functional a (first nonzero entry 1)
-    mod p on the coefficients of the basis b.  With m the index of a's last
-    nonzero entry and t_i = -a_i * a_m^-1 mod p, that kernel has the basis
-    e_i + t_i*e_m (i != m) and p*e_m, so the sublattice is spanned by
-    b_i + t_i*b_m and p*b_m.  b is an HNF basis, so these rows are in
-    echelon form on b's pivot columns, and reducing the entries above each
-    pivot into [0, pivot) gives the canonical basis without an HNF run.  The
-    list follows _normalized_functionals' order.  The count holds only for a
-    prime p, and a non-prime raises ValueError.
-    """
+def _audit_modulus(prime) -> int:
+    """The modulus as an int; a non-integer or non-prime raises ValueError."""
     prime = as_int(prime, "audit modulus")
     if not is_prime(prime):
         raise ValueError(f"audit modulus {prime} is not prime")
+    return prime
+
+
+def maximal_sublattices(lat: IntLattice, prime: int) -> list[IntLattice]:
+    """All (p^r - 1)/(p - 1) index-p sublattices of a rank-r lattice.
+
+    The count holds only for a prime p, and a non-prime raises ValueError.
+    The list is a fresh copy of the shared table _audit_table builds once
+    per (lattice, prime), in _normalized_functionals' order.
+    """
+    return [sub for _, sub in _audit_table(lat, _audit_modulus(prime))]
+
+
+@lru_cache(maxsize=64)
+def _audit_table(lat: IntLattice, prime: int) -> tuple[tuple[tuple[int, ...], IntLattice], ...]:
+    """Each normalized functional a mod prime paired with its index-p
+    sublattice of lat; prime must already be a checked prime.
+
+    The sublattice is the kernel of a (first nonzero entry 1) mod p on the
+    coefficients of the basis b.  With m the index of a's last nonzero
+    entry and t_i = -a_i * a_m^-1 mod p, that kernel has the basis
+    e_i + t_i*e_m (i != m) and p*e_m, so the sublattice is spanned by
+    b_i + t_i*b_m and p*b_m.  b is an HNF basis, so these rows are in
+    echelon form on b's pivot columns, and reducing the entries above each
+    pivot into [0, pivot) gives the canonical basis without an HNF run.
+
+    IntLattice is frozen and canonical, so equal lattices share one table,
+    kept for the process.  A table holds (p^r - 1)/(p - 1) lattices, at
+    worst 993 for rank 3 at p = 31, the largest prime the CLI's audit
+    takes; the cache keeps at most 64 tables.
+    """
     b = lat.basis.rows
     minus_inverse = [0] + [-pow(x, -1, prime) for x in range(1, prime)]
     out = []
@@ -109,8 +133,8 @@ def maximal_sublattices(lat: IntLattice, prime: int) -> list[IntLattice]:
                 q = rows[i][col] // rj[col]
                 if q:
                     rows[i] = tuple(v - q * w for v, w in zip(rows[i], rj))
-        out.append(IntLattice._of(lat.ambient, IntMatrix(tuple(rows), lat.ambient)))
-    return out
+        out.append((a, IntLattice._of(lat.ambient, IntMatrix(tuple(rows), lat.ambient))))
+    return tuple(out)
 
 
 def _coordinate_terms(gens, lat: IntLattice):
@@ -150,7 +174,9 @@ def coarsest_lattice(p: Submodule, audit_primes=(2, 3, 5, 7),
 
     Each reduced generator lies in one coset of any lattice the module
     extends from, so no index-p sublattice of the candidate can pass; a
-    passing audit entry is a defect and raises InvariantError.  An entry
+    passing audit entry is a defect and raises InvariantError.  Each
+    prime's entries are _audit_table's (functional, sublattice) pairs,
+    built once per (candidate, prime) and shared between calls.  An entry
     is judged by is_extension_from's rule: every coset part of a generator
     that meets two or more cosets must be a member.  The parts come from
     coordinate buckets, not coset reduction: each term's coordinates c on
@@ -158,9 +184,10 @@ def coarsest_lattice(p: Submodule, audit_primes=(2, 3, 5, 7),
     found once per call, and the parts for the entry of functional a
     are the terms grouped by a.c mod p.  Each part's membership is asked
     once for the whole audit, keyed by its generator and term indices.  A
-    repeated audit modulus would repeat its entries and raises ValueError.
+    repeated audit modulus would repeat its entries and raises ValueError,
+    as does a modulus that is not a prime.
     """
-    audit_primes = tuple(as_int(q, "audit modulus") for q in audit_primes)
+    audit_primes = tuple(map(_audit_modulus, audit_primes))
     if len(set(audit_primes)) != len(audit_primes):
         raise ValueError(f"audit modulus repeated in {audit_primes}")
     lat = support_difference_lattice(p)
@@ -182,8 +209,7 @@ def coarsest_lattice(p: Submodule, audit_primes=(2, 3, 5, 7),
 
     audit: list[tuple[IntLattice, bool]] = []
     for prime in audit_primes:
-        subs = maximal_sublattices(lat, prime)
-        for a, sub in zip(_normalized_functionals(lat.rank, prime), subs):
+        for a, sub in _audit_table(lat, prime):
             for gi, (_, coords) in enumerate(gens):
                 buckets: dict = {}
                 for i, c in enumerate(coords):
@@ -202,13 +228,45 @@ def coarsest_lattice(p: Submodule, audit_primes=(2, 3, 5, 7),
                           oracle_confirmed)
 
 
+def _oracle_candidates(n: int, index_bound: int) -> list[IntLattice]:
+    """The lattices brute_force_coarsest tries, in order: the zero lattice,
+    every full-rank lattice of index at most index_bound and, for n = 2,
+    every line through a primitive (x, y) with |x|, y <= index_bound.
+
+    Each basis is written down in canonical form, with no HNF run: a
+    full-rank basis is ((a, b), (0, d)) with 0 <= b < d, or (d,) for n = 1,
+    and a line's row is negated when x < 0, so its first nonzero entry is
+    positive.
+    """
+    def canonical(*rows) -> IntLattice:
+        return IntLattice._of(n, IntMatrix(rows, n))
+
+    candidates: list[IntLattice] = [zero_lattice(n)]
+    if n == 1:
+        candidates += [canonical((d,)) for d in range(1, index_bound + 1)]
+        return candidates
+    for a in range(1, index_bound + 1):
+        for d in range(1, index_bound // a + 1):
+            for b in range(d):
+                candidates.append(canonical((a, b), (0, d)))
+    for x in range(-index_bound, index_bound + 1):
+        for y in range(index_bound + 1):
+            if (x, y) == (0, 0) or (y == 0 and x < 0):
+                continue
+            if gcd(abs(x), abs(y)) == 1:
+                candidates.append(canonical((-x, -y) if x < 0 else (x, y)))
+    return candidates
+
+
 def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
     """Intersection of every enumerated lattice the system extends from.
 
     Sound because the family of lattices a module extends from is closed
     under intersection and upward inclusion; complete as long as the true
-    answer is within the enumeration bounds.  Each distinct coset part is
-    certified in the window span once per call.
+    answer is within the enumeration bounds.  The candidates are
+    _oracle_candidates', each basis written in canonical form with no HNF
+    run.  Each distinct coset part is certified in the window span once per
+    call.
     """
     n = p.nvars
     if n > 2:
@@ -223,22 +281,6 @@ def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
 
     window = default_membership_window(list(p.generators))
     span = WindowSpan(list(p.generators), window, p.k)
-
-    candidates: list[IntLattice] = [zero_lattice(n)]
-    if n == 1:
-        candidates += [lattice_from_rows(1, [[d]]) for d in range(1, index_bound + 1)]
-    else:
-        for a in range(1, index_bound + 1):
-            for d in range(1, index_bound // a + 1):
-                for b in range(d):
-                    candidates.append(lattice_from_rows(2, [[a, b], [0, d]]))
-        for x in range(-index_bound, index_bound + 1):
-            for y in range(index_bound + 1):
-                if (x, y) == (0, 0) or (y == 0 and x < 0):
-                    continue
-                if gcd(abs(x), abs(y)) == 1:
-                    candidates.append(lattice_from_rows(2, [[x, y]]))
-
     known: dict = {}
 
     def certified(part) -> bool:
@@ -247,7 +289,7 @@ def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
         return known[part]
 
     cur: IntLattice | None = None
-    for lat in candidates:
+    for lat in _oracle_candidates(n, index_bound):
         # Groebner-free: the raw generators' parts, certified in the window span
         if failing_coset_part(p.generators, lat, certified) is None:
             cur = lat if cur is None else meet(cur, lat)

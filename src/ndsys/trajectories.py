@@ -27,10 +27,11 @@ _ZERO = Fraction(0)
 class Window:
     """Finite set of lattice points, optionally a product box.
 
-    A box window's points are exactly the box's product in sorted order:
-    equation rows on a box compute their columns from that order.  Other
-    points must be as explicit_window gives them: a non-empty, strictly
-    increasing tuple of int tuples of one length.
+    A box window's box is a tuple of (int, int) sides, and its points are
+    exactly the box's product in sorted order, kept as the product's int
+    tuples: equation rows on a box compute their columns from that order.
+    Other points must be as explicit_window gives them: a non-empty,
+    strictly increasing tuple of int tuples of one length.
     """
 
     points: tuple[Exp, ...]
@@ -45,10 +46,20 @@ class Window:
                 raise ValueError("window points must be a non-empty, strictly increasing tuple "
                                  "of int tuples of one length (explicit_window takes any)")
             return
-        if any(a > b for a, b in self.box):
+        box = self.box
+        if not (type(pts) is tuple and type(box) is tuple and {tuple} >= set(map(type, box))
+                and all(len(side) == 2 for side in box)
+                and {int} >= {type(x) for side in box for x in side}):
+            raise ValueError("a box window's points must be a tuple and its box a tuple of "
+                             "(int, int) sides (box_window takes any bounds)")
+        if any(a > b for a, b in box):
             raise ValueError("empty box side")
-        if tuple(pts) != tuple(product(*(range(a, b + 1) for a, b in self.box))):
-            raise ValueError("a box window's points must be its box's points in sorted order")
+        want = tuple(product(*(range(a, b + 1) for a, b in box)))
+        if pts != want:
+            raise ValueError("a box window's points must be its box's points in sorted order, "
+                             "as box_window gives them")
+        # equal is not identical: a point may hold 1.0 or True; keep the box's ints
+        object.__setattr__(self, "points", want)
 
     @property
     def dim(self) -> int:

@@ -66,7 +66,8 @@ def _checkout(path: Path) -> Path:
     (path / "perfbench").mkdir(parents=True)
     (path / "perfbench" / "run.py").write_text("")
     (path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 35, "end_to_end": [
-        {"name": "wall_s", "better": "lower"}, {"name": "ok_ratio", "better": "higher"}]}))
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+        {"name": "ok_ratio", "better": "higher", "bound": 0.001}]}))
     return path
 
 
@@ -264,3 +265,27 @@ def test_gain_rule_fails_on_a_gap_inside_the_parent_iqr(tmp_path, monkeypatch):
     assert wall["change_better_pairs"] == 10
     assert wall["median_gap"] == -0.1 and wall["parent_iqr"] == 0.2
     assert wall["gain_rule_met"] is False
+
+
+def test_worse_by_is_relative_to_the_parent_median_and_checked_against_the_bound(
+        tmp_path, monkeypatch):
+    """worse_by is the change's median less the parent's, over the parent's,
+    in the metric's worse direction; within_bound compares it with the
+    metric's bound in BENCHMARK.json."""
+    parent = [1.0, 1.0, 1.0]
+    record = _gain_record(tmp_path / "a", monkeypatch, parent, [1.2, 1.2, 1.2])
+    # wall_s, lower is better: 20% worse, inside its bound of 0.25
+    assert record["wall_s"]["worse_by"] == 0.2 and record["wall_s"]["within_bound"] is True
+    # ok_ratio, higher is better: 20% better, so within any bound
+    assert record["ok_ratio"]["worse_by"] == -0.2 and record["ok_ratio"]["within_bound"] is True
+    record = _gain_record(tmp_path / "b", monkeypatch, parent, [1.3, 1.3, 1.3])
+    assert record["wall_s"]["worse_by"] == 0.3 and record["wall_s"]["within_bound"] is False
+    record = _gain_record(tmp_path / "c", monkeypatch, parent, [0.998, 0.998, 0.998])
+    # 0.2% lower: past ok_ratio's bound of 0.001, a gain for wall_s
+    assert record["ok_ratio"]["worse_by"] == 0.002
+    assert record["ok_ratio"]["within_bound"] is False
+    assert record["wall_s"]["worse_by"] == -0.002 and record["wall_s"]["within_bound"] is True
+    # no relative change from a parent median of 0; within bound when no worse
+    record = _gain_record(tmp_path / "d", monkeypatch, [0.0, 0.0, 0.0], [0.1, 0.0, 0.2])
+    assert record["wall_s"]["worse_by"] is None and record["wall_s"]["within_bound"] is False
+    assert record["ok_ratio"]["worse_by"] is None and record["ok_ratio"]["within_bound"] is True

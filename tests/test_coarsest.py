@@ -1,17 +1,23 @@
 import random
+import runpy
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 
+import ndsys
+from ndsys.cli import parse_system
 from ndsys.intlat import (IntLattice, IntMatrix, _congruence_solution_lattice,
                           full_lattice, lattice_from_rows, meet, zero_lattice)
 from ndsys.laurent import LaurentPoly, LaurentVec, coset_split, parse_vector
 from ndsys.groebner import InvariantError, Submodule, groebner_basis, member
 from ndsys.sublattice import failing_coset_part, is_extension_from
 from ndsys.trajectories import WindowSpan
-from ndsys.coarsest import (_normalized_functionals, brute_force_coarsest,
-                            coarsest_lattice, is_constant_module, is_prime,
-                            maximal_sublattices, support_difference_lattice)
+from ndsys.coarsest import (MAX_ORACLE_INDEX, CoarsestReport, _audit_table,
+                            _normalized_functionals, _oracle_candidates,
+                            brute_force_coarsest, coarsest_lattice, is_constant_module,
+                            is_prime, maximal_sublattices, support_difference_lattice)
 
 pv = parse_vector
 
@@ -437,3 +443,118 @@ def test_agreement_candidate_vs_oracle_fixture_family():
     for p in ORACLE_FIXTURES:
         rep = coarsest_lattice(p)
         assert brute_force_coarsest(p, 16) == rep.lattice
+
+
+def test_maximal_sublattices_share_one_table_per_lattice_and_prime():
+    """Equal lattices share one table, so a second call builds nothing, and
+    a modulus given as an integral float reads the same table."""
+    hexagonal = Submodule(2, 1, [pv("1 + s1*s2 + s2^2", 2, 1)])
+    lat = lattice_from_rows(2, [[1, 1], [2, 0]])
+    assert maximal_sublattices(lat, 2.0) == maximal_sublattices(lat, 2)
+    _audit_table.cache_clear()
+    coarsest_lattice(hexagonal)
+    assert _audit_table.cache_info().misses == 4
+    coarsest_lattice(Submodule(2, 1, [pv("s2^2 - s1*s2 + 3", 2, 1)]))
+    got = maximal_sublattices(lattice_from_rows(2, [[1, 1], [0, 2]]), 7)
+    assert _audit_table.cache_info().misses == 4
+    assert got == _row_sublattices(lat, 7)
+    assert [a for a, _ in _audit_table(lat, 7)] == list(_normalized_functionals(2, 7))
+    # bounded: (p^r - 1)/(p - 1) lattices a table, 993 at rank 3 and p = 31
+    assert isinstance(_audit_table.cache_info().maxsize, int)
+    assert len(_audit_table(full_lattice(3), 31)) == 993
+
+
+def test_maximal_sublattices_lists_are_fresh_copies():
+    hexagonal = Submodule(2, 1, [pv("1 + s1*s2 + s2^2", 2, 1)])
+    lat = support_difference_lattice(hexagonal)
+    report = coarsest_lattice(hexagonal)
+    want = [sub for sub, _ in report.audit]
+    subs = maximal_sublattices(lat, 3)
+    assert subs == want[3:7]
+    subs[0] = zero_lattice(2)
+    subs.append(full_lattice(2))
+    again = maximal_sublattices(lat, 3)
+    assert again == want[3:7] and again is not subs
+    again.clear()
+    assert [sub for sub, _ in report.audit] == want
+    assert coarsest_lattice(hexagonal) == report
+    assert [s for q in (2, 3, 5, 7) for s in maximal_sublattices(lat, q)] == want
+
+
+def test_bad_audit_moduli_raise_on_every_call():
+    """Only a checked prime reaches the table, so no error is cached."""
+    lat = full_lattice(2)
+    hexagonal = Submodule(2, 1, [pv("1 + s1*s2 + s2^2", 2, 1)])
+    before = _audit_table.cache_info()
+    for _ in range(3):
+        for q, message in ((4, "not prime"), (1, "not prime"), (2.5, "not an integer"),
+                           ("2", "not an integer")):
+            with pytest.raises(ValueError, match=message):
+                maximal_sublattices(lat, q)
+            with pytest.raises(ValueError, match=message):
+                coarsest_lattice(hexagonal, (3, q))
+    after = _audit_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def _row_candidates(n, bound):
+    """Reference: the oracle's candidate rows, each put through lattice_from_rows."""
+    out = [zero_lattice(n)]
+    if n == 1:
+        return out + [lattice_from_rows(1, [[d]]) for d in range(1, bound + 1)]
+    for a in range(1, bound + 1):
+        for d in range(1, bound // a + 1):
+            for b in range(d):
+                out.append(lattice_from_rows(2, [[a, b], [0, d]]))
+    for x in range(-bound, bound + 1):
+        for y in range(bound + 1):
+            if (x, y) == (0, 0) or (y == 0 and x < 0):
+                continue
+            if gcd(abs(x), abs(y)) == 1:
+                out.append(lattice_from_rows(2, [[x, y]]))
+    return out
+
+
+def test_oracle_candidates_match_row_reference():
+    for n in (1, 2):
+        for bound in range(1, MAX_ORACLE_INDEX + 1):
+            assert _oracle_candidates(n, bound) == _row_candidates(n, bound)
+    # 857 of full rank and 1296 lines, past the zero lattice
+    assert len(_oracle_candidates(2, MAX_ORACLE_INDEX)) == 1 + 857 + 1296
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _fresh_report(p, monkeypatch, bound=None):
+    """Reference: the report with the audit's sublattices enumerated afresh
+    on every call by lattice_from_rows, and the oracle run on candidates put
+    through lattice_from_rows."""
+    lat, rank, constant, audit = _reference_report(p)
+    oracle = None
+    if bound is not None:
+        with monkeypatch.context() as m:
+            m.setattr("ndsys.coarsest._oracle_candidates", _row_candidates)
+            oracle = brute_force_coarsest(p, bound) == lat
+    return CoarsestReport(lat, rank, constant, audit, oracle)
+
+
+def test_shared_tables_match_fresh_enumeration(monkeypatch):
+    """The whole report, audit order included, on the golden systems with
+    the oracle and on query-mix systems of a fixed seed, twice each, so the
+    second call reads tables the first one built."""
+    goldens = [parse_system(path.read_text()).submodule()
+               for path in sorted(GOLDEN.glob("*.system"))]
+    for p in goldens:
+        want = _fresh_report(p, monkeypatch, 16)
+        for _ in range(2):
+            assert coarsest_lattice(p, oracle_index_bound=16) == want
+    query_mix_inputs = runpy.run_path(str(WORKLOADS))["query_mix_inputs"]
+    specs = query_mix_inputs(ndsys, 7)[:30]
+    assert len({s["k"] for s in specs}) == 2
+    for spec in specs:
+        p = Submodule(2, spec["k"], spec["gens"])
+        want = _fresh_report(p, monkeypatch)
+        for _ in range(2):
+            assert coarsest_lattice(p) == want

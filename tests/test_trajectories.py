@@ -426,6 +426,28 @@ def test_box_window_points_must_be_the_sorted_box():
     assert points == tuple(sorted(points))
 
 
+def test_box_window_box_and_points_must_be_int_tuples():
+    """A float side once reached range and a list of points made the frozen
+    window unhashable; the constructor takes only tuples and an int box, and
+    keeps the box's own int points."""
+    for pts, box in ((((0,), (1,), (2,)), ((0.0, 2),)),
+                     ([(0,), (1,), (2,)], ((0, 2),)),
+                     (((0,), (1,), (2,)), [(0, 2)]),
+                     (((0,), (1,), (2,)), ([0, 2],)),
+                     (((0,), (1,), (2,)), ((0, 1, 2),)),
+                     (((0,), (1,), (2,)), ((0, True),)),
+                     (([0], [1], [2]), ((0, 2),))):
+        with pytest.raises(ValueError, match="box_window"):
+            Window(pts, box)
+    want = Window(((0,), (1,), (2,)), ((0, 2),))
+    assert box_window([(0.0, 2)]) == want
+    assert hash(box_window([[0, 2]])) == hash(want)
+    same = Window(((0,), (1.0,), (True + 1,)), ((0, 2),))
+    assert same == want and hash(same) == hash(want)
+    assert {type(x) for p in Window(((False,), (1.0,), (2,)), ((0, 2),)).points
+            for x in p} == {int}
+
+
 def test_explicit_window_points_must_be_canonical():
     """A window without a box takes only what explicit_window gives: a
     duplicated point once shifted the column index past the solve, so hex

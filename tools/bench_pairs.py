@@ -22,9 +22,14 @@ better, in the direction ``BENCHMARK.json`` declares.  ``median_gap`` is the
 change's median less the parent's, ``parent_iqr`` the parent's q3 less its q1,
 and ``gain_rule_met`` says whether the change is better in at least 9 of 10
 pairs and its median better by more than ``parent_iqr``: the rule a claimed
-gain must meet.  A pair is one seed's two runs; a seed whose run lacks the
-metric on either side (a failed run) is left out of that metric's pairs,
-values and summaries.  Traced runs keep their exit code, ``correct``, every
+gain must meet.  ``worse_by`` is how much worse the change's median is than
+the parent's, relative to the parent's median (negative when it is better,
+null when the parent's median is 0), and ``within_bound`` says whether it is
+no more than the metric's ``bound`` in ``BENCHMARK.json`` (with a parent
+median of 0, whether the change is no worse): the no-regression check every
+metric a change does not claim must pass.  A pair is one seed's two runs; a
+seed whose run lacks the metric on either side (a failed run) is left out of
+that metric's pairs, values and summaries.  Traced runs keep their exit code, ``correct``, every
 per-layer metric and the span counts ``run.py`` wrote to its results file,
 ``first`` names the side traced first, and ``counters_differ`` lists the
 metrics in unit ``count`` whose values differ between the two sides (a metric
@@ -100,10 +105,11 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return result
 
 
-def _benchmark(checkout: Path) -> tuple[float, dict[str, str]]:
-    """Run length and each end-to-end metric's better direction."""
+def _benchmark(checkout: Path) -> tuple[float, dict[str, tuple[str, float]]]:
+    """Run length and each end-to-end metric's better direction and bound."""
     spec = json.loads((checkout / "BENCHMARK.json").read_text())
-    return spec["run_seconds"], {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return spec["run_seconds"], {m["name"]: (m["better"], m["bound"])
+                                 for m in spec["end_to_end"]}
 
 
 def _summary(values: list[float]) -> dict[str, float]:
@@ -115,7 +121,7 @@ def _summary(values: list[float]) -> dict[str, float]:
 
 
 def untraced_pairs(parent: Path, change: Path, workload: str, seeds: list[int],
-                   seconds: float, better: dict[str, str]) -> dict:
+                   seconds: float, metrics: dict[str, tuple[str, float]]) -> dict:
     """Pairs by seed; a pair missing a metric on either side is left out of it."""
     runs: list[dict[str, dict]] = []
     for i, seed in enumerate(seeds):
@@ -129,7 +135,7 @@ def untraced_pairs(parent: Path, change: Path, workload: str, seeds: list[int],
                   f"correct {res.get('correct')}, wall_s {wall}", file=sys.stderr)
         runs.append(pair)
     out: dict = {}
-    for name, direction in better.items():
+    for name, (direction, bound) in metrics.items():
         have = [pair for pair in runs
                 if all(name in res.get("metrics", {}) for res in pair.values())]
         if not have:
@@ -142,11 +148,16 @@ def untraced_pairs(parent: Path, change: Path, workload: str, seeds: list[int],
         summary = {side: _summary(vals) for side, vals in got.items()}
         gap = round(summary["change"]["median"] - summary["parent"]["median"], 6)
         iqr = round(summary["parent"]["q3"] - summary["parent"]["q1"], 6)
+        base = summary["parent"]["median"]
+        worse = gap if direction == "lower" else -gap
+        worse_by = worse / abs(base) if base else None
         out[name] = {"unit": unit, **summary,
                      "change_better_pairs": wins, "pairs": len(pairs),
                      "median_gap": gap, "parent_iqr": iqr,
                      "gain_rule_met": 10 * wins >= 9 * len(pairs)
-                     and (-gap if direction == "lower" else gap) > iqr,
+                     and -worse > iqr,
+                     "worse_by": None if worse_by is None else round(worse_by, 6),
+                     "within_bound": worse <= 0 if worse_by is None else worse_by <= bound,
                      "values": {side: [round(v, 6) for v in vals] for side, vals in got.items()}}
     out["correct"] = {side: all(pair[side].get("correct") and pair[side]["exit"] == 0
                                 for pair in runs)
@@ -199,7 +210,7 @@ def main(argv=None) -> int:
         if not (checkout / "perfbench" / "run.py").is_file():
             print(f"no perfbench/run.py under {checkout}", file=sys.stderr)
             return 2
-    seconds, better = _benchmark(change)
+    seconds, metrics = _benchmark(change)
     command = f"python3 perfbench/run.py --workload W --seed {{}} --seconds {seconds:g} --trace {{}}"
     record = {
         "label": args.label, "change": args.describe,
@@ -212,7 +223,7 @@ def main(argv=None) -> int:
             "pairs": "one parent and one change run per seed and workload, alternating which "
                      "side runs first (parent first on even pair indices); "
                      + "; ".join(f"{w}: seeds {', '.join(map(str, s))}" for w, s in args.pairs),
-            "workloads": {w: untraced_pairs(parent, change, w, s, seconds, better)
+            "workloads": {w: untraced_pairs(parent, change, w, s, seconds, metrics)
                           for w, s in args.pairs},
         },
         "traced_seed1": {
