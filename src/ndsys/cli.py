@@ -24,7 +24,7 @@ from .sublattice import (contract, extend, galois_group_of, is_extension_from,
                          sublattice_context)
 from .analysis import analyze, transfer_checks
 from .coarsest import MAX_ORACLE_INDEX, coarsest_lattice, is_prime
-from .trajectories import (WindowSpan, box_window, default_membership_window,
+from .trajectories import (Window, WindowSpan, box_window, default_membership_window,
                            restriction_check, window_solutions)
 
 SCHEMA_TAG = "ndsys-report/1"
@@ -228,16 +228,16 @@ def _pick_lattice(sf: SystemFile, args) -> IntLattice:
         raise InputError(f"no lattice named {args.lattice!r} in the file") from None
 
 
-def _pick_window(sf: SystemFile, args, gens=None) -> list[tuple[int, int]]:
+def _pick_window(sf: SystemFile, args, gens=None) -> Window:
     if args.window:
         bounds = _parse_window_spec(args.window, "--window")
         if len(bounds) != sf.n:
             raise InputError(f"--window has {len(bounds)} axes, expected n={sf.n}")
-        return bounds
+        return box_window(bounds)
     if sf.windows:
-        return next(iter(sorted(sf.windows.items())))[1]
+        return box_window(next(iter(sorted(sf.windows.items())))[1])
     if gens:
-        return list(default_membership_window(gens).box)
+        return default_membership_window(gens)
     raise InputError("no window given; use --window lo..hi[,lo..hi]")
 
 
@@ -262,7 +262,7 @@ def _cmd_member(sf: SystemFile, args) -> dict:
     verdict = member(v, p)
     out = {"vector": vector_to_str(v), "member": verdict}
     if args.oracle:
-        window = box_window(_pick_window(sf, args, list(p.generators) + [v]))
+        window = _pick_window(sf, args, list(p.generators) + [v])
         span = WindowSpan(list(p.generators), window, p.k)
         certified = span.contains(v)
         out["oracle"] = {"window": [list(b) for b in window.box],
@@ -287,9 +287,9 @@ def _cmd_contract(sf: SystemFile, args) -> dict:
     if args.oracle:
         if q.context.rank == 0:
             raise InputError("window oracle needs a nonzero sublattice")
-        bounds = _pick_window(sf, args, list(sf.rows) or None)
-        out["oracle"] = {"window": [list(b) for b in bounds],
-                         "restriction_check": restriction_check(p, s, bounds)}
+        window = _pick_window(sf, args, list(sf.rows) or None)
+        out["oracle"] = {"window": [list(b) for b in window.box],
+                         "restriction_check": restriction_check(p, s, window)}
     return out
 
 
@@ -364,10 +364,9 @@ def _cmd_analyze(sf: SystemFile, args) -> dict:
 
 
 def _cmd_simulate(sf: SystemFile, args) -> dict:
-    bounds = _pick_window(sf, args, list(sf.rows) or None)
-    window = box_window(bounds)
+    window = _pick_window(sf, args, list(sf.rows) or None)
     sols = window_solutions(sf.submodule(), window)
-    out = {"window": [list(b) for b in bounds],
+    out = {"window": [list(b) for b in window.box],
            "points": len(window),
            "dimension": sols.dimension}
     if args.basis:

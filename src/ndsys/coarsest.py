@@ -5,16 +5,17 @@ reduced Groebner basis.  Any lattice the system extends from must contain
 every such difference, and each reduced generator sits inside a single coset
 of the candidate, so the candidate itself always passes; minimality is
 guarded by an index-p audit and, at small scale, by brute-force enumeration
-against the window oracle.  The audit writes each index-p sublattice's
-canonical basis down in closed form from a functional a on the candidate's
-basis, with no HNF run, and builds that table of (a, sublattice) pairs once
-per (candidate lattice, prime): equal candidates share it through a bounded
-cache.  It splits the reduced generators into coset parts by coordinate
-buckets: each term's coordinates c on the candidate's basis are found once
-per coarsest_lattice call, and a.c mod p names the term's coset.  Each
-generator's part, a set of its terms, is tested for membership once per
-call.  The brute-force oracle writes its candidate lattices in canonical
-form too, and certifies each distinct part once.
+against the window oracle.  The audit writes generators of each index-p
+sublattice down in closed form from a functional a on the candidate's
+basis, puts them through lattice_from_rows, and builds that table of (a,
+sublattice) pairs once per (candidate lattice, prime): equal candidates
+share it through a bounded cache.  It splits the reduced generators into
+coset parts by coordinate buckets: each term's coordinates c on the
+candidate's basis are found once per coarsest_lattice call, and a.c mod p
+names the term's coset.  Each generator's part, a set of its terms, is
+tested for membership once per call.  The brute-force oracle's candidate
+lattices go through lattice_from_rows once per process, and it certifies
+each distinct part once per call.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from operator import mul
 
-from .intlat import IntLattice, IntMatrix, as_int, lattice_from_rows, meet, zero_lattice
+from .intlat import IntLattice, as_int, lattice_from_rows, meet, zero_lattice
 from .laurent import LaurentPoly, LaurentVec
 from .groebner import InvariantError, Submodule, groebner_basis, member, syzygies
 from .sublattice import failing_coset_part
@@ -103,9 +104,8 @@ def _audit_table(lat: IntLattice, prime: int) -> tuple[tuple[tuple[int, ...], In
     coefficients of the basis b.  With m the index of a's last nonzero
     entry and t_i = -a_i * a_m^-1 mod p, that kernel has the basis
     e_i + t_i*e_m (i != m) and p*e_m, so the sublattice is spanned by
-    b_i + t_i*b_m and p*b_m.  b is an HNF basis, so these rows are in
-    echelon form on b's pivot columns, and reducing the entries above each
-    pivot into [0, pivot) gives the canonical basis without an HNF run.
+    b_i + t_i*b_m and p*b_m, and lattice_from_rows gives its canonical
+    basis.
 
     IntLattice is frozen and canonical, so equal lattices share one table,
     kept for the process.  A table holds (p^r - 1)/(p - 1) lattices, at
@@ -126,14 +126,7 @@ def _audit_table(lat: IntLattice, prime: int) -> tuple[tuple[tuple[int, ...], In
             if a[i]:
                 t = a[i] * minus_inverse[a[m]] % prime
                 rows[i] = tuple(v + t * w for v, w in zip(b[i], bm))
-        # same pivots as b: reduce above each pivot, in ascending order
-        for j, col in enumerate(lat.pivots):
-            rj = rows[j]
-            for i in range(j):
-                q = rows[i][col] // rj[col]
-                if q:
-                    rows[i] = tuple(v - q * w for v, w in zip(rows[i], rj))
-        out.append((a, IntLattice._of(lat.ambient, IntMatrix(tuple(rows), lat.ambient))))
+        out.append((a, lattice_from_rows(lat.ambient, rows)))
     return tuple(out)
 
 
@@ -228,34 +221,32 @@ def coarsest_lattice(p: Submodule, audit_primes=(2, 3, 5, 7),
                           oracle_confirmed)
 
 
-def _oracle_candidates(n: int, index_bound: int) -> list[IntLattice]:
+@lru_cache(maxsize=2 * MAX_ORACLE_INDEX)
+def _oracle_candidates(n: int, index_bound: int) -> tuple[IntLattice, ...]:
     """The lattices brute_force_coarsest tries, in order: the zero lattice,
     every full-rank lattice of index at most index_bound and, for n = 2,
     every line through a primitive (x, y) with |x|, y <= index_bound.
 
-    Each basis is written down in canonical form, with no HNF run: a
-    full-rank basis is ((a, b), (0, d)) with 0 <= b < d, or (d,) for n = 1,
-    and a line's row is negated when x < 0, so its first nonzero entry is
-    positive.
+    A full-rank lattice is spanned by (d,) for n = 1, or by (a, b) and
+    (0, d) with 0 <= b < d, and each goes through lattice_from_rows.  The
+    tuple is kept for the process, one per (n, index_bound) the oracle
+    takes: n is 1 or 2 and index_bound at most MAX_ORACLE_INDEX.
     """
-    def canonical(*rows) -> IntLattice:
-        return IntLattice._of(n, IntMatrix(rows, n))
-
-    candidates: list[IntLattice] = [zero_lattice(n)]
+    candidates = [zero_lattice(n)]
     if n == 1:
-        candidates += [canonical((d,)) for d in range(1, index_bound + 1)]
-        return candidates
+        candidates += [lattice_from_rows(n, [(d,)]) for d in range(1, index_bound + 1)]
+        return tuple(candidates)
     for a in range(1, index_bound + 1):
         for d in range(1, index_bound // a + 1):
             for b in range(d):
-                candidates.append(canonical((a, b), (0, d)))
+                candidates.append(lattice_from_rows(n, [(a, b), (0, d)]))
     for x in range(-index_bound, index_bound + 1):
         for y in range(index_bound + 1):
             if (x, y) == (0, 0) or (y == 0 and x < 0):
                 continue
             if gcd(abs(x), abs(y)) == 1:
-                candidates.append(canonical((-x, -y) if x < 0 else (x, y)))
-    return candidates
+                candidates.append(lattice_from_rows(n, [(x, y)]))
+    return tuple(candidates)
 
 
 def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
@@ -264,9 +255,9 @@ def brute_force_coarsest(p: Submodule, index_bound: int = 16) -> IntLattice:
     Sound because the family of lattices a module extends from is closed
     under intersection and upward inclusion; complete as long as the true
     answer is within the enumeration bounds.  The candidates are
-    _oracle_candidates', each basis written in canonical form with no HNF
-    run.  Each distinct coset part is certified in the window span once per
-    call.
+    _oracle_candidates', put through lattice_from_rows once per process and
+    then read from its cache.  Each distinct coset part is certified in the
+    window span once per call.
     """
     n = p.nvars
     if n > 2:

@@ -122,10 +122,10 @@ def unimodular_inverse(m: IntMatrix) -> IntMatrix:
 # Hermite normal form
 
 
-def _hnf_inplace(rows: list[list[int]], transform: list[list[int]] | None):
-    """Row-reduce rows to HNF; the same row operations are applied to transform."""
+def _hnf_inplace(rows: list[list[int]], ncols: int) -> int:
+    """Row-reduce rows to HNF on their first ncols columns and return the
+    rank; any columns past those only ride along with the row operations."""
     nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
     cur = 0
     for col in range(ncols):
         if cur >= nrows:
@@ -138,15 +138,11 @@ def _hnf_inplace(rows: list[list[int]], transform: list[list[int]] | None):
             piv = min(nz, key=lambda r: abs(rows[r][col]))
             if piv != cur:
                 rows[cur], rows[piv] = rows[piv], rows[cur]
-                if transform is not None:
-                    transform[cur], transform[piv] = transform[piv], transform[cur]
             done = True
             for r in range(cur + 1, nrows):
                 if rows[r][col] != 0:
                     q = rows[r][col] // rows[cur][col]
                     rows[r] = [a - q * b for a, b in zip(rows[r], rows[cur])]
-                    if transform is not None:
-                        transform[r] = [a - q * b for a, b in zip(transform[r], transform[cur])]
                     if rows[r][col] != 0:
                         done = False
             if done:
@@ -155,15 +151,11 @@ def _hnf_inplace(rows: list[list[int]], transform: list[list[int]] | None):
             continue
         if rows[cur][col] < 0:
             rows[cur] = [-a for a in rows[cur]]
-            if transform is not None:
-                transform[cur] = [-a for a in transform[cur]]
         # reduce the entries above the pivot into [0, pivot)
         for r in range(cur):
             q = rows[r][col] // rows[cur][col]
             if q:
                 rows[r] = [a - q * b for a, b in zip(rows[r], rows[cur])]
-                if transform is not None:
-                    transform[r] = [a - q * b for a, b in zip(transform[r], transform[cur])]
         cur += 1
     return cur
 
@@ -171,18 +163,20 @@ def _hnf_inplace(rows: list[list[int]], transform: list[list[int]] | None):
 def hnf(m: IntMatrix) -> IntMatrix:
     """Canonical row HNF of the lattice spanned by the rows (zero rows dropped)."""
     rows = [list(r) for r in m.rows]
-    rank = _hnf_inplace(rows, None)
+    rank = _hnf_inplace(rows, m.ncols)
     return IntMatrix.from_rows(rows[:rank], m.ncols)
 
 
 def hnf_with_transform(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, int]:
-    """Return (H, U, rank) with U unimodular, U @ m = H-padded-with-zero-rows."""
-    rows = [list(r) for r in m.rows]
-    transform = [[1 if i == j else 0 for j in range(m.nrows)] for i in range(m.nrows)]
-    rank = _hnf_inplace(rows, transform)
-    h = IntMatrix.from_rows(rows, m.ncols)
-    u = IntMatrix.from_rows(transform, m.nrows)
-    return h, u, rank
+    """Return (H, U, rank) with U unimodular, U @ m = H-padded-with-zero-rows.
+
+    m's rows carry the identity past its columns, so the row operations
+    build U there, as smith carries U^-1 beside D."""
+    n, c = m.nrows, m.ncols
+    rows = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(m.rows)]
+    rank = _hnf_inplace(rows, c)
+    h = IntMatrix.from_rows([r[:c] for r in rows], c)
+    return h, IntMatrix.from_rows([r[c:] for r in rows], n), rank
 
 
 def integer_kernel_rows(m: IntMatrix) -> list[tuple[int, ...]]:
@@ -226,7 +220,8 @@ class IntLattice:
 
     @classmethod
     def _of(cls, ambient: int, basis: IntMatrix) -> "IntLattice":
-        """Wrap a basis already in HNF, unchecked, as the package builds them."""
+        """Wrap a basis already in HNF, unchecked.  Only intlat builds
+        lattices this way; the rest of the package uses lattice_from_rows."""
         lat = object.__new__(cls)
         lat.__dict__.update(ambient=ambient, basis=basis)
         return lat
@@ -313,15 +308,8 @@ def meet(a: IntLattice, b: IntLattice) -> IntLattice:
     stacked = IntMatrix.from_rows(
         list(a.basis.rows) + [tuple(-v for v in r) for r in b.basis.rows], a.ambient
     )
-    rows = []
-    for u in integer_kernel_rows(stacked):
-        coeffs = u[:ra]
-        vec = [0] * a.ambient
-        for c, brow in zip(coeffs, a.basis.rows):
-            for j, v in enumerate(brow):
-                vec[j] += c * v
-        rows.append(tuple(vec))
-    return lattice_from_rows(a.ambient, rows)
+    coeffs = IntMatrix.from_rows([u[:ra] for u in integer_kernel_rows(stacked)], ra)
+    return lattice_from_rows(a.ambient, (coeffs @ a.basis).rows)
 
 
 def join(a: IntLattice, b: IntLattice) -> IntLattice:

@@ -63,9 +63,13 @@ class LaurentPoly:
 
     @staticmethod
     def variable(nvars: int, i: int, power: int = 1) -> "LaurentPoly":
+        """s_(i+1)^power; a ValueError unless 0 <= i < nvars and power is an integer."""
+        nvars, i = as_count(nvars, "variable count"), as_int(i, "variable index")
+        if not 0 <= i < nvars:
+            raise ValueError(f"variable index {i} outside range({nvars})")
         e = [0] * nvars
-        e[i] = power
-        return LaurentPoly(nvars, {tuple(e): Fraction(1)})
+        e[i] = as_int(power, "exponent")
+        return LaurentPoly._of(nvars, {tuple(e): Fraction(1)})
 
     def is_zero(self) -> bool:
         return not self.terms

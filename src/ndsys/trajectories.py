@@ -61,6 +61,13 @@ class Window:
         # equal is not identical: a point may hold 1.0 or True; keep the box's ints
         object.__setattr__(self, "points", want)
 
+    @classmethod
+    def _of(cls, points: tuple[Exp, ...], box: tuple[tuple[int, int], ...]) -> "Window":
+        """Wrap a box's product, unchecked, as box_window builds it."""
+        w = object.__new__(cls)
+        w.__dict__.update(points=points, box=box)
+        return w
+
     @property
     def dim(self) -> int:
         return len(self.points[0]) if self.points else 0
@@ -72,8 +79,10 @@ class Window:
 def box_window(bounds) -> Window:
     bounds = tuple((as_int(a, "window coordinate"), as_int(b, "window coordinate"))
                    for a, b in bounds)
-    # the product of ascending ranges comes in sorted order
-    return Window(tuple(product(*(range(a, b + 1) for a, b in bounds))), bounds)
+    if any(a > b for a, b in bounds):
+        raise ValueError("empty box side")
+    # the product of ascending ranges lists the box's points in sorted order
+    return Window._of(tuple(product(*(range(a, b + 1) for a, b in bounds))), bounds)
 
 
 def explicit_window(points) -> Window:

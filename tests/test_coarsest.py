@@ -518,9 +518,17 @@ def _row_candidates(n, bound):
 def test_oracle_candidates_match_row_reference():
     for n in (1, 2):
         for bound in range(1, MAX_ORACLE_INDEX + 1):
-            assert _oracle_candidates(n, bound) == _row_candidates(n, bound)
+            assert _oracle_candidates(n, bound) == tuple(_row_candidates(n, bound))
     # 857 of full rank and 1296 lines, past the zero lattice
     assert len(_oracle_candidates(2, MAX_ORACLE_INDEX)) == 1 + 857 + 1296
+
+
+def test_oracle_candidates_are_built_once_per_bound():
+    """The candidates are a cached tuple, so a second oracle run with the
+    same bound puts none of them through lattice_from_rows again."""
+    first = _oracle_candidates(2, 16)
+    assert isinstance(first, tuple) and _oracle_candidates(2, 16) is first
+    assert _oracle_candidates.cache_info().maxsize == 2 * MAX_ORACLE_INDEX
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

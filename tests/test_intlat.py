@@ -82,6 +82,77 @@ def test_hnf_with_transform_consistency():
         assert all(all(v == 0 for v in row) for row in h.rows[r:])
 
 
+def _reference_hnf_inplace(rows, transform):
+    """Reference: the HNF loop with the transform kept as a second matrix
+    beside rows, every row operation written out for both."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    cur = 0
+    for col in range(ncols):
+        if cur >= nrows:
+            break
+        while True:
+            nz = [r for r in range(cur, nrows) if rows[r][col] != 0]
+            if not nz:
+                break
+            piv = min(nz, key=lambda r: abs(rows[r][col]))
+            if piv != cur:
+                rows[cur], rows[piv] = rows[piv], rows[cur]
+                transform[cur], transform[piv] = transform[piv], transform[cur]
+            done = True
+            for r in range(cur + 1, nrows):
+                if rows[r][col] != 0:
+                    q = rows[r][col] // rows[cur][col]
+                    rows[r] = [a - q * b for a, b in zip(rows[r], rows[cur])]
+                    transform[r] = [a - q * b for a, b in zip(transform[r], transform[cur])]
+                    if rows[r][col] != 0:
+                        done = False
+            if done:
+                break
+        if rows[cur][col] == 0:
+            continue
+        if rows[cur][col] < 0:
+            rows[cur] = [-a for a in rows[cur]]
+            transform[cur] = [-a for a in transform[cur]]
+        for r in range(cur):
+            q = rows[r][col] // rows[cur][col]
+            if q:
+                rows[r] = [a - q * b for a, b in zip(rows[r], rows[cur])]
+                transform[r] = [a - q * b for a, b in zip(transform[r], transform[cur])]
+        cur += 1
+    return cur
+
+
+def _reference_hnf_with_transform(m):
+    rows = [list(r) for r in m.rows]
+    transform = [[1 if i == j else 0 for j in range(m.nrows)] for i in range(m.nrows)]
+    rank = _reference_hnf_inplace(rows, transform)
+    return IntMatrix.from_rows(rows, m.ncols), IntMatrix.from_rows(transform, m.nrows), rank
+
+
+def test_hnf_with_transform_matches_the_parallel_transform_reference():
+    """The transform carried as extra columns gives the same (H, U, rank),
+    U included, as the loop that kept it beside the rows, on empty,
+    zero-width and rank-deficient matrices too."""
+    rng = random.Random(32)
+    deficient = 0
+    cases = [IntMatrix((), 0), IntMatrix((), 3), IntMatrix(((), ()), 0),
+             IntMatrix.from_rows([[0, 0], [0, 0]], 2)]
+    for _ in range(400):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+        if r >= 2 and rng.random() < 0.5:
+            # a multiple of another row, so the rank falls below r
+            (i, j), q = rng.sample(range(r), 2), rng.randint(-3, 3)
+            rows[j] = [q * a for a in rows[i]]
+        cases.append(IntMatrix.from_rows(rows, c))
+    for m in cases:
+        got = hnf_with_transform(m)
+        assert got == _reference_hnf_with_transform(m)
+        deficient += got[2] < min(m.nrows, m.ncols)
+    assert deficient > 50
+
+
 def test_integer_kernel():
     rng = random.Random(17)
     for _ in range(30):

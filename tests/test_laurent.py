@@ -268,3 +268,24 @@ def test_unit_vector_component_is_checked(j, message):
 def test_unit_vector_of_an_integral_component():
     assert LaurentVec.unit(2, 3, 2.0) == LaurentVec.unit(2, 3, 2)
     assert LaurentVec.unit(1, 2, 0) == parse_vector("[1, 0]", 1, 2)
+
+
+@pytest.mark.parametrize("i,power,message", [
+    (-1, 1, r"variable index -1 outside range\(2\)"),
+    (2, 1, r"variable index 2 outside range\(2\)"),
+    (5, 1, r"variable index 5 outside range\(2\)"),
+    (1.5, 1, "variable index 1.5 is not an integer"),
+    (0, 0.5, "exponent 0.5 is not an integer"),
+])
+def test_variable_index_and_power_are_checked(i, power, message):
+    """An index outside range(nvars) raises instead of naming another
+    variable (-1 gave s2) or failing with an IndexError or TypeError."""
+    with pytest.raises(ValueError, match=message):
+        LaurentPoly.variable(2, i, power)
+
+
+def test_variable_of_integral_index_and_power():
+    p = LaurentPoly.variable(2, 1.0, -2.0)
+    assert p == parse_poly("s2^-2", 2) == LaurentPoly.variable(2, 1, -2)
+    assert all(type(x) is int for x in next(iter(p.terms)))
+    assert LaurentPoly.variable(1, 0) == parse_poly("s1", 1)

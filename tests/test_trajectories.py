@@ -426,6 +426,22 @@ def test_box_window_points_must_be_the_sorted_box():
     assert points == tuple(sorted(points))
 
 
+def test_box_window_builds_its_box_once(monkeypatch):
+    """box_window hands its product over unchecked, so the constructor's
+    check does not build the box a second time; the window is the one the
+    checking constructor gives."""
+    calls = []
+    real = trajectories.product
+    monkeypatch.setattr(trajectories, "product", lambda *a: calls.append(a) or real(*a))
+    w = box_window([(-2, 3), (0, 4.0)])
+    assert len(calls) == 1
+    checked = Window(w.points, ((-2, 3), (0, 4)))
+    assert w == checked and hash(w) == hash(checked) and w.box == checked.box
+    assert {type(x) for p in w.points for x in p} == {int}
+    with pytest.raises(ValueError, match="empty box side"):
+        box_window([(0, 2), (3, 1)])
+
+
 def test_box_window_box_and_points_must_be_int_tuples():
     """A float side once reached range and a list of points made the frozen
     window unhashable; the constructor takes only tuples and an int box, and
